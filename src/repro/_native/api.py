@@ -6,10 +6,11 @@ semantics* of its numpy counterpart in :mod:`repro.core.edwp_fast`,
 :mod:`repro.baselines.fast` and :mod:`repro.index.fast_bounds` — the
 callers have already peeled the trivial cases they peel for numpy (e.g.
 :func:`repro.core.edwp.edwp` never dispatches a segment-less pair), and
-the batched entry points here fill the same per-target base values the
-python loop would (``inf`` for a segment-less EDwP target, ``n`` for an
-empty EDR target, and so on) before handing the live targets to one
-kernel call over a concatenated coordinate array.
+the batched EDwP/box entry points here fill the same per-target base
+values the python loop would (``inf`` for a segment-less EDwP target)
+before handing the live targets to one kernel call over a concatenated
+coordinate array.  The baseline comparators have single-pair kernels
+only: their ``*_many`` callers loop over them.
 
 Importing this module imports numba when it is installed (kernels compile
 lazily on first call, cached on disk); without numba the kernels run
@@ -36,15 +37,10 @@ __all__ = [
     "edwp_sub_fast_queries_native",
     "prefix_dist_native",
     "dtw_native",
-    "dtw_many_native",
     "edr_native",
-    "edr_many_native",
     "erp_native",
-    "erp_many_native",
     "lcss_length_native",
-    "lcss_length_many_native",
     "frechet_native",
-    "frechet_many_native",
     "edwp_sub_box_native",
     "edwp_sub_box_many_native",
 ]
@@ -148,38 +144,9 @@ def dtw_native(t1: Trajectory, t2: Trajectory, window: int = 0) -> float:
     return float(kernels.dtw_kernel(t1.coords(), t2.coords(), window))
 
 
-def dtw_many_native(query: Trajectory, trajectories: Sequence[Trajectory],
-                    window: int = 0) -> List[float]:
-    q = query.coords()
-    return [
-        math.inf if len(t) == 0
-        else float(kernels.dtw_kernel(q, t.coords(), window))
-        for t in trajectories
-    ]
-
-
 def edr_native(t1: Trajectory, t2: Trajectory, eps: float) -> int:
     """EDR edit count (both non-empty)."""
     return int(kernels.edr_kernel(t1.coords(), t2.coords(), eps))
-
-
-def edr_many_native(query: Trajectory, trajectories: Sequence[Trajectory],
-                    eps: float) -> List[int]:
-    q = query.coords()
-    n = len(query)
-    return [
-        n if len(t) == 0 else int(kernels.edr_kernel(q, t.coords(), eps))
-        for t in trajectories
-    ]
-
-
-def _gap_total(traj: Trajectory, g: Tuple[float, float]) -> float:
-    """ERP's empty-side base case: the sum of gap distances (in the
-    reference's left-to-right accumulation order)."""
-    total = 0.0
-    for row in traj.data:
-        total += math.hypot(row[0] - g[0], row[1] - g[1])
-    return float(total)
 
 
 def erp_native(t1: Trajectory, t2: Trajectory,
@@ -188,44 +155,14 @@ def erp_native(t1: Trajectory, t2: Trajectory,
     return float(kernels.erp_kernel(t1.coords(), t2.coords(), g[0], g[1]))
 
 
-def erp_many_native(query: Trajectory, trajectories: Sequence[Trajectory],
-                    g: Tuple[float, float]) -> List[float]:
-    q = query.coords()
-    return [
-        _gap_total(query, g) if len(t) == 0
-        else float(kernels.erp_kernel(q, t.coords(), g[0], g[1]))
-        for t in trajectories
-    ]
-
-
 def lcss_length_native(t1: Trajectory, t2: Trajectory, eps: float) -> int:
     """LCSS match count, delta = 0 (both non-empty)."""
     return int(kernels.lcss_kernel(t1.coords(), t2.coords(), eps))
 
 
-def lcss_length_many_native(query: Trajectory,
-                            trajectories: Sequence[Trajectory],
-                            eps: float) -> List[int]:
-    q = query.coords()
-    return [
-        0 if len(t) == 0 else int(kernels.lcss_kernel(q, t.coords(), eps))
-        for t in trajectories
-    ]
-
-
 def frechet_native(t1: Trajectory, t2: Trajectory) -> float:
     """Discrete Fréchet (both non-empty)."""
     return float(kernels.frechet_kernel(t1.coords(), t2.coords()))
-
-
-def frechet_many_native(query: Trajectory,
-                        trajectories: Sequence[Trajectory]) -> List[float]:
-    q = query.coords()
-    return [
-        math.inf if len(t) == 0
-        else float(kernels.frechet_kernel(q, t.coords()))
-        for t in trajectories
-    ]
 
 
 # ---------------------------------------------------------------------- #

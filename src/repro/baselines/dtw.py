@@ -90,7 +90,5 @@ def dtw_many(query: Trajectory, trajectories: Sequence[Trajectory],
     trajectories = list(trajectories)
     if resolved == "numpy" and len(query) > 0 and trajectories:
         return fast.dtw_many_numpy(query, trajectories, window)
-    if resolved == "native" and len(query) > 0 and trajectories:
-        return _native.load().dtw_many_native(query, trajectories, window)
     return [dtw(query, t, window=window, backend=resolved)
             for t in trajectories]

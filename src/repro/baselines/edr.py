@@ -87,8 +87,6 @@ def edr_many(query: Trajectory, trajectories: Sequence[Trajectory],
     trajectories = list(trajectories)
     if resolved == "numpy" and len(query) > 0 and trajectories:
         return fast.edr_many_numpy(query, trajectories, eps)
-    if resolved == "native" and len(query) > 0 and trajectories:
-        return _native.load().edr_many_native(query, trajectories, eps)
     return [edr(query, t, eps, backend=resolved) for t in trajectories]
 
 

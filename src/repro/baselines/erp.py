@@ -92,6 +92,4 @@ def erp_many(query: Trajectory, trajectories: Sequence[Trajectory],
     g: Tuple[float, float] = (0.0, 0.0) if gap is None else (gap[0], gap[1])
     if resolved == "numpy" and len(query) > 0 and trajectories:
         return fast.erp_many_numpy(query, trajectories, g)
-    if resolved == "native" and len(query) > 0 and trajectories:
-        return _native.load().erp_many_native(query, trajectories, g)
     return [erp(query, t, gap=gap, backend=resolved) for t in trajectories]

@@ -84,7 +84,5 @@ def frechet_many(query: Trajectory, trajectories: Sequence[Trajectory],
     trajectories = list(trajectories)
     if resolved == "numpy" and len(query) > 0 and trajectories:
         return fast.frechet_many_numpy(query, trajectories)
-    if resolved == "native" and len(query) > 0 and trajectories:
-        return _native.load().frechet_many_native(query, trajectories)
     return [discrete_frechet(query, t, backend=resolved)
             for t in trajectories]

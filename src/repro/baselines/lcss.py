@@ -101,13 +101,8 @@ def lcss_distance_many(query: Trajectory, trajectories: Sequence[Trajectory],
     resolved = resolve_backend(backend)
     trajectories = list(trajectories)
     n = len(query)
-    if resolved in ("numpy", "native") and n > 0 and trajectories:
-        if resolved == "numpy":
-            lengths = fast.lcss_length_many_numpy(query, trajectories, eps)
-        else:
-            lengths = _native.load().lcss_length_many_native(
-                query, trajectories, eps
-            )
+    if resolved == "numpy" and n > 0 and trajectories:
+        lengths = fast.lcss_length_many_numpy(query, trajectories, eps)
         out = []
         for length, t in zip(lengths, trajectories):
             m = len(t)

@@ -28,7 +28,6 @@ DESIGN.md, "Baseline kernels".
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 from ..core.geometry import point_distance, project_point_on_segment

@@ -209,10 +209,6 @@ def resolve_backend(backend: Optional[str]) -> str:
     return backend
 
 
-# Backwards-compatible internal alias (pre-dates the baselines going
-# dual-backend, when resolution was EDwP-private).
-_resolve_backend = resolve_backend
-
 _REP = 0
 _INS1 = 1  # insert on T1 (T2 advances)
 _INS2 = 2  # insert on T2 (T1 advances)
@@ -284,7 +280,6 @@ def _edwp_dp(
     p2: Sequence[Point],
     keep_parents: bool,
     free_start_row: bool = False,
-    allow_stay: bool = False,
 ) -> Tuple[
     List[List[float]],
     Optional[List[List[int]]],
@@ -298,16 +293,6 @@ def _edwp_dp(
     With ``free_start_row`` every cell ``(0, j)`` costs 0 — the PrefixDist /
     EDwPsub mechanism (Eq. 6) of skipping any prefix of the second argument
     for free.  (Suffix skipping is the caller taking a min over the last row.)
-
-    With ``allow_stay`` the insert transitions additionally consider leaving
-    the split side *in place* (a zero-length piece) instead of advancing to
-    the projection.  The literal edit grammar only produces in-place splits
-    when the projection clamps to the current position, which means the DP
-    cannot emulate "the matched sub-trajectory ends here" mid-segment; the
-    stay option closes that gap.  It strictly enlarges the searched edit
-    space, so it is enabled for the sub-trajectory distance (whose role is a
-    *lower bound*, Theorem 2) and disabled for the plain EDwP distance (which
-    follows the paper's grammar and reproduces its worked examples).
     """
     n1 = len(p1) - 1
     n2 = len(p2) - 1
@@ -382,13 +367,6 @@ def _edwp_dp(
                         best = total
                         best_pos = (q[0], q[1], b2[0], b2[1])
                         best_op = _INS1
-                    if allow_stay and q != a1:
-                        incr = (base + dist(a1, b2)) * dist(a2, b2)
-                        total = c + incr
-                        if total < best:
-                            best = total
-                            best_pos = (a1[0], a1[1], b2[0], b2[1])
-                            best_op = _INS1
 
             # ins on T2: from (i-1, j) — symmetric.
             if i > 0:
@@ -409,13 +387,6 @@ def _edwp_dp(
                         best = total
                         best_pos = (b1[0], b1[1], q[0], q[1])
                         best_op = _INS2
-                    if allow_stay and q != a2:
-                        incr = (base + dist(b1, a2)) * dist(a1, b1)
-                        total = c + incr
-                        if total < best:
-                            best = total
-                            best_pos = (b1[0], b1[1], a2[0], a2[1])
-                            best_op = _INS2
 
             row_cost[j] = best
             row_pos[j] = best_pos
@@ -439,7 +410,7 @@ def edwp(t1: Trajectory, t2: Trajectory, backend: Optional[str] = None) -> float
     trivial = _trivial_distance(t1.num_segments, t2.num_segments)
     if trivial is not None:
         return trivial
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     if resolved == "numpy":
         return edwp_fast.edwp_numpy(t1, t2)
     if resolved == "native":
@@ -491,7 +462,7 @@ def edwp_many(
     Returns one distance per input trajectory, in order, with the same
     base-case semantics as :func:`edwp` / :func:`edwp_avg` per pair.
     """
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     trajectories = list(trajectories)
     if workers is not None and workers > 1 and len(trajectories) > 1:
         shard = math.ceil(len(trajectories) / workers)

@@ -44,9 +44,7 @@ enforces this property.
 
 Spatial points are packed as complex numbers (``x + yj``): ``np.abs`` of a
 complex difference is the point distance, and one complex array halves the
-number of numpy operations versus separate x/y arrays.  The ``allow_stay``
-option of the reference DP is not reproduced here because no public entry
-point uses it.
+number of numpy operations versus separate x/y arrays.
 
 This module is self-contained (numpy only) and is dispatched to by
 :func:`repro.core.edwp.edwp` and friends when the ``"numpy"`` backend is

@@ -17,11 +17,11 @@ diversity with it, and tBoxSeq construction and query-time lower bounds
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import edwp_fast
 from .. import _native
-from .edwp import EdwpResult, _backtrack, _edwp_dp, _resolve_backend, _spatial_points
+from .edwp import EdwpResult, _backtrack, _edwp_dp, _spatial_points, resolve_backend
 from .trajectory import Trajectory
 
 __all__ = [
@@ -62,7 +62,7 @@ def edwp_sub(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> flo
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     if resolved == "numpy":
         return edwp_fast.edwp_sub_numpy(t, s)
     if resolved == "native":
@@ -90,7 +90,7 @@ def edwp_sub_many(
     Returns one distance per target, in order, with the same base-case
     semantics as :func:`edwp_sub` per pair.
     """
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     trajectories = list(trajectories)
     if t.num_segments <= 0:
         return [0.0] * len(trajectories)
@@ -112,7 +112,7 @@ def edwp_sub_fast(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     if resolved == "numpy":
         return edwp_fast.edwp_sub_fast_numpy(t, s)
     if resolved == "native":
@@ -138,7 +138,7 @@ def edwp_sub_fast_queries(
     ``"python"`` it is a plain loop.  Returns one value per query, in
     order, with the same base-case semantics as :func:`edwp_sub_fast`.
     """
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     queries = list(queries)
     if s.num_segments <= 0:
         return [_sub_trivial(q.num_segments, 0) for q in queries]
@@ -155,7 +155,7 @@ def prefix_dist(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> 
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     if resolved == "numpy":
         return edwp_fast.prefix_dist_numpy(t, s)
     if resolved == "native":

@@ -17,9 +17,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import interpolate, point_distance
+from .geometry import interpolate
 
-__all__ = ["STPoint", "Segment", "Trajectory"]
+__all__ = ["STPoint", "Segment", "Trajectory", "assign_ids"]
 
 
 class STPoint:
@@ -409,3 +409,19 @@ class Trajectory:
             return 0.0
         lengths = self.segment_lengths()
         return float(lengths[:index].sum())
+
+
+def assign_ids(trajectories: Sequence[Trajectory]) -> List[int]:
+    """The library-wide id rule for a dataset, in dataset order.
+
+    Provided ``traj_id`` attributes are used when all are present and
+    unique; positional ids (``0..n-1``) are assigned otherwise.  ``TrajTree``,
+    ``TrajForest`` and ``ColumnarStore`` all key on this one rule, which is
+    what lets forest answers share the id space of a single tree.
+    """
+    provided = [t.traj_id for t in trajectories]
+    if all(p is not None for p in provided) and len(set(provided)) == len(
+        provided
+    ):
+        return [int(p) for p in provided]
+    return list(range(len(trajectories)))

@@ -27,7 +27,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.trajectory import Trajectory
-from .splitting import split_trips
 
 __all__ = ["BeijingConfig", "generate_beijing", "generate_cab_streams"]
 

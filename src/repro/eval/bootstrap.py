@@ -10,7 +10,7 @@ per-draw result vectors provide that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

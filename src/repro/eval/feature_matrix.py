@@ -31,7 +31,7 @@ nothing from the batched matrix engine; the Fig. 5 sweeps are where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ vectors.  :func:`knn_list_correlation` implements exactly that protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence
 
 import numpy as np
 

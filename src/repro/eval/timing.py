@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 __all__ = ["Timer", "time_call", "format_series_table"]
 

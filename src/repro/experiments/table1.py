@@ -11,7 +11,7 @@ Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..baselines import MAParams, get_distance
 from ..core import Trajectory, edwp
@@ -19,7 +19,6 @@ from ..core.edwp_sub import edwp_sub
 from ..baselines.edr import edr
 from ..baselines.ma import ma
 from ..eval.feature_matrix import (
-    PAPER_TABLE_I,
     FeatureProbe,
     feature_matrix,
     fig1d_ordering_scenario,

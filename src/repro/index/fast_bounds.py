@@ -161,6 +161,10 @@ def _rect_dist(p: np.ndarray, xmin, ymin, xmax, ymax) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
+#: Distances below this square into the subnormal range (or to 0), where
+#: :func:`_project_on_segments`'s squared-distance ordering loses meaning.
+_SQUARE_UNDERFLOW = math.sqrt(np.finfo(np.float64).tiny)
+
 #: The reference's three midpoint-rule fractions.
 _PIECE_FRACTIONS = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
 
@@ -200,8 +204,9 @@ def _project_on_segments(
     each leg, so it orders candidates exactly like the reference's hypot
     comparison except on sub-ulp near-ties between geometrically distinct
     candidates (bitwise ties, e.g. clamped duplicates, still resolve to
-    the first candidate either way).  The *returned* distance is the
-    reference's hypot, evaluated only for the winner.
+    the first candidate either way) — with the cells whose winning square
+    underflowed re-selected on the hypot key itself.  The *returned*
+    distance is the reference's hypot, evaluated only for the winner.
 
     Shapes broadcast: the DP sweep stacks its two projection problems
     (``rep`` and ``ins`` on T) along a leading axis and passes the box
@@ -241,14 +246,17 @@ def _project_on_segments(
 
     ts[0] = 0.0
     ts[1] = 1.0
-    np.divide(ex0, div_x, out=ts[2])
-    np.divide(ex1, div_x, out=ts[3])
-    np.divide(ey0, div_y, out=ts[4])
-    np.divide(ey1, div_y, out=ts[5])
-    np.divide(ex0 * dx + ey0 * dy, safe, out=ts[6])
-    np.divide(ex0 * dx + ey1 * dy, safe, out=ts[7])
-    np.divide(ex1 * dx + ey0 * dy, safe, out=ts[8])
-    np.divide(ex1 * dx + ey1 * dy, safe, out=ts[9])
+    # A subnormal delta overflows the quotient to +-inf, which the clip
+    # below clamps exactly like the reference's float division does.
+    with np.errstate(over="ignore"):
+        np.divide(ex0, div_x, out=ts[2])
+        np.divide(ex1, div_x, out=ts[3])
+        np.divide(ey0, div_y, out=ts[4])
+        np.divide(ey1, div_y, out=ts[5])
+        np.divide(ex0 * dx + ey0 * dy, safe, out=ts[6])
+        np.divide(ex0 * dx + ey1 * dy, safe, out=ts[7])
+        np.divide(ex1 * dx + ey0 * dy, safe, out=ts[8])
+        np.divide(ex1 * dx + ey1 * dy, safe, out=ts[9])
     np.clip(ts, 0.0, 1.0, out=ts)
 
     # In-place candidate geometry: qx/qy become the (signed) clamp
@@ -265,15 +273,26 @@ def _project_on_segments(
     np.multiply(qy, qy, out=s2)
     s1 += s2
 
-    d_sq = s1.reshape(10, -1)
-    sel = np.argmin(d_sq, axis=0)
+    rx = qx.reshape(10, -1)
+    ry = qy.reshape(10, -1)
+    sel = np.argmin(s1.reshape(10, -1), axis=0)
     pick = np.arange(sel.shape[0])
+    d_best = np.hypot(rx[sel, pick], ry[sel, pick])
+    # A winner this close to the box (but not touching it) had a squared
+    # distance below the normal float range: candidates there tie at a
+    # rounded-off square, or vanish to 0 and pass for touching ones, so
+    # first-minimum can pick a macroscopically different split point.
+    # Redo the selection for exactly those cells on the reference's hypot
+    # key.  (A zero winner is safe: it is the first zero square, hence
+    # also the first candidate that genuinely touches.)
+    under = np.flatnonzero((d_best > 0.0) & (d_best < _SQUARE_UNDERFLOW))
+    if under.size:
+        exact = np.hypot(rx[:, under], ry[:, under])
+        sel[under] = np.argmin(exact, axis=0)
+        d_best[under] = exact.min(axis=0)
     t_best = ts.reshape(10, -1)[sel, pick].reshape(shape)
-    d_best = np.hypot(
-        qx.reshape(10, -1)[sel, pick], qy.reshape(10, -1)[sel, pick]
-    ).reshape(shape)
     q = (ax + dx * t_best) + 1j * (ay + dy * t_best)
-    return q, d_best
+    return q, d_best.reshape(shape)
 
 
 def _piece_cost(cur: np.ndarray, end: np.ndarray, xmin, ymin, xmax, ymax):

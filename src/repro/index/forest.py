@@ -48,11 +48,11 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.trajectory import Trajectory
+from ..core.trajectory import Trajectory, assign_ids
 from ..store import ColumnarStore
 from ..testing import faults
 from .budget import AnytimeResult, as_tracker, bound_factor_for
-from .trajtree import TrajTree, TrajTreeStats
+from .trajtree import TrajTree, TrajTreeStats, dispatch_query_many
 
 __all__ = ["TrajForest", "assign_shards", "SHARD_SCHEMES"]
 
@@ -166,22 +166,16 @@ class TrajForest:
         trajectories = list(trajectories)
         if not trajectories:
             raise ValueError("cannot index an empty database")
-        provided = [t.traj_id for t in trajectories]
-        use_provided = all(p is not None for p in provided) and len(
-            set(provided)
-        ) == len(provided)
-        if use_provided:
-            ids = [int(p) for p in provided]
-            globalized = trajectories
-        else:
-            # Rewrap with explicit positional ids sharing the same data
-            # arrays (zero-copy) so every shard tree keys on global ids.
-            ids = list(range(len(trajectories)))
-            globalized = [
-                Trajectory(t.data, traj_id=pos, label=t.label,
-                           validate=False)
-                for pos, t in enumerate(trajectories)
-            ]
+        # Trajectories whose own id differs from their global one are
+        # rewrapped around the same data array (zero-copy) so every shard
+        # tree keys on global ids.
+        ids = assign_ids(trajectories)
+        globalized = [
+            t if t.traj_id == tid
+            else Trajectory(t.data, traj_id=tid, label=t.label,
+                            validate=False)
+            for tid, t in zip(ids, trajectories)
+        ]
         groups = assign_shards(ids, num_shards, scheme)
         shards = [
             TrajTree(
@@ -478,6 +472,23 @@ class TrajForest:
         merged = heapq.merge(*per_shard, key=lambda r: (r[1], r[0]))
         return list(itertools.islice(merged, k))
 
+    def _topk(
+        self,
+        method: str,
+        query: Trajectory,
+        k: int,
+        stats: Optional[TrajTreeStats],
+        budget,
+    ) -> List[Tuple[int, float]]:
+        """Fan out one top-k ``method``, k-way merge, fold anytime metadata
+        — the shared path of :meth:`knn` and :meth:`subtrajectory_knn`."""
+        k = int(k)
+        per_shard = self._fanout(method, query, k, stats, budget)
+        merged = self._merge_topk(per_shard, k)
+        if budget is None:
+            return merged
+        return self._merge_anytime(merged, per_shard, k)
+
     def knn(
         self,
         query: Trajectory,
@@ -495,11 +506,7 @@ class TrajForest:
         the merged :class:`~repro.index.budget.AnytimeResult` carries
         per-shard exactness on ``shard_exact``.
         """
-        per_shard = self._fanout("knn", query, int(k), stats, budget)
-        merged = self._merge_topk(per_shard, int(k))
-        if budget is None:
-            return merged
-        return self._merge_anytime(merged, per_shard, int(k))
+        return self._topk("knn", query, k, stats, budget)
 
     def range_query(
         self,
@@ -525,12 +532,7 @@ class TrajForest:
         budget=None,
     ) -> List[Tuple[int, float]]:
         """Best-k sub-trajectory matches across all shards (raw EDwPsub)."""
-        per_shard = self._fanout("subtrajectory_knn", query, int(k), stats,
-                                 budget)
-        merged = self._merge_topk(per_shard, int(k))
-        if budget is None:
-            return merged
-        return self._merge_anytime(merged, per_shard, int(k))
+        return self._topk("subtrajectory_knn", query, k, stats, budget)
 
     def query_many(
         self,
@@ -545,34 +547,7 @@ class TrajForest:
         optional budget) singleflighted to the *same* result/stats
         objects.  Each request's stats are the per-shard sums.
         """
-        dispatch = {
-            "knn": lambda q, p, s, b: self.knn(q, int(p), stats=s, budget=b),
-            "range":
-                lambda q, p, s, b:
-                    self.range_query(q, float(p), stats=s, budget=b),
-            "subtrajectory_knn":
-                lambda q, p, s, b:
-                    self.subtrajectory_knn(q, int(p), stats=s, budget=b),
-        }
-        out: List[Tuple[List[Tuple[int, float]], TrajTreeStats]] = []
-        seen: Dict[tuple, int] = {}
-        for req in requests:
-            kind, query, param = req[0], req[1], req[2]
-            budget = req[3] if len(req) > 3 else None
-            if kind not in dispatch:
-                raise ValueError(
-                    f"unknown query kind {kind!r}; expected one of "
-                    f"{tuple(dispatch)}"
-                )
-            key = (kind, float(param), query.data.tobytes(), budget)
-            first = seen.get(key)
-            if first is not None:
-                out.append(out[first])
-                continue
-            seen[key] = len(out)
-            stats = TrajTreeStats()
-            out.append((dispatch[kind](query, param, stats, budget), stats))
-        return out
+        return dispatch_query_many(self, requests)
 
     def __repr__(self) -> str:
         return (

@@ -12,20 +12,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
-from ..core.edwp_sub import edwp_sub_fast
+from ..core.edwp_sub import edwp_sub_fast_queries
 from ..core.trajectory import Trajectory
 from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq
 
 __all__ = ["PartitionResult", "partition", "select_pivots"]
 
-DistanceFn = Callable[[Trajectory, Trajectory], float]
-
-#: Batched column of the diversity distance: ``rows(ts, s)`` returns
+#: Column of the diversity distance: ``rows(ts, s)`` returns
 #: ``[distance(t, s) for t in ts]`` in one call.  Alg. 1 only ever needs
 #: whole columns against one pivot, which is exactly the batch-first
-#: lockstep shape of :func:`repro.core.edwp_sub.edwp_sub_fast_queries`.
+#: lockstep shape of :func:`repro.core.edwp_sub.edwp_sub_fast_queries`
+#: (the default; a plain per-pair loop on the ``"python"`` backend).
 DistanceRowsFn = Callable[[Sequence[Trajectory], Trajectory], List[float]]
 
 
@@ -49,22 +48,12 @@ class PartitionResult:
     boxseqs: List[TBoxSeq] = field(default_factory=list)
 
 
-def _rows_fallback(
-    distance: DistanceFn, distance_rows: Optional[DistanceRowsFn]
-) -> DistanceRowsFn:
-    """The column evaluator: batched hook when given, else a plain loop."""
-    if distance_rows is not None:
-        return distance_rows
-    return lambda ts, s: [distance(t, s) for t in ts]
-
-
 def select_pivots(
     trajectories: Sequence[Trajectory],
     theta: float,
     rng: random.Random,
-    distance: DistanceFn = edwp_sub_fast,
     max_pivots: Optional[int] = None,
-    distance_rows: Optional[DistanceRowsFn] = None,
+    distance_rows: DistanceRowsFn = edwp_sub_fast_queries,
 ) -> List[int]:
     """Greedy max-min diverse pivot selection (Alg. 1, lines 3-8).
 
@@ -75,10 +64,10 @@ def select_pivots(
     (line 6): once new pivots stop being meaningfully different from the
     existing ones, growth stops.
 
-    ``distance_rows`` (optional) evaluates a whole distance column against
-    one pivot in a single call; every new pivot needs exactly one such
-    column, so a batched evaluator turns the k-center sweep's hot loop
-    into lockstep kernel calls without changing any selection decision.
+    ``distance_rows`` evaluates a whole distance column against one pivot
+    in a single call; every new pivot needs exactly one such column, so a
+    batched evaluator turns the k-center sweep's hot loop into lockstep
+    kernel calls without changing any selection decision.
     """
     n = len(trajectories)
     if n == 0:
@@ -87,7 +76,6 @@ def select_pivots(
         return [0]
     if max_pivots is None:
         max_pivots = n
-    rows = _rows_fallback(distance, distance_rows)
 
     seed = rng.randrange(n)
     pivots = [seed]
@@ -98,7 +86,7 @@ def select_pivots(
 
     def update_with(pivot: int) -> None:
         nonlocal min_pairwise
-        col = rows(trajectories, trajectories[pivot])
+        col = distance_rows(trajectories, trajectories[pivot])
         for i in range(n):
             if i == pivot:
                 min_dist[i] = 0.0
@@ -136,10 +124,9 @@ def partition(
     theta: float = 0.8,
     min_node_size: int = 10,
     rng: Optional[random.Random] = None,
-    distance: DistanceFn = edwp_sub_fast,
     max_boxes: int = DEFAULT_MAX_BOXES,
     max_pivots: Optional[int] = None,
-    distance_rows: Optional[DistanceRowsFn] = None,
+    distance_rows: DistanceRowsFn = edwp_sub_fast_queries,
 ) -> Optional[PartitionResult]:
     """Algorithm 1: split a node's trajectories into diverse groups.
 
@@ -150,8 +137,8 @@ def partition(
     Parameters mirror the paper: ``theta`` is the diversity-drop threshold
     (default 0.8, the paper's tuned value — Fig. 6b), ``min_node_size`` the
     minimum node size ``n`` (default 10, Sec. V-A).  ``distance_rows``
-    (optional) batches whole distance columns against one trajectory — see
-    :func:`select_pivots`; all grouping decisions are unchanged.
+    evaluates whole distance columns against one trajectory — see
+    :func:`select_pivots`.
     """
     if rng is None:
         rng = random.Random(0)
@@ -159,13 +146,12 @@ def partition(
     if n <= min_node_size:
         return None
 
-    pivots = select_pivots(trajectories, theta, rng, distance, max_pivots,
-                           distance_rows=distance_rows)
+    pivots = select_pivots(trajectories, theta, rng, max_pivots,
+                           distance_rows)
     if len(pivots) < 2:
         # A degenerate pivot set cannot split the node; fall back to two
         # pivots (seed + farthest) so the tree always makes progress.
-        pivots = _forced_two_pivots(trajectories, rng, distance,
-                                    distance_rows=distance_rows)
+        pivots = _forced_two_pivots(trajectories, rng, distance_rows)
         if len(pivots) < 2:
             return None
 
@@ -200,10 +186,9 @@ def partition(
     # the whole node into that group, degenerating the tree.  Fall back to
     # nearest-pivot assignment in that case.
     if len(groups) > 1 and max(len(g) for g in groups) > 0.8 * n:
-        rows = _rows_fallback(distance, distance_rows)
-        # One batched column per pivot; selection (first strict minimum
-        # over pivots) matches the per-pair min(range, key=...) exactly.
-        cols = [rows(trajectories, trajectories[p]) for p in pivots]
+        # One column per pivot; each trajectory joins the first strictly
+        # nearest pivot.
+        cols = [distance_rows(trajectories, trajectories[p]) for p in pivots]
         groups = [[p] for p in pivots]
         for i in range(n):
             if i in pivot_set:
@@ -223,15 +208,12 @@ def partition(
 def _forced_two_pivots(
     trajectories: Sequence[Trajectory],
     rng: random.Random,
-    distance: DistanceFn,
-    distance_rows: Optional[DistanceRowsFn] = None,
+    distance_rows: DistanceRowsFn,
 ) -> List[int]:
     """Seed + farthest-from-seed, ignoring θ — used when Alg. 1 stalls."""
     n = len(trajectories)
     seed = rng.randrange(n)
-    col = _rows_fallback(distance, distance_rows)(
-        trajectories, trajectories[seed]
-    )
+    col = distance_rows(trajectories, trajectories[seed])
     best = None
     best_d = -1.0
     for i in range(n):

@@ -29,23 +29,18 @@ import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.edwp import _normalize, edwp, edwp_many, resolve_backend
-from ..core.edwp_sub import (
-    edwp_sub,
-    edwp_sub_fast,
-    edwp_sub_fast_queries,
-    edwp_sub_many,
-)
-from ..core.geometry import polyline_rect_distance, polyline_rects_distance
-from ..core.trajectory import Trajectory
+from ..core.edwp import edwp_many, resolve_backend
+from ..core.edwp_sub import edwp_sub_fast_queries, edwp_sub_many
+from ..core.geometry import polyline_rects_distance
+from ..core.trajectory import Trajectory, assign_ids
 from .budget import AnytimeResult, as_tracker, bound_factor_for
 from .partition import partition
-from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box, edwp_sub_box_many
+from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box_many
 from .vantage import VantageIndex
 
 __all__ = ["TrajTree", "TrajTreeStats"]
@@ -96,6 +91,51 @@ class TrajTreeStats:
     quick_bound_computations: int = 0
     members_pruned: int = 0
     vp_rankings: int = 0
+
+
+#: ``query_many`` kinds: the index method each names and the type its
+#: ``param`` is cast to (``k`` for the k-NN kinds, the radius for range).
+QUERY_KINDS = {
+    "knn": ("knn", int),
+    "range": ("range_query", float),
+    "subtrajectory_knn": ("subtrajectory_knn", int),
+}
+
+
+def dispatch_query_many(
+    index, requests: Sequence[tuple]
+) -> List[Tuple[List[Tuple[int, float]], TrajTreeStats]]:
+    """The one ``query_many`` body, shared by tree and forest.
+
+    ``index`` is anything with the three single-query methods of
+    :data:`QUERY_KINDS` (looked up on the instance per request, so a
+    subclass or an instrumented method is honoured).  Contract in
+    :meth:`TrajTree.query_many`.
+    """
+    out: List[Tuple[List[Tuple[int, float]], TrajTreeStats]] = []
+    seen: Dict[tuple, int] = {}
+    for req in requests:
+        kind, query, param = req[0], req[1], req[2]
+        budget = req[3] if len(req) > 3 else None
+        if kind not in QUERY_KINDS:
+            raise ValueError(
+                f"unknown query kind {kind!r}; expected one of "
+                f"{tuple(QUERY_KINDS)}"
+            )
+        key = (kind, float(param), query.data.tobytes(), budget)
+        first = seen.get(key)
+        if first is not None:
+            out.append(out[first])
+            continue
+        seen[key] = len(out)
+        method, cast = QUERY_KINDS[kind]
+        stats = TrajTreeStats()
+        out.append((
+            getattr(index, method)(query, cast(param), stats=stats,
+                                   budget=budget),
+            stats,
+        ))
+    return out
 
 
 class _Node:
@@ -233,8 +273,8 @@ class TrajTree:
         self.rebuild_ratio = rebuild_ratio
 
         self._rng = random.Random(seed)
-        self._db: Dict[int, Trajectory] = {}
-        ids = self._assign_ids(trajectories)
+        ids = assign_ids(trajectories)
+        self._db: Dict[int, Trajectory] = dict(zip(ids, trajectories))
         self._updates_since_build = 0
         self.build_stats = TrajTreeStats()
         self.root = self._build(ids)
@@ -242,18 +282,6 @@ class TrajTree:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-
-    def _assign_ids(self, trajectories: Sequence[Trajectory]) -> List[int]:
-        provided = [t.traj_id for t in trajectories]
-        use_provided = all(p is not None for p in provided) and len(
-            set(provided)
-        ) == len(provided)
-        ids: List[int] = []
-        for pos, traj in enumerate(trajectories):
-            tid = int(traj.traj_id) if use_provided else pos
-            self._db[tid] = traj
-            ids.append(tid)
-        return ids
 
     def _build(self, ids: List[int], depth: int = 0) -> _Node:
         trajs = [self._db[i] for i in ids]
@@ -269,7 +297,6 @@ class TrajTree:
             theta=self.theta,
             min_node_size=self.min_node_size,
             rng=self._rng,
-            distance=self._pivot_distance,
             max_boxes=self.max_boxes,
             max_pivots=self.max_branching,
             distance_rows=self._pivot_distance_rows,
@@ -370,10 +397,6 @@ class TrajTree:
     # distances and bounds
     # ------------------------------------------------------------------ #
 
-    def _pivot_distance(self, a: Trajectory, b: Trajectory) -> float:
-        """Build-time diversity distance (Alg. 1), on this tree's backend."""
-        return edwp_sub_fast(a, b, backend=self.backend)
-
     def _pivot_distance_rows(
         self, trajs: Sequence[Trajectory], pivot: Trajectory
     ) -> List[float]:
@@ -386,12 +409,6 @@ class TrajTree:
         """
         return edwp_sub_fast_queries(trajs, pivot, backend=self.backend)
 
-    def _exact(self, query: Trajectory, traj: Trajectory) -> float:
-        d = edwp(query, traj, backend=self.backend)
-        if not self.normalized:
-            return d
-        return _normalize(d, query.length + traj.length)
-
     def _exact_many(
         self, query: Trajectory, traj_ids: Sequence[int]
     ) -> List[float]:
@@ -401,6 +418,15 @@ class TrajTree:
             [self._db[tid] for tid in traj_ids],
             normalized=self.normalized,
             backend=self.backend,
+        )
+
+    def _exact_sub_many(
+        self, query: Trajectory, traj_ids: Sequence[int]
+    ) -> List[float]:
+        """Batched raw ``EDwPsub`` distances — :meth:`_exact_many`'s twin
+        for :meth:`subtrajectory_knn` and its scan oracle."""
+        return edwp_sub_many(
+            query, [self._db[tid] for tid in traj_ids], backend=self.backend
         )
 
     def _normalize_bound(
@@ -431,22 +457,13 @@ class TrajTree:
         )
 
     def _bounds_many(
-        self,
-        query: Trajectory,
-        nodes: Sequence[_Node],
-        normalized: Optional[bool] = None,
+        self, query: Trajectory, nodes: Sequence[_Node]
     ) -> List[float]:
-        """Box-DP lower bounds of many nodes in one batched kernel call.
-
-        ``normalized`` overrides the tree's normalization
-        (``subtrajectory_knn`` reports raw EDwPsub, so it passes
-        ``False``).
-        """
-        if normalized is None:
-            normalized = self.normalized
+        """Box-DP lower bounds of many nodes in one batched kernel call,
+        in the tree's own (possibly length-normalized) distance."""
         lbs = self._bounds_many_raw(query, nodes)
         return [
-            self._normalize_bound(query, node, lb, normalized)
+            self._normalize_bound(query, node, lb, self.normalized)
             for node, lb in zip(nodes, lbs)
         ]
 
@@ -477,16 +494,11 @@ class TrajTree:
         return [2.0 * dmin * q_len for dmin in dmins]
 
     def _quick_bounds_many(
-        self,
-        query: Trajectory,
-        nodes: Sequence[_Node],
-        normalized: Optional[bool] = None,
+        self, query: Trajectory, nodes: Sequence[_Node]
     ) -> List[float]:
-        """Normalized form of :meth:`_quick_bounds_many_raw`."""
-        if normalized is None:
-            normalized = self.normalized
+        """:meth:`_quick_bounds_many_raw` in the tree's own distance."""
         return [
-            self._normalize_bound(query, node, raw, normalized)
+            self._normalize_bound(query, node, raw, self.normalized)
             for node, raw in zip(
                 nodes, self._quick_bounds_many_raw(query, nodes)
             )
@@ -518,6 +530,33 @@ class TrajTree:
         upper-bound factor (DESIGN.md, "Overload control and anytime
         queries").  With an unlimited budget the result is bit-identical
         to the unbudgeted call.
+        """
+        return self._best_first(
+            query, k, stats, budget,
+            refine=self._exact_many, normalized=self.normalized, use_vps=True,
+        )
+
+    def _best_first(
+        self,
+        query: Trajectory,
+        k: int,
+        stats: Optional[TrajTreeStats],
+        budget,
+        refine: Callable[[Trajectory, Sequence[int]], List[float]],
+        normalized: bool,
+        use_vps: bool,
+    ) -> List[Tuple[int, float]]:
+        """Alg. 2's best-first search — the one loop behind :meth:`knn` and
+        :meth:`subtrajectory_knn`.
+
+        The callers differ in exactly three things: ``refine(query, ids)``,
+        the batched exact distance that resolves deferred members (EDwP vs
+        raw EDwPsub); ``normalized``, whether node bounds are divided by
+        ``length(Q) + max length`` (EDwPsub is never length-normalized);
+        and ``use_vps``, whether Step 1's vantage-point upper bound runs
+        (VP descriptors hold EDwP distances, which say nothing about
+        EDwPsub).  Everything else — heap order, tie rule, deferred
+        refinement, budget check points — is shared.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -559,7 +598,7 @@ class TrajTree:
             """Refine every deferred member in one batched kernel call."""
             if not pending:
                 return
-            for tid, d in zip(pending, self._exact_many(query, pending)):
+            for tid, d in zip(pending, refine(query, pending)):
                 offer_value(tid, d)
             pending.clear()
 
@@ -596,7 +635,8 @@ class TrajTree:
             # Step 1 (Alg. 2 lines 8-10): refine the upper bound via VPs,
             # batched through the same deferral buffer (flushed at once so
             # the upper bound tightens before any pruning decision).
-            if node.vantage is not None and len(node.vantage) > 0:
+            if (use_vps and node.vantage is not None
+                    and len(node.vantage) > 0):
                 stats.vp_rankings += 1
                 qdesc = node.vantage.describe(query)
                 for tid, _vd in node.vantage.top_k(qdesc, k,
@@ -615,7 +655,7 @@ class TrajTree:
                 for tid in node.member_ids:
                     if tid in processed:
                         continue
-                    if self.normalized and raw > 0.0:
+                    if normalized and raw > 0.0:
                         denom = q_len + self._db[tid].length
                         if denom > 0.0 and raw / denom > limit:
                             stats.members_pruned += 1
@@ -644,7 +684,7 @@ class TrajTree:
             survivors = [
                 (child, qraw)
                 for child, qraw in zip(children, quick_raws)
-                if self._normalize_bound(query, child, qraw, self.normalized)
+                if self._normalize_bound(query, child, qraw, normalized)
                 <= limit
             ]
             stats.nodes_pruned += len(children) - len(survivors)
@@ -671,9 +711,11 @@ class TrajTree:
             )
             box_raws += [qraw for _, qraw in survivors[allowance:]]
             for (child, qraw), braw in zip(survivors, box_raws):
+                # Both are lower bounds, so the larger keys the child —
+                # for either distance (sound, never looser than one alone).
                 child_raw = max(qraw, braw)
                 lb = self._normalize_bound(
-                    query, child, child_raw, self.normalized
+                    query, child, child_raw, normalized
                 )
                 if lb <= limit:
                     heapq.heappush(
@@ -683,9 +725,8 @@ class TrajTree:
                     stats.nodes_pruned += 1
 
         flush()
-        result = sorted((( -negid, -negd) for negd, negid in ans),
-                        key=lambda x: (x[1], x[0]))
-        pairs = [(tid, d) for tid, d in result]
+        pairs = sorted(((-negid, -negd) for negd, negid in ans),
+                       key=lambda x: (x[1], x[0]))
         if tracker is None:
             return pairs
         return self._anytime(pairs, k, truncate_reason, residual)
@@ -765,34 +806,7 @@ class TrajTree:
         :meth:`warm_caches`) — so concurrent calls from multiple threads
         are safe on a tree that is not being updated.
         """
-        dispatch = {
-            "knn": lambda q, p, s, b: self.knn(q, int(p), stats=s, budget=b),
-            "range":
-                lambda q, p, s, b:
-                    self.range_query(q, float(p), stats=s, budget=b),
-            "subtrajectory_knn":
-                lambda q, p, s, b:
-                    self.subtrajectory_knn(q, int(p), stats=s, budget=b),
-        }
-        out: List[Tuple[List[Tuple[int, float]], TrajTreeStats]] = []
-        seen: Dict[tuple, int] = {}
-        for req in requests:
-            kind, query, param = req[0], req[1], req[2]
-            budget = req[3] if len(req) > 3 else None
-            if kind not in dispatch:
-                raise ValueError(
-                    f"unknown query kind {kind!r}; expected one of "
-                    f"{tuple(dispatch)}"
-                )
-            key = (kind, float(param), query.data.tobytes(), budget)
-            first = seen.get(key)
-            if first is not None:
-                out.append(out[first])
-                continue
-            seen[key] = len(out)
-            stats = TrajTreeStats()
-            out.append((dispatch[kind](query, param, stats, budget), stats))
-        return out
+        return dispatch_query_many(self, requests)
 
     def warm_caches(self) -> None:
         """Populate every lazy derived cache the query path reads.
@@ -952,125 +966,10 @@ class TrajTree:
         (optional) accumulates the same counters as :meth:`knn`;
         ``budget`` (optional) follows :meth:`knn`'s anytime contract.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if query.num_segments == 0:
-            raise ValueError("query needs at least one segment")
-        if stats is None:
-            stats = TrajTreeStats()
-        tracker = as_tracker(budget)
-        eps = tracker.epsilon if tracker is not None else 0.0
-        truncate_reason: Optional[str] = None
-        residual = math.inf
-
-        counter = itertools.count()
-        cands: List[Tuple[float, int, _Node]] = []
-        heapq.heappush(cands, (0.0, next(counter), self.root))
-        pending: List[int] = []
-        ans: List[Tuple[float, int]] = []
-
-        def kth() -> float:
-            return -ans[0][0] if len(ans) >= k else math.inf
-
-        processed: set = set()
-
-        def offer_value(tid: int, d: float) -> None:
-            stats.exact_computations += 1
-            if len(ans) < k:
-                heapq.heappush(ans, (-d, -tid))
-            elif (d, tid) < (-ans[0][0], -ans[0][1]):
-                heapq.heapreplace(ans, (-d, -tid))
-
-        def flush() -> None:
-            """Refine deferred members in one batched kernel call."""
-            if not pending:
-                return
-            ds = edwp_sub_many(
-                query, [self._db[t] for t in pending], backend=self.backend
-            )
-            for tid, d in zip(pending, ds):
-                offer_value(tid, d)
-            pending.clear()
-
-        while cands:
-            bound, _, node = heapq.heappop(cands)
-            if bound * (1.0 + eps) > kth():
-                # kth() without the deferred members upper-bounds the true
-                # k-th distance, so the bulk prune stays sound.  (eps == 0
-                # multiplies by an exact 1.0 — the exact path unchanged.)
-                stats.nodes_pruned += 1 + len(cands)
-                if not bound > kth():
-                    truncate_reason = "epsilon"
-                    residual = bound
-                break
-            if tracker is not None:
-                reason = tracker.exhausted()
-                if reason is not None:
-                    stats.nodes_pruned += 1 + len(cands)
-                    truncate_reason = reason
-                    residual = bound
-                    break
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                # Deferred, like knn: consecutive leaf pops accumulate into
-                # one lockstep EDwPsub call (DESIGN.md, "Batched leaf
-                # refinement").
-                for tid in node.member_ids:
-                    if tid not in processed:
-                        processed.add(tid)
-                        pending.append(tid)
-                if len(pending) >= REFINE_FLUSH:
-                    flush()
-                continue
-            flush()
-            children = node.children
-            limit = kth()
-            if self.use_quick_bound:
-                stats.quick_bound_computations += len(children)
-                quicks = self._quick_bounds_many(
-                    query, children, normalized=False
-                )
-            else:
-                quicks = [0.0] * len(children)
-            survivors = [
-                (child, quick)
-                for child, quick in zip(children, quicks)
-                if quick <= limit
-            ]
-            stats.nodes_pruned += len(children) - len(survivors)
-            if not survivors:
-                continue
-            # Same hard bound-allowance ceiling as knn: past the
-            # allowance, children enqueue keyed by their quick bound.
-            allowance = len(survivors)
-            if tracker is not None:
-                remaining = tracker.remaining_bounds()
-                if remaining is not None and remaining < allowance:
-                    allowance = remaining
-            stats.bound_computations += allowance
-            if tracker is not None:
-                tracker.charge_bounds(allowance)
-            bounds = (
-                self._bounds_many(
-                    query, [c for c, _ in survivors[:allowance]],
-                    normalized=False,
-                )
-                if allowance else []
-            )
-            bounds += [quick for _, quick in survivors[allowance:]]
-            for (child, _), lb in zip(survivors, bounds):
-                if lb <= limit:
-                    heapq.heappush(cands, (lb, next(counter), child))
-                else:
-                    stats.nodes_pruned += 1
-
-        flush()
-        result = sorted(((-negid, -negd) for negd, negid in ans),
-                        key=lambda x: (x[1], x[0]))
-        pairs = [(tid, d) for tid, d in result]
-        if tracker is None:
-            return pairs
-        return self._anytime(pairs, k, truncate_reason, residual)
+        return self._best_first(
+            query, k, stats, budget,
+            refine=self._exact_sub_many, normalized=False, use_vps=False,
+        )
 
     def subtrajectory_knn_scan(
         self, query: Trajectory, k: int
@@ -1078,10 +977,7 @@ class TrajTree:
         """Brute-force ``EDwPsub`` oracle, batched through
         :func:`repro.core.edwp_sub.edwp_sub_many`."""
         ids = list(self._db)
-        ds = edwp_sub_many(
-            query, [self._db[tid] for tid in ids], backend=self.backend
-        )
-        dists = list(zip(ids, ds))
+        dists = list(zip(ids, self._exact_sub_many(query, ids)))
         dists.sort(key=lambda x: (x[1], x[0]))
         return dists[:k]
 

@@ -24,7 +24,7 @@ exact distances run as one lockstep kernel batch rather than per pair
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -47,7 +47,7 @@ the reload is strictly healthier than what is being served.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..index.budget import QueryBudget, combine_budgets

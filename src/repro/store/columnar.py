@@ -46,7 +46,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.trajectory import Trajectory
+from ..core.trajectory import Trajectory, assign_ids
 from .atomic import (
     atomic_write_bytes,
     atomic_write_json,
@@ -185,14 +185,7 @@ class ColumnarStore:
         points = np.empty((int(offsets[-1]), 3), dtype=np.float64)
         for i, t in enumerate(trajectories):
             points[offsets[i]:offsets[i + 1]] = t.data
-        provided = [t.traj_id for t in trajectories]
-        use_provided = all(p is not None for p in provided) and len(
-            set(provided)
-        ) == len(provided)
-        if use_provided:
-            ids = np.array([int(p) for p in provided], dtype=np.int64)
-        else:
-            ids = np.arange(n, dtype=np.int64)
+        ids = np.array(assign_ids(trajectories), dtype=np.int64)
         labels: Optional[List[Optional[str]]] = [
             t.label for t in trajectories
         ]

@@ -31,7 +31,7 @@ import sys
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro._native as native
 from repro import Trajectory, edwp, edwp_avg, edwp_many, set_backend, use_backend
@@ -153,6 +153,20 @@ eps_grid = st.sampled_from([0.25, 0.5, 1.0])
 
 MATRIX_SETTINGS = settings(max_examples=25, deadline=None)
 
+# Pinned box-bound inputs from the subnormal range, which the free-coordinate
+# strategy only reaches by luck: distances whose square underflows to 0 (the
+# numpy kernel's squared-distance selection used to tie them with touching
+# candidates), and a segment delta small enough to overflow the projection
+# quotients to inf.
+SUBNORMAL_BASE = Trajectory([
+    (32.53741809216267, 50.0), (1e-200, 2.2e-308),
+    (-50.0, -9.734766108902889), (8.100079331535227, 45.172126886951744),
+    (35.30290175679053, 1e-200),
+])
+SUBNORMAL_DIST_QUERY = Trajectory([(46.814642891768614, 1.0),
+                                   (-38.77353271420918, 0.0)])
+SUBNORMAL_DELTA_QUERY = Trajectory([(0.0, 0.0), (5e-324, 5.0), (3.0, 5.0)])
+
 
 # --------------------------------------------------------------------- #
 # the oracle matrix
@@ -259,6 +273,10 @@ class TestBackendMatrix:
     @given(base=trajectories(min_len=2), q=trajectories(),
            max_boxes=st.sampled_from([2, 4, 8]),
            thorough=st.booleans())
+    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DIST_QUERY, max_boxes=4,
+             thorough=True)
+    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DELTA_QUERY, max_boxes=4,
+             thorough=True)
     def test_box_bound(self, backend, base, q, max_boxes, thorough):
         seq = TBoxSeq.from_trajectory(base, max_boxes=max_boxes)
         with backend_available(backend):
@@ -270,6 +288,8 @@ class TestBackendMatrix:
     @MATRIX_SETTINGS
     @given(bases=st.lists(trajectories(min_len=2), min_size=0, max_size=4),
            q=trajectories(), thorough=st.booleans())
+    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DIST_QUERY, thorough=True)
+    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DELTA_QUERY, thorough=True)
     def test_box_bound_many(self, backend, bases, q, thorough):
         seqs = [TBoxSeq.from_trajectory(b, max_boxes=4) for b in bases]
         with backend_available(backend):

@@ -25,6 +25,8 @@ import math
 import pytest
 
 import repro._native as native
+from repro import edwp, edwp_avg
+from repro.core.edwp_sub import edwp_sub
 from repro.datasets import generate_beijing
 from repro.eval.ubfactor import anytime_factor
 from repro.index import (
@@ -55,6 +57,33 @@ def queries(db):
 @pytest.fixture(scope="module")
 def tree(db):
     return TrajTree(db, normalized=True, num_vps=6, seed=7)
+
+
+@pytest.fixture(scope="module")
+def tree_for(db):
+    """Trees keyed ``(backend, normalized)``, each built once per module
+    (call inside :func:`_forced` for the native column)."""
+    built = {}
+
+    def get(backend, normalized):
+        key = (backend, normalized)
+        if key not in built:
+            built[key] = TrajTree(db, normalized=normalized, num_vps=6,
+                                  seed=7, backend=backend)
+        return built[key]
+
+    return get
+
+
+#: Both callers of the shared best-first engine.
+KINDS = ("knn", "subtrajectory_knn")
+
+
+def _truth(kind, normalized):
+    """The exact distance a ``kind`` query reports on such a tree."""
+    if kind == "subtrajectory_knn":
+        return edwp_sub              # raw EDwPsub, never normalized
+    return edwp_avg if normalized else edwp
 
 
 def _forced(backend):
@@ -218,33 +247,39 @@ class TestAnytimeContract:
                 rng = t.range_query(q, radius, budget=QueryBudget())
                 assert rng.exact and rng == t.range_query(q, radius)
 
-    def test_truncated_answers_are_sound(self, db, queries, backend):
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_truncated_answers_are_sound(self, db, queries, tree_for,
+                                         backend, kind, normalized):
         with _forced(backend):
-            t = TrajTree(db, normalized=True, num_vps=6, seed=7,
-                         backend=backend)
+            search = getattr(tree_for(backend, normalized), kind)
             truncated = 0
             for q in queries:
                 for max_bounds in (0, 1, 3, 8):
-                    r = t.knn(q, 5, budget=QueryBudget(max_bounds=max_bounds))
+                    r = search(q, 5, budget=QueryBudget(max_bounds=max_bounds))
                     if r.exact:
-                        assert r == t.knn(q, 5)
+                        assert r == search(q, 5)
                         continue
                     truncated += 1
                     assert r.reason == "bounds"
                     if math.isfinite(r.bound_factor):
-                        realized = anytime_factor(r, q, db, 5)
+                        realized = anytime_factor(
+                            r, q, db, 5, distance=_truth(kind, normalized))
                         assert realized <= r.bound_factor + 1e-9
             assert truncated > 0      # the budgets above do truncate
 
-    def test_epsilon_bounds_the_error(self, db, queries, backend):
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_epsilon_bounds_the_error(self, db, queries, tree_for, backend,
+                                      kind, normalized):
         with _forced(backend):
-            t = TrajTree(db, normalized=True, num_vps=6, seed=7,
-                         backend=backend)
+            search = getattr(tree_for(backend, normalized), kind)
             eps = 0.5
             saw_epsilon_stop = False
             for q in queries:
-                r = t.knn(q, 5, budget=QueryBudget(epsilon=eps))
-                realized = anytime_factor(r, q, db, 5)
+                r = search(q, 5, budget=QueryBudget(epsilon=eps))
+                realized = anytime_factor(
+                    r, q, db, 5, distance=_truth(kind, normalized))
                 assert realized <= 1.0 + eps + 1e-9
                 if not r.exact:
                     saw_epsilon_stop = True
@@ -256,12 +291,16 @@ class TestAnytimeContract:
 
 
 class TestBudgetMechanics:
-    def test_max_bounds_is_a_hard_ceiling(self, tree, queries):
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_max_bounds_is_a_hard_ceiling(self, tree_for, queries, kind,
+                                          normalized):
+        search = getattr(tree_for(None, normalized), kind)
         for q in queries:
             for max_bounds in (0, 1, 5, 20):
                 stats = TrajTreeStats()
-                tree.knn(q, 5, stats=stats,
-                         budget=QueryBudget(max_bounds=max_bounds))
+                search(q, 5, stats=stats,
+                       budget=QueryBudget(max_bounds=max_bounds))
                 assert stats.bound_computations <= max_bounds
 
     def test_exhausted_deadline_truncates_immediately(self, tree, queries):

@@ -173,6 +173,22 @@ class TestBoxDpEquivalence:
                          STBox(2.0, 2.0, 5.0, 5.0, 1.0)])]
         self._assert_matches(q, seqs)
 
+    def test_subnormal_distances_do_not_tie(self):
+        """Candidates 1e-200 from a box square to 0 and used to tie with a
+        touching one (wrong split point, bound off by 5x, not ulps)."""
+        q = Trajectory.from_xy([(46.814642891768614, 1.0),
+                                (-38.77353271420918, 0.0)])
+        seq = TBoxSeq.from_trajectory(
+            Trajectory.from_xy([
+                (32.53741809216267, 50.0), (1e-200, 2.2e-308),
+                (-50.0, -9.734766108902889),
+                (8.100079331535227, 45.172126886951744),
+                (35.30290175679053, 1e-200),
+            ]),
+            max_boxes=4,
+        )
+        self._assert_matches(q, [seq], thorough=True)
+
     def test_empty_query_and_empty_batch(self, rng):
         empty = Trajectory([(1.0, 2.0, 0.0)])
         seq = _random_seq(rng)[0]
