@@ -265,7 +265,7 @@ def polyline_rects_distance(points, rects) -> "object":
     n = a.shape[0]
     r = R.shape[0]
     zeros = np.zeros((1, n, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_x = np.where(dx != 0.0, dx, np.inf)
         inv_y = np.where(dy != 0.0, dy, np.inf)
         cand = [

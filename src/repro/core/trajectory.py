@@ -115,7 +115,7 @@ class Trajectory:
         When true (default), reject NaNs and decreasing timestamps.
     """
 
-    __slots__ = ("data", "traj_id", "label", "_coords", "_length")
+    __slots__ = ("data", "traj_id", "label", "_coords", "_length", "_rect")
 
     def __init__(
         self,
@@ -147,6 +147,7 @@ class Trajectory:
         self.label = label
         self._coords = None
         self._length = None
+        self._rect = None
 
     # ------------------------------------------------------------------ #
     # basic container protocol
@@ -200,6 +201,7 @@ class Trajectory:
             self.data, self.traj_id, self.label = state
         self._coords = None
         self._length = None
+        self._rect = None
 
     # ------------------------------------------------------------------ #
     # segment access
@@ -254,12 +256,17 @@ class Trajectory:
         return np.sqrt((diffs * diffs).sum(axis=1))
 
     def bounding_rect(self) -> Tuple[float, float, float, float]:
-        """Axis-aligned spatial bounding rectangle ``(xmin, ymin, xmax, ymax)``."""
-        if len(self) == 0:
-            raise ValueError("empty trajectory has no bounding rectangle")
-        xs = self.data[:, 0]
-        ys = self.data[:, 1]
-        return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
+        """Axis-aligned spatial bounding rectangle ``(xmin, ymin, xmax, ymax)``
+        (cached like :attr:`length`, never pickled: TrajTree refinement
+        reads it per member)."""
+        cached = self._rect
+        if cached is None:
+            if len(self) == 0:
+                raise ValueError("empty trajectory has no bounding rectangle")
+            lo, hi = self.spatial().min(axis=0), self.spatial().max(axis=0)
+            cached = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+            self._rect = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # sub-trajectories and edits

@@ -20,7 +20,7 @@ Public surface:
   budgets and the anytime-answer contract (DESIGN.md, "Overload control
   and anytime queries").
 * :class:`~repro.index.forest.TrajForest` — a sharded forest of
-  TrajTrees with k-way merged exact queries (DESIGN.md, "Columnar store
+  TrajTrees answering the same exact queries (DESIGN.md, "Columnar store
   and sharded forest"), conforming to the
   :class:`~repro.index.protocol.QueryIndex` protocol the service layer
   serves.

@@ -5,14 +5,15 @@ and pickled in one piece; past ~10^4 trajectories both become the
 bottleneck (ROADMAP item 2).  :class:`TrajForest` partitions the dataset
 into shards, builds one independent TrajTree per shard — optionally in
 parallel worker processes reading a memory-mapped
-:class:`~repro.store.ColumnarStore` — and answers the same queries by
-fanning out to every shard and k-way merging the per-shard results.
+:class:`~repro.store.ColumnarStore` — and answers the same queries over
+all of them: top-k queries walk the shards as *one* filter-and-refine
+search against a shared answer heap, range queries fan out and concatenate.
 
-Exactness is free: each shard answers its sub-database exactly (the
-single-tree guarantee), the shards partition the database, and the merge
+Exactness is free: the shards partition the database, every shard search
+prunes only what cannot beat the shared k-th distance, and the heap
 keeps the global best under the library-wide ``(distance, traj_id)``
 ascending tie order — so forest results are bit-identical to a single
-tree over the whole dataset for any shard count
+tree over the whole dataset for any shard count and any shard order
 (``tests/test_forest_oracle.py`` pins shard counts 1/2/4/7 against the
 single-tree oracle).  Shard *assignment* therefore only affects balance,
 never answers; the two documented schemes are round-robin by dataset
@@ -20,17 +21,18 @@ position (default) and a multiplicative hash of the trajectory id — see
 DESIGN.md ("Columnar store and sharded forest").
 
 The forest conforms to :class:`~repro.index.protocol.QueryIndex`, so
-``QueryService.set_tree`` serves one exactly like a single tree, and
-per-query stats are the *elementwise sum* of the per-shard
-:class:`~repro.index.trajtree.TrajTreeStats` counters (each shard's work
-is counted exactly once — asserted in ``tests/test_trajtree_stats.py``).
+``QueryService.set_tree`` serves one exactly like a single tree.  Per-query
+:class:`~repro.index.trajtree.TrajTreeStats` count each shard's work once:
+for range queries the *elementwise sum* of independent shard searches, for
+top-k queries at most that, since later shards prune with what earlier
+ones found (asserted in ``tests/test_trajtree_stats.py``).
 
 Fault tolerance (DESIGN.md, "Fault model and degraded serving"): a
 forest can serve **degraded** — assembled over the healthy shards of a
 partially damaged snapshot (``load_forest(on_shard_error="skip")``), with
 the failures recorded on :attr:`TrajForest.missing_shards` and reported
 by :meth:`TrajForest.shard_census`; every query over a degraded forest is
-exact over the shards it holds (the k-way merge does not care how many
+exact over the shards it holds (the shard walk does not care how many
 shards exist).  Parallel builds survive worker-process deaths:
 :meth:`TrajForest.from_store` rebuilds crashed shards serially in-process
 — bit-identical results, since each shard's build seed derives from its
@@ -39,8 +41,6 @@ index, not from which process built it.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -52,7 +52,7 @@ from ..core.trajectory import Trajectory, assign_ids
 from ..store import ColumnarStore
 from ..testing import faults
 from .budget import AnytimeResult, as_tracker, bound_factor_for
-from .trajtree import TrajTree, TrajTreeStats, dispatch_query_many
+from .trajtree import TopK, TrajTree, TrajTreeStats, dispatch_query_many
 
 __all__ = ["TrajForest", "assign_shards", "SHARD_SCHEMES"]
 
@@ -123,12 +123,6 @@ def _build_shard_from_store(
 def _shard_seed(seed: int, shard: int) -> int:
     """Per-shard build seed: decorrelates pivot/VP draws across shards."""
     return seed + 1_000_003 * shard
-
-
-def _accumulate(total: TrajTreeStats, delta: TrajTreeStats) -> None:
-    """Elementwise ``total += delta`` over every counter field."""
-    for f in fields(TrajTreeStats):
-        setattr(total, f.name, getattr(total, f.name) + getattr(delta, f.name))
 
 
 class TrajForest:
@@ -365,10 +359,10 @@ class TrajForest:
     @property
     def build_stats(self) -> TrajTreeStats:
         """Elementwise sum of the per-shard build counters."""
-        total = TrajTreeStats()
-        for tree in self.shards:
-            _accumulate(total, tree.build_stats)
-        return total
+        return TrajTreeStats(**{
+            f.name: sum(getattr(t.build_stats, f.name) for t in self.shards)
+            for f in fields(TrajTreeStats)
+        })
 
     def storage_summary(self) -> Dict[str, int]:
         """Aggregated per-shard storage counts (elementwise sum)."""
@@ -384,7 +378,7 @@ class TrajForest:
             tree.warm_caches()
 
     # ------------------------------------------------------------------ #
-    # queries: fan out, k-way merge
+    # queries: one shared top-k search, or fan out and concatenate
     # ------------------------------------------------------------------ #
 
     def _fanout(
@@ -395,15 +389,15 @@ class TrajForest:
         stats: Optional[TrajTreeStats],
         budget=None,
     ) -> List[List[Tuple[int, float]]]:
-        """Run one query method on every shard, folding stats sums.
+        """Run one query method on every shard, in shard-index order,
+        all counting into the one ``stats``.
 
         With a ``budget``, the fan-out splits one ticking tracker into
         per-shard children (:meth:`~repro.index.budget.BudgetTracker.
         split`): all shards share the *absolute* wall-clock deadline —
         a slow early shard genuinely eats the later shards' time — while
-        the bound allowance divides evenly.  Per-shard exactness is read
-        back off the returned :class:`AnytimeResult` objects by the
-        merge.
+        the bound allowance divides evenly.  :meth:`_merge_anytime` reads
+        per-shard exactness back off the returned ``AnytimeResult`` objects.
 
         Fault point ``forest.query_shard:<i>`` fires before shard ``i``
         queries; a ``delay`` rule there stalls the fan-out mid-flight,
@@ -418,13 +412,10 @@ class TrajForest:
         per_shard: List[List[Tuple[int, float]]] = []
         for i, tree in enumerate(self.shards):
             faults.fire(f"forest.query_shard:{i}")
-            shard_stats = TrajTreeStats()
             per_shard.append(
-                getattr(tree, method)(query, param, stats=shard_stats,
+                getattr(tree, method)(query, param, stats=stats,
                                       budget=trackers[i])
             )
-            if stats is not None:
-                _accumulate(stats, shard_stats)
         return per_shard
 
     @staticmethod
@@ -459,19 +450,6 @@ class TrajForest:
                              residual_bound=residual, bound_factor=factor,
                              shard_exact=shard_exact)
 
-    @staticmethod
-    def _merge_topk(
-        per_shard: List[List[Tuple[int, float]]], k: int
-    ) -> List[Tuple[int, float]]:
-        """K-way merge of per-shard result lists, keeping the global k.
-
-        Every shard list is already sorted by the library-wide tie order
-        — ascending ``(distance, traj_id)`` — so the lazy heap merge
-        yields the global order and stops after ``k`` items.
-        """
-        merged = heapq.merge(*per_shard, key=lambda r: (r[1], r[0]))
-        return list(itertools.islice(merged, k))
-
     def _topk(
         self,
         method: str,
@@ -480,14 +458,22 @@ class TrajForest:
         stats: Optional[TrajTreeStats],
         budget,
     ) -> List[Tuple[int, float]]:
-        """Fan out one top-k ``method``, k-way merge, fold anytime metadata
-        — the shared path of :meth:`knn` and :meth:`subtrajectory_knn`."""
-        k = int(k)
-        per_shard = self._fanout(method, query, k, stats, budget)
-        merged = self._merge_topk(per_shard, k)
+        """One filter-and-refine search over all shards — the shared path
+        of :meth:`knn` and :meth:`subtrajectory_knn`.
+
+        :meth:`_fanout` walks the shards against a single
+        :class:`~repro.index.trajtree.TopK` passed where ``k`` goes: shard
+        ``i+1`` prunes with the k-th distance shards ``0..i`` established,
+        members deferred by different shards refine in one batched call, and
+        the heap left by the final flush (owned here) *is* the merged answer.
+        """
+        answer = TopK(int(k))
+        per_shard = self._fanout(method, query, answer, stats, budget)
+        answer.flush()
+        merged = answer.pairs()
         if budget is None:
             return merged
-        return self._merge_anytime(merged, per_shard, k)
+        return self._merge_anytime(merged, per_shard, answer.k)
 
     def knn(
         self,
@@ -498,13 +484,12 @@ class TrajForest:
     ) -> List[Tuple[int, float]]:
         """Exact k nearest neighbours across all shards.
 
-        Identical to ``TrajTree.knn`` over the unsharded dataset: each
-        shard returns its exact top-k, and the k-way merge keeps the
-        global top-k under the same ``(distance, traj_id)`` tie order.
-        ``stats`` (optional) accumulates the summed per-shard counters.
-        ``budget`` (optional) fans out per shard (see :meth:`_fanout`);
-        the merged :class:`~repro.index.budget.AnytimeResult` carries
-        per-shard exactness on ``shard_exact``.
+        Identical to ``TrajTree.knn`` over the unsharded dataset: the
+        shards are searched against one answer heap (:meth:`_topk`) under
+        the same ``(distance, traj_id)`` tie order.  ``stats`` (optional)
+        accumulates every shard's counters.  ``budget`` (optional) splits
+        per shard (:meth:`_fanout`); the ``AnytimeResult`` returned then
+        carries per-shard exactness on ``shard_exact``.
         """
         return self._topk("knn", query, k, stats, budget)
 

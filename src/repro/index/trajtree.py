@@ -45,12 +45,13 @@ from .vantage import VantageIndex
 
 __all__ = ["TrajTree", "TrajTreeStats"]
 
-#: Deferred leaf refinements are flushed through one batched exact-distance
+#: Deferred refinements are flushed through one batched exact-distance
 #: kernel call once this many members accumulate (or earlier, whenever a
 #: pruning decision needs a fresh k-th distance).  Bounds the staleness of
 #: the answer heap: at most this many extra members can be refined relative
-#: to the fully sequential formulation (in practice none — see
-#: tests/test_trajtree_stats.py).
+#: to the fully sequential formulation.  Also the traversal crossover: a
+#: subtree that fits one flush is refined whole, not descended into
+#: (DESIGN.md, "Batched leaf refinement").
 REFINE_FLUSH = 128
 
 
@@ -74,10 +75,10 @@ class TrajTreeStats:
       (no DP ran for them).
     * ``exact_computations`` counts exact distances actually evaluated
       (VP-offered candidates and refined leaf members).
-      ``members_pruned`` counts leaf members skipped by the per-member
-      re-normalized bound *instead of* being refined, so for ``knn`` over
-      a freshly built tree, refined + member-pruned covers every member
-      of every visited leaf exactly once.
+      ``members_pruned`` counts members skipped by the per-member bound
+      (own rectangle, own length) *instead of* being refined, so for
+      ``knn`` over a freshly built tree, refined + member-pruned covers
+      every member of every node refined whole exactly once.
     * The counters do not depend on the distance backend: both backends
       drive the identical traversal (batched leaf refinement included —
       see DESIGN.md, "Batched leaf refinement"), so python/numpy runs of
@@ -91,6 +92,61 @@ class TrajTreeStats:
     quick_bound_computations: int = 0
     members_pruned: int = 0
     vp_rankings: int = 0
+
+
+class TopK:
+    """Answer state of one top-k search: Alg. 2's ``ans`` and ``processed``
+    plus the deferred-refinement buffer.
+
+    A search given a plain ``k`` creates its own and drains it before
+    returning.  A caller that walks several trees with disjoint ids for one
+    query (:class:`~repro.index.forest.TrajForest`) creates one, passes it
+    where ``k`` goes and owns the final :meth:`flush`; each tree returns
+    the heap as it stands, prunes against the k-th distance the earlier
+    ones established, and shares kernel calls for deferred members.
+    """
+
+    def __init__(self, k: int):
+        if k <= 0:
+            raise ValueError("k must be positive")
+        self.k = k
+        # max-heap of size <= k holding (-dist, -traj_id); ties resolve by
+        # trajectory id so results match the sequential-scan oracle.
+        self.ans: List[Tuple[float, int]] = []
+        self.processed: set = set()
+        self.pending: List[Tuple[int, Trajectory]] = []
+        # Set by the search in progress (``trajectories -> distances`` for
+        # its query; its counters): the owner's final flush uses the last.
+        self.refine: Optional[Callable] = None
+        self.stats: Optional[TrajTreeStats] = None
+
+    def kth(self) -> float:
+        """Current k-th distance, ``inf`` until k answers are in.  Ignores
+        the deferred members, so it upper-bounds the true k-th distance."""
+        return -self.ans[0][0] if len(self.ans) >= self.k else math.inf
+
+    def defer(self, tid: int, traj: Trajectory) -> None:
+        self.processed.add(tid)
+        self.pending.append((tid, traj))
+
+    def flush(self) -> None:
+        """Refine every deferred member in one batched kernel call."""
+        if not self.pending:
+            return
+        ids, trajs = zip(*self.pending)
+        self.pending.clear()
+        self.stats.exact_computations += len(ids)
+        k, ans = self.k, self.ans
+        for tid, d in zip(ids, self.refine(list(trajs))):
+            if len(ans) < k:
+                heapq.heappush(ans, (-d, -tid))
+            elif (d, tid) < (-ans[0][0], -ans[0][1]):
+                heapq.heapreplace(ans, (-d, -tid))
+
+    def pairs(self) -> List[Tuple[int, float]]:
+        """The answers so far, ascending ``(distance, traj_id)``."""
+        return sorted(((-negid, -negd) for negd, negid in self.ans),
+                      key=lambda x: (x[1], x[0]))
 
 
 #: ``query_many`` kinds: the index method each names and the type its
@@ -410,38 +466,32 @@ class TrajTree:
         return edwp_sub_fast_queries(trajs, pivot, backend=self.backend)
 
     def _exact_many(
-        self, query: Trajectory, traj_ids: Sequence[int]
+        self, query: Trajectory, trajs: Sequence[Trajectory]
     ) -> List[float]:
-        """Batched exact distances (leaf refinement / scan oracles)."""
-        return edwp_many(
-            query,
-            [self._db[tid] for tid in traj_ids],
-            normalized=self.normalized,
-            backend=self.backend,
-        )
+        """Batched exact distances (refinement / scan oracles) — of
+        trajectories, not ids: a shared buffer holds other trees' members."""
+        return edwp_many(query, trajs, normalized=self.normalized,
+                         backend=self.backend)
 
     def _exact_sub_many(
-        self, query: Trajectory, traj_ids: Sequence[int]
+        self, query: Trajectory, trajs: Sequence[Trajectory]
     ) -> List[float]:
         """Batched raw ``EDwPsub`` distances — :meth:`_exact_many`'s twin
         for :meth:`subtrajectory_knn` and its scan oracle."""
-        return edwp_sub_many(
-            query, [self._db[tid] for tid in traj_ids], backend=self.backend
-        )
+        return edwp_sub_many(query, trajs, backend=self.backend)
 
+    @staticmethod
     def _normalize_bound(
-        self, query: Trajectory, node: _Node, lb: float, normalized: bool
+        query: Trajectory, length: float, lb: float, normalized: bool
     ) -> float:
+        """``lb`` over ``length(Q) + length`` — a subtree's maximum member
+        length for a node bound, a member's own for its own bound."""
         if not normalized:
             return lb
-        denom = query.length + node.max_length
+        denom = query.length + length
         if denom <= 0.0:
             return 0.0
         return lb / denom
-
-    def _bound(self, query: Trajectory, node: _Node) -> float:
-        """Theorem-2 lower bound of one node (a batch of one)."""
-        return self._bounds_many(query, [node])[0]
 
     def _bounds_many_raw(
         self, query: Trajectory, nodes: Sequence[_Node]
@@ -456,25 +506,12 @@ class TrajTree:
             query, [node.boxseq for node in nodes], backend=self.backend
         )
 
-    def _bounds_many(
-        self, query: Trajectory, nodes: Sequence[_Node]
-    ) -> List[float]:
-        """Box-DP lower bounds of many nodes in one batched kernel call,
-        in the tree's own (possibly length-normalized) distance."""
-        lbs = self._bounds_many_raw(query, nodes)
-        return [
-            self._normalize_bound(query, node, lb, self.normalized)
-            for node, lb in zip(nodes, lbs)
-        ]
-
-    def _quick_bound(self, query: Trajectory, node: _Node) -> float:
-        """Cheap pre-filter lower bound (a batch of one)."""
-        return self._quick_bounds_many(query, [node])[0]
-
+    @staticmethod
     def _quick_bounds_many_raw(
-        self, query: Trajectory, nodes: Sequence[_Node]
+        query: Trajectory, rects: Sequence[Tuple[float, ...]]
     ) -> List[float]:
-        """Raw quick bounds, one vectorized pass for all nodes.
+        """Raw quick bounds of many rectangles — nodes' ``union_rect`` or
+        members' own ``bounding_rect()`` — in one vectorized pass.
 
         Every EDwP edit costs ``(d(start) + d(end)) * coverage`` with both
         positions on the query polyline and coverage at least the query
@@ -484,25 +521,12 @@ class TrajTree:
         the expression stays a lower bound.  The same argument covers raw
         ``EDwPsub``: sub-matching skips target prefix/suffix cost but
         still consumes the whole query, and every position on a summarized
-        trajectory lies inside the node's boxes.  All rectangle distances
-        are computed in one
-        :func:`repro.core.geometry.polyline_rects_distance` call.
+        trajectory lies inside the node's boxes — as every position on one
+        trajectory lies inside its own bounding rectangle.
         """
-        rects = np.array([node.union_rect for node in nodes])
-        dmins = polyline_rects_distance(query.spatial(), rects)
+        dmins = polyline_rects_distance(query.spatial(), np.array(rects))
         q_len = query.length
         return [2.0 * dmin * q_len for dmin in dmins]
-
-    def _quick_bounds_many(
-        self, query: Trajectory, nodes: Sequence[_Node]
-    ) -> List[float]:
-        """:meth:`_quick_bounds_many_raw` in the tree's own distance."""
-        return [
-            self._normalize_bound(query, node, raw, self.normalized)
-            for node, raw in zip(
-                nodes, self._quick_bounds_many_raw(query, nodes)
-            )
-        ]
 
     # ------------------------------------------------------------------ #
     # querying (Alg. 2)
@@ -539,31 +563,36 @@ class TrajTree:
     def _best_first(
         self,
         query: Trajectory,
-        k: int,
+        k,
         stats: Optional[TrajTreeStats],
         budget,
-        refine: Callable[[Trajectory, Sequence[int]], List[float]],
+        refine: Callable[[Trajectory, Sequence[Trajectory]], List[float]],
         normalized: bool,
         use_vps: bool,
     ) -> List[Tuple[int, float]]:
         """Alg. 2's best-first search — the one loop behind :meth:`knn` and
-        :meth:`subtrajectory_knn`.
+        :meth:`subtrajectory_knn`, of a single tree and of a forest's shards.
 
-        The callers differ in exactly three things: ``refine(query, ids)``,
-        the batched exact distance that resolves deferred members (EDwP vs
-        raw EDwPsub); ``normalized``, whether node bounds are divided by
-        ``length(Q) + max length`` (EDwPsub is never length-normalized);
-        and ``use_vps``, whether Step 1's vantage-point upper bound runs
-        (VP descriptors hold EDwP distances, which say nothing about
-        EDwPsub).  Everything else — heap order, tie rule, deferred
-        refinement, budget check points — is shared.
+        The callers differ in exactly three things: ``refine(query,
+        trajectories)``, the batched exact distance that resolves deferred
+        members (EDwP vs raw EDwPsub); ``normalized``, whether node bounds
+        are divided by ``length(Q) + max length`` (EDwPsub is never
+        length-normalized); and ``use_vps``, whether Step 1's vantage-point
+        upper bound runs (VP descriptors hold EDwP distances, which say
+        nothing about EDwPsub).  Everything else — heap order, tie rule,
+        deferred refinement, budget check points — is shared.
+
+        ``k`` is the answer size, or a :class:`TopK` earlier searches filled:
+        then deferred members stay in it for its owner to flush.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        answer = k if isinstance(k, TopK) else TopK(k)
         if query.num_segments == 0:
             raise ValueError("query needs at least one segment")
         if stats is None:
             stats = TrajTreeStats()
+        answer.refine = lambda trajs: refine(query, trajs)
+        answer.stats = stats
+        kth, flush, processed = answer.kth, answer.flush, answer.processed
         tracker = as_tracker(budget)
         eps = tracker.epsilon if tracker is not None else 0.0
         truncate_reason: Optional[str] = None
@@ -571,36 +600,11 @@ class TrajTree:
 
         counter = itertools.count()
         # Heap entries carry both the (possibly normalized) bound ordering
-        # the search pops by and the raw bound, which leaf refinement
+        # the search pops by and the raw bound, which refinement
         # re-normalizes per member (a member's true length can be far below
         # the subtree's max_length, making the per-member bound tighter).
         cands: List[Tuple[float, int, _Node, float]] = []
         heapq.heappush(cands, (0.0, next(counter), self.root, 0.0))
-
-        # ans: max-heap of size <= k holding (-dist, -traj_id); ties resolve
-        # by trajectory id so results match the sequential-scan oracle.
-        ans: List[Tuple[float, int]] = []
-        processed: set = set()
-        pending: List[int] = []
-        q_len = query.length
-
-        def kth() -> float:
-            return -ans[0][0] if len(ans) >= k else math.inf
-
-        def offer_value(tid: int, d: float) -> None:
-            stats.exact_computations += 1
-            if len(ans) < k:
-                heapq.heappush(ans, (-d, -tid))
-            elif (d, tid) < (-ans[0][0], -ans[0][1]):
-                heapq.heapreplace(ans, (-d, -tid))
-
-        def flush() -> None:
-            """Refine every deferred member in one batched kernel call."""
-            if not pending:
-                return
-            for tid, d in zip(pending, refine(query, pending)):
-                offer_value(tid, d)
-            pending.clear()
 
         while cands:
             bound, _, node, raw = heapq.heappop(cands)
@@ -625,44 +629,59 @@ class TrajTree:
                     # Anytime truncation: the popped bound is the minimum
                     # over everything unexplored (min-heap), so it is the
                     # answer's residual lower bound.  Deferred refinements
-                    # still drain through the final flush() below.
+                    # still drain through the final flush().
                     stats.nodes_pruned += 1 + len(cands)
                     truncate_reason = reason
                     residual = bound
                     break
             stats.nodes_visited += 1
 
+            # A leaf, or an internal node one flush can hold, is refined
+            # whole: descending would pay a quick-bound and a box-DP call
+            # per level to save part of one lockstep call.
+            whole = node.is_leaf or node.count() <= REFINE_FLUSH
+
             # Step 1 (Alg. 2 lines 8-10): refine the upper bound via VPs,
             # batched through the same deferral buffer (flushed at once so
-            # the upper bound tightens before any pruning decision).
+            # the upper bound tightens before any pruning decision).  On a
+            # node refined whole it only gives the member filter a threshold.
             if (use_vps and node.vantage is not None
-                    and len(node.vantage) > 0):
+                    and len(node.vantage) > 0
+                    and not (whole and kth() < math.inf)):
                 stats.vp_rankings += 1
                 qdesc = node.vantage.describe(query)
-                for tid, _vd in node.vantage.top_k(qdesc, k,
+                for tid, _vd in node.vantage.top_k(qdesc, answer.k,
                                                    exclude=processed):
-                    processed.add(tid)
-                    pending.append(tid)
+                    answer.defer(tid, self._db[tid])
                 flush()
 
-            if node.is_leaf:
-                # Defer the members: consecutive leaf pops accumulate into
-                # one lockstep kernel call (see DESIGN.md, "Batched leaf
-                # refinement").  Deferral can only delay kth() updates, so
-                # every decision made in the meantime is conservative —
-                # results are still exact.
+            if whole:
+                # Members are deferred, so consecutive pops (of one tree or
+                # of a forest's shards) share one kernel call; deferral only
+                # delays kth() updates: decisions in between are conservative.
+                members = [(tid, self._db[tid]) for tid in node.subtree_ids
+                           if tid not in processed]
                 limit = kth()
-                for tid in node.member_ids:
-                    if tid in processed:
-                        continue
-                    if normalized and raw > 0.0:
-                        denom = q_len + self._db[tid].length
-                        if denom > 0.0 and raw / denom > limit:
-                            stats.members_pruned += 1
-                            continue
-                    processed.add(tid)
-                    pending.append(tid)
-                if len(pending) >= REFINE_FLUSH:
+                if members and limit < math.inf:
+                    # Per-member bound: the larger of the node's raw bound
+                    # and the member's own rectangle's, over its own length.
+                    quick_raws = (
+                        self._quick_bounds_many_raw(
+                            query, [t.bounding_rect() for _, t in members])
+                        if self.use_quick_bound else [0.0] * len(members)
+                    )
+                    kept = [
+                        member
+                        for member, qraw in zip(members, quick_raws)
+                        if self._normalize_bound(
+                            query, member[1].length, max(raw, qraw),
+                            normalized) <= limit
+                    ]
+                    stats.members_pruned += len(members) - len(kept)
+                    members = kept
+                for tid, traj in members:
+                    answer.defer(tid, traj)
+                if len(answer.pending) >= REFINE_FLUSH:
                     flush()
                 continue
 
@@ -678,14 +697,15 @@ class TrajTree:
             limit = kth()
             if self.use_quick_bound:
                 stats.quick_bound_computations += len(children)
-                quick_raws = self._quick_bounds_many_raw(query, children)
+                quick_raws = self._quick_bounds_many_raw(
+                    query, [child.union_rect for child in children])
             else:
                 quick_raws = [0.0] * len(children)
             survivors = [
                 (child, qraw)
                 for child, qraw in zip(children, quick_raws)
-                if self._normalize_bound(query, child, qraw, normalized)
-                <= limit
+                if self._normalize_bound(
+                    query, child.max_length, qraw, normalized) <= limit
             ]
             stats.nodes_pruned += len(children) - len(survivors)
             if not survivors:
@@ -715,7 +735,7 @@ class TrajTree:
                 # for either distance (sound, never looser than one alone).
                 child_raw = max(qraw, braw)
                 lb = self._normalize_bound(
-                    query, child, child_raw, normalized
+                    query, child.max_length, child_raw, normalized
                 )
                 if lb <= limit:
                     heapq.heappush(
@@ -724,35 +744,19 @@ class TrajTree:
                 else:
                     stats.nodes_pruned += 1
 
-        flush()
-        pairs = sorted(((-negid, -negd) for negd, negid in ans),
-                       key=lambda x: (x[1], x[0]))
+        if answer is not k:          # created here, so drained here
+            flush()
+        pairs = answer.pairs()
         if tracker is None:
             return pairs
-        return self._anytime(pairs, k, truncate_reason, residual)
-
-    @staticmethod
-    def _anytime(
-        pairs: List[Tuple[int, float]],
-        k: int,
-        reason: Optional[str],
-        residual: float,
-    ) -> AnytimeResult:
-        """Wrap a budgeted answer with its anytime metadata.
-
-        ``exact`` is True only when no truncation actually occurred —
-        the search reached its natural break (or emptied the frontier),
-        in which case the pairs are bit-identical to the unbudgeted
-        answer.
-        """
-        if reason is None:
+        if truncate_reason is None:
+            # No truncation actually occurred (natural break or emptied
+            # frontier): bit-identical to the unbudgeted answer.
             return AnytimeResult(pairs)
         return AnytimeResult(
-            pairs,
-            exact=False,
-            reason=reason,
+            pairs, exact=False, reason=truncate_reason,
             residual_bound=residual,
-            bound_factor=bound_factor_for(pairs, k, residual),
+            bound_factor=bound_factor_for(pairs, answer.k, residual),
         )
 
     def knn_batch(
@@ -823,6 +827,7 @@ class TrajTree:
         for traj in self._db.values():
             traj.coords()
             traj.length  # noqa: B018 — property access populates the cache
+            traj.bounding_rect()
 
         def walk(node: _Node) -> None:
             node.boxseq.geometry()
@@ -834,8 +839,8 @@ class TrajTree:
     def knn_scan(self, query: Trajectory, k: int) -> List[Tuple[int, float]]:
         """Brute-force sequential scan (the paper's baseline and the oracle
         used by the test-suite to verify exactness)."""
-        ids = list(self._db)
-        dists = list(zip(ids, self._exact_many(query, ids)))
+        dists = list(zip(
+            self._db, self._exact_many(query, list(self._db.values()))))
         dists.sort(key=lambda x: (x[1], x[0]))
         return dists[:k]
 
@@ -887,11 +892,13 @@ class TrajTree:
                     break
             if self.use_quick_bound:
                 stats.quick_bound_computations += len(frontier)
-                quicks = self._quick_bounds_many(query, frontier)
+                quicks = self._quick_bounds_many_raw(
+                    query, [node.union_rect for node in frontier])
                 survivors = [
                     node
                     for node, quick in zip(frontier, quicks)
-                    if quick <= radius
+                    if self._normalize_bound(query, node.max_length, quick,
+                                             self.normalized) <= radius
                 ]
                 stats.nodes_pruned += len(frontier) - len(survivors)
             else:
@@ -901,11 +908,12 @@ class TrajTree:
             stats.bound_computations += len(survivors)
             if tracker is not None:
                 tracker.charge_bounds(len(survivors))
-            bounds = self._bounds_many(query, survivors)
+            bounds = self._bounds_many_raw(query, survivors)
             next_frontier: List[_Node] = []
             leaf_ids: List[int] = []
             for node, lb in zip(survivors, bounds):
-                if lb > radius:
+                if self._normalize_bound(query, node.max_length, lb,
+                                         self.normalized) > radius:
                     stats.nodes_pruned += 1
                     continue
                 stats.nodes_visited += 1
@@ -914,7 +922,8 @@ class TrajTree:
                 else:
                     next_frontier.extend(node.children)
             if leaf_ids:
-                ds = self._exact_many(query, leaf_ids)
+                ds = self._exact_many(
+                    query, [self._db[tid] for tid in leaf_ids])
                 stats.exact_computations += len(leaf_ids)
                 out.extend(
                     (tid, d) for tid, d in zip(leaf_ids, ds) if d <= radius
@@ -934,12 +943,8 @@ class TrajTree:
         self, query: Trajectory, radius: float
     ) -> List[Tuple[int, float]]:
         """Brute-force range-query oracle."""
-        ids = list(self._db)
-        out = [
-            (tid, d)
-            for tid, d in zip(ids, self._exact_many(query, ids))
-            if d <= radius
-        ]
+        ds = self._exact_many(query, list(self._db.values()))
+        out = [(tid, d) for tid, d in zip(self._db, ds) if d <= radius]
         out.sort(key=lambda x: (x[1], x[0]))
         return out
 
@@ -976,8 +981,8 @@ class TrajTree:
     ) -> List[Tuple[int, float]]:
         """Brute-force ``EDwPsub`` oracle, batched through
         :func:`repro.core.edwp_sub.edwp_sub_many`."""
-        ids = list(self._db)
-        dists = list(zip(ids, self._exact_sub_many(query, ids)))
+        dists = list(zip(
+            self._db, self._exact_sub_many(query, list(self._db.values()))))
         dists.sort(key=lambda x: (x[1], x[0]))
         return dists[:k]
 

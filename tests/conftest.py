@@ -6,8 +6,21 @@ import numpy as np
 import pytest
 
 from repro.core import Trajectory
+from repro.index import trajtree
 
 from helpers import random_walk_trajectory
+
+@pytest.fixture
+def small_refine_flush(monkeypatch):
+    """Run the test with ``REFINE_FLUSH = 4``.
+
+    Most fixtures hold fewer trajectories than the real crossover (128),
+    so their trees are refined whole at the root and never touch the
+    frontier heap, the quick bound or the box bound.  With 4, every
+    subtree larger than a small leaf is descended into, which is the
+    search those tests were written against.
+    """
+    monkeypatch.setattr(trajtree, "REFINE_FLUSH", 4)
 
 
 @pytest.fixture

@@ -320,7 +320,7 @@ class TestBudgetMechanics:
 
     def test_query_many_accepts_budgets(self, tree, queries):
         q = queries[0]
-        budget = QueryBudget(max_bounds=1)
+        budget = QueryBudget(max_bounds=0)
         out = tree.query_many([
             ("knn", q, 5),
             ("knn", q, 5, budget),
@@ -335,6 +335,25 @@ class TestBudgetMechanics:
         assert out[1][0] is out[2][0]
         # unlimited-budget result is distinct from, but equal to, plain
         assert out[3][0] == plain and out[3][0].exact
+
+
+# ---------------------------------------------------------------------- #
+# the same contract on a tree that traverses
+# ---------------------------------------------------------------------- #
+#
+# The 40-trajectory tree is refined whole at the root (no bound is ever
+# charged, only ``max_bounds=0`` truncates).  With the crossover at 4
+# (conftest's ``small_refine_flush``) every budget above bites mid-search.
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestAnytimeContractTraversing(TestAnytimeContract):
+    pass
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestBudgetMechanicsTraversing(TestBudgetMechanics):
+    pass
 
 
 # ---------------------------------------------------------------------- #
@@ -374,3 +393,25 @@ class TestForestBudgets:
         r = forest.knn(q, 5, budget=QueryBudget(max_bounds=0))
         assert not r.exact and r.reason == "bounds"
         assert r.shard_exact == [False, False, False]
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestForestBudgetsTraversing(TestForestBudgets):
+    """Shards that traverse: ``max_bounds`` splits bite inside each shard,
+    and a truncated shard's deferred members still reach the final flush
+    its forest owns."""
+
+    def test_truncated_forest_answers_are_sound(self, forest, db, queries):
+        truncated = 0
+        for q in queries:
+            for max_bounds in (0, 3, 9, 24):
+                r = forest.knn(q, 5, budget=QueryBudget(max_bounds=max_bounds))
+                assert r.exact == all(r.shard_exact)
+                if r.exact:
+                    assert r == forest.knn(q, 5)
+                    continue
+                truncated += 1
+                if math.isfinite(r.bound_factor):
+                    realized = anytime_factor(r, q, db, 5, distance=edwp_avg)
+                    assert realized <= r.bound_factor + 1e-9
+        assert truncated > 0

@@ -13,10 +13,12 @@ serial-oracle pattern of ``tests/test_service_concurrency.py``).
 """
 
 import asyncio
+import itertools
 import random
 
 import pytest
 
+from repro.core import Trajectory
 from repro.datasets import generate_beijing
 from repro.index import (
     SHARD_SCHEMES,
@@ -24,6 +26,7 @@ from repro.index import (
     TrajTree,
     assign_shards,
     ensure_query_index,
+    trajtree,
 )
 from repro.service import QueryRequest, QueryService, ServiceConfig
 from repro.store import ColumnarStore
@@ -97,6 +100,69 @@ def test_subtrajectory_knn_matches_single_tree(forests, tree, queries,
     for query in queries[:3]:
         assert forest.subtrajectory_knn(query, k) == \
             tree.subtrajectory_knn(query, k)
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+@pytest.mark.parametrize("k", KS)
+def test_knn_matches_single_tree_traversing(small_refine_flush, forests,
+                                            tree, queries, shards, k):
+    """The matrix again with the crossover at 4, so shards and oracle
+    descend through their frontier heaps instead of being refined whole
+    at the root."""
+    test_knn_matches_single_tree(forests, tree, queries, shards, k)
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+@pytest.mark.parametrize("k", (1, 5))
+def test_subtrajectory_knn_matches_single_tree_traversing(
+        small_refine_flush, forests, tree, queries, shards, k):
+    test_subtrajectory_knn_matches_single_tree(forests, tree, queries,
+                                               shards, k)
+
+
+@pytest.mark.parametrize("flush", (trajtree.REFINE_FLUSH, 4))
+def test_any_shard_visit_order_same_answers(monkeypatch, forests, tree,
+                                            queries, flush):
+    """The shards share one answer heap and one pruning threshold, so
+    *work* depends on the order they are walked in — answers must not:
+    all 24 orders of 4 shards are bit-identical to the single tree."""
+    monkeypatch.setattr(trajtree, "REFINE_FLUSH", flush)
+    want = [(tree.knn(q, 5), tree.subtrajectory_knn(q, 3))
+            for q in queries[:2]]
+    for order in itertools.permutations(forests[4].shards):
+        forest = TrajForest.from_shards(order)
+        for q, (knn, sub) in zip(queries, want):
+            assert forest.knn(q, 5) == knn
+            assert forest.subtrajectory_knn(q, 3) == sub
+
+
+@pytest.mark.parametrize("flush", (trajtree.REFINE_FLUSH, 4))
+def test_tie_group_cut_by_k_prefers_smaller_id_in_later_shard(
+        monkeypatch, db, queries, flush):
+    """Trajectory 9 stored three more times, under ids 900 / 500 / 36 in
+    shards 0 / 1 / 2 (round-robin by position): the copies tie at every
+    distance, so any k that cuts the group must keep the smaller ids even
+    though their shards are walked last — a threshold that pruned ties,
+    or a heap that kept the first arrival, would return 900."""
+    monkeypatch.setattr(trajtree, "REFINE_FLUSH", flush)
+    copies = [Trajectory(db[9].data, traj_id=tid, validate=False)
+              for tid in (900, 500, 36)]
+    data = copies + list(db)
+    forest = TrajForest(data, num_shards=3, normalized=True, num_vps=6,
+                        seed=7, backend="numpy")
+    assert [forest.shard_of(tid) for tid in (900, 500, 36)] == [0, 1, 2]
+    oracle = TrajTree(data, normalized=True, num_vps=6, seed=7,
+                      backend="numpy")
+    # db[9] itself ties its three copies at 0.0; the other queries tie
+    # them at some positive distance wherever they rank
+    for query in [db[9]] + list(queries[:3]):
+        for k in (1, 2, 3, 4, 12):
+            got = forest.knn(query, k)
+            assert got == oracle.knn(query, k) == oracle.knn_scan(query, k)
+            assert forest.subtrajectory_knn(query, k) == \
+                oracle.subtrajectory_knn_scan(query, k)
+    assert forest.knn(db[9], 2) == [(9, 0.0), (36, 0.0)]
+    assert forest.knn(db[9], 3) == [(9, 0.0), (36, 0.0), (500, 0.0)]
 
 
 def test_tie_order_is_distance_then_id(forests, tree, db):

@@ -209,3 +209,28 @@ class TestUpdates:
         assert [t for t, _ in tree.knn(q, 5)] == [
             t for t, _ in tree.knn_scan(q, 5)
         ]
+
+
+# ---------------------------------------------------------------------- #
+# the same properties on a tree that traverses
+# ---------------------------------------------------------------------- #
+#
+# The fixtures above hold fewer trajectories than REFINE_FLUSH, so their
+# trees are refined whole at the root.  These subclasses re-run the
+# index == scan properties with the crossover at 4 (conftest's
+# ``small_refine_flush``), where the frontier heap and both bounds decide.
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestExactnessTraversing(TestExactness):
+    pass
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestPruningTraversing(TestPruning):
+    pass
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestUpdatesTraversing(TestUpdates):
+    pass

@@ -73,3 +73,9 @@ class TestBackendParity:
             result = fast_tree.knn(queries[0], 5)
         assert [tid for tid, _ in result] == [
             tid for tid, _ in tree.knn(queries[0], 5)]
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestKnnBatchTraversing(TestKnnBatch):
+    """The same properties with the crossover at 4 (worker threads read
+    the patched module global too)."""

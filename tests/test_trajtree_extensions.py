@@ -102,3 +102,9 @@ class TestSubtrajectoryKnn:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
             tree.subtrajectory_knn(random_walk_trajectory(rng, 5), 0)
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestSubtrajectoryKnnTraversing(TestSubtrajectoryKnn):
+    """The same properties with the crossover at 4: the sub-trajectory
+    search descends instead of refining the 90-member tree whole."""

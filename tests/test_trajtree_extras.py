@@ -3,12 +3,15 @@ configuration, and the cheap rectangle pre-filter bound."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.core import Trajectory, edwp
+from repro.core import Trajectory, edwp, edwp_avg
+from repro.core.edwp_sub import edwp_sub
 from repro.core.geometry import polyline_rect_distance, point_rect_distance
 from repro.index import TrajTree
 
 from helpers import random_walk_trajectory
+from test_backend_matrix import trajectories
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +58,15 @@ class TestQuickBound:
         rng = np.random.default_rng(5)
         for _ in range(10):
             q = random_walk_trajectory(rng, 7)
-            for child in tree.root.children:
-                quick = tree._quick_bound(q, child)
-                full = tree._bound(q, child)
+            children = tree.root.children
+            quicks = tree._quick_bounds_many_raw(
+                q, [child.union_rect for child in children])
+            fulls = tree._bounds_many_raw(q, children)
+            for child, quick, full in zip(children, quicks, fulls):
+                quick = tree._normalize_bound(q, child.max_length, quick,
+                                              tree.normalized)
+                full = tree._normalize_bound(q, child.max_length, full,
+                                             tree.normalized)
                 for tid in child.subtree_ids:
                     assert quick <= edwp(q, tree.get(tid)) + 1e-6
                 # the pre-filter must never exceed the DP bound's role:
@@ -94,6 +103,22 @@ class TestQuickBound:
             ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(q=trajectories(min_len=1), t=trajectories(min_len=1))
+def test_member_rectangle_bound_underestimates(q, t):
+    """The per-member bound of whole-subtree refinement: the quick
+    bound of a trajectory's *own* bounding rectangle is a lower bound
+    of EDwP and of raw EDwPsub, and divided by ``len(Q) + len(T)`` of
+    EDwPavg — on ragged, single-point, duplicate-point and zero-length
+    inputs alike."""
+    raw, = TrajTree._quick_bounds_many_raw(q, [t.bounding_rect()])
+    assert 0.0 <= raw <= edwp(q, t) * (1 + 1e-9) + 1e-9
+    assert raw <= edwp_sub(q, t) * (1 + 1e-9) + 1e-9
+    denom = q.length + t.length
+    if denom > 0.0:
+        assert raw / denom <= edwp_avg(q, t) * (1 + 1e-9) + 1e-9
+
+
 class TestStorageSummary:
     def test_counts(self, db):
         tree = TrajTree(db, num_vps=10, seed=0, min_node_size=8)
@@ -123,3 +148,9 @@ class TestStorageSummary:
         rng = np.random.default_rng(9)
         tree.insert(random_walk_trajectory(rng, 6))
         assert tree.storage_summary()["trajectories"] == before + 1
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestQuickBoundTraversing(TestQuickBound):
+    """The pruning-configuration properties with the crossover at 4, where
+    ``use_quick_bound`` / ``vp_levels`` actually steer a traversal."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.edwp import BACKENDS
-from repro.index import TrajForest, TrajTree
+from repro.index import TrajForest, TrajTree, trajtree
 from repro.index.trajtree import TrajTreeStats
 
 from helpers import random_walk_trajectory
@@ -76,8 +76,10 @@ class TestKnnAccounting:
         assert stats.nodes_visited >= 1
         assert stats.nodes_pruned >= 0
 
-    def test_quick_prunes_skip_bound_counter(self, database, query):
-        """Quick-bound prunes must not inflate ``bound_computations``."""
+    def test_quick_prunes_skip_bound_counter(self, database, query,
+                                             small_refine_flush):
+        """Quick-bound prunes must not inflate ``bound_computations``
+        (crossover at 4: a 70-member tree refined whole has neither)."""
         tree = TrajTree(database, theta=0.8, num_vps=6, normalized=True,
                         seed=2, use_quick_bound=True)
         with_quick = TrajTreeStats()
@@ -134,12 +136,41 @@ class TestKnnAccounting:
 
     def test_members_pruned_zero_when_unnormalized(self, database, query):
         """Raw-EDwP trees have node-constant denominators, so the
-        per-member re-normalization can never prune anyone."""
+        per-member re-normalization can never prune anyone; on this
+        database every member's rectangle touches the query too, so the
+        rectangle half of the per-member bound prunes no one either."""
         tree = TrajTree(database, theta=0.8, num_vps=6, normalized=False,
                         seed=2)
         stats = TrajTreeStats()
         tree.knn(query, 5, stats=stats)
         assert stats.members_pruned == 0
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_crossover_boundary(self, database, query, monkeypatch,
+                                normalized):
+        """``count() == REFINE_FLUSH`` is refined whole (one visit, no
+        bound of either kind); ``count() == REFINE_FLUSH + 1`` descends.
+        Both answer exactly like the scan, for both distances."""
+        tree = TrajTree(database, theta=0.8, num_vps=6,
+                        normalized=normalized, seed=2)
+        n = tree.root.count()
+        want = tree.knn_scan(query, 5)
+        want_sub = tree.subtrajectory_knn_scan(query, 4)
+
+        monkeypatch.setattr(trajtree, "REFINE_FLUSH", n)
+        whole = TrajTreeStats()
+        assert tree.knn(query, 5, stats=whole) == want
+        assert (whole.nodes_visited, whole.quick_bound_computations,
+                whole.bound_computations) == (1, 0, 0)
+        assert whole.exact_computations + whole.members_pruned == n
+        assert tree.subtrajectory_knn(query, 4) == want_sub
+
+        monkeypatch.setattr(trajtree, "REFINE_FLUSH", n - 1)
+        descended = TrajTreeStats()
+        assert tree.knn(query, 5, stats=descended) == want
+        assert descended.nodes_visited > 1
+        assert descended.quick_bound_computations == len(tree.root.children)
+        assert tree.subtrajectory_knn(query, 4) == want_sub
 
 
 class TestOtherQueriesAccounting:
@@ -170,10 +201,12 @@ class TestOtherQueriesAccounting:
 
 
 class TestForestAccounting:
-    """Forest stats are the *elementwise sum* of the per-shard counters:
-    each shard's work is counted exactly once, no double counting and
-    nothing dropped in the fan-out (DESIGN.md, "Columnar store and
-    sharded forest")."""
+    """Forest ``range`` stats are the *elementwise sum* of the per-shard
+    counters: each shard's work is counted exactly once, nothing dropped
+    in the fan-out.  The two top-k kinds share one answer heap across the
+    shards, so the walk does at most the work of independent shard
+    searches — later shards prune with the k-th distance earlier ones
+    found (DESIGN.md, "Columnar store and sharded forest")."""
 
     @pytest.fixture(scope="class")
     def forest(self, database):
@@ -205,9 +238,18 @@ class TestForestAccounting:
         else:
             forest.subtrajectory_knn(query, param, stats=total)
         for f in fields(TrajTreeStats):
-            assert getattr(total, f.name) == sum(
-                getattr(s, f.name) for s in per_shard
-            ), f.name
+            independent = sum(getattr(s, f.name) for s in per_shard)
+            if kind == "range":
+                assert getattr(total, f.name) == independent, f.name
+            elif f.name not in ("nodes_pruned", "members_pruned"):
+                # work done; what the shared threshold prunes instead
+                # moves to the two prune counters, which may grow
+                assert getattr(total, f.name) <= independent, f.name
+        if kind != "range" and trajtree.REFINE_FLUSH < len(forest.shards[0]):
+            # the shards traverse (these walks all overlap the query, so
+            # a shard refined whole has nothing a threshold could drop)
+            assert total.exact_computations < sum(
+                s.exact_computations for s in per_shard)
         assert total.nodes_visited >= forest.num_shards
 
     def test_build_stats_are_shardwise_sums(self, forest):
@@ -222,3 +264,23 @@ class TestForestAccounting:
         direct = TrajTreeStats()
         assert forest.knn(query, 5, stats=direct) == results
         assert stats == direct
+
+
+# ---------------------------------------------------------------------- #
+# the same contract on trees that traverse (crossover at 4)
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestKnnAccountingTraversing(TestKnnAccounting):
+    pass
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestOtherQueriesAccountingTraversing(TestOtherQueriesAccounting):
+    pass
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+class TestForestAccountingTraversing(TestForestAccounting):
+    pass
