@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..core.edwp_sub import edwp_sub_fast_queries
 from ..core.trajectory import Trajectory
-from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq
+from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq, least_growth
 
 __all__ = ["PartitionResult", "partition", "select_pivots"]
 
@@ -40,7 +40,9 @@ class PartitionResult:
         One list of input indices per pivot — every trajectory of the node,
         including the pivot itself, assigned to exactly one group.
     boxseqs:
-        The tBoxSeq grown over each group (reused as the child summaries).
+        The tBoxSeq grown over each group in group order — what
+        ``TBoxSeq.from_trajectories`` builds for that group, so
+        ``TrajTree._build`` reuses it as the child's summary.
     """
 
     pivots: List[int]
@@ -127,6 +129,7 @@ def partition(
     max_boxes: int = DEFAULT_MAX_BOXES,
     max_pivots: Optional[int] = None,
     distance_rows: DistanceRowsFn = edwp_sub_fast_queries,
+    stats=None,
 ) -> Optional[PartitionResult]:
     """Algorithm 1: split a node's trajectories into diverse groups.
 
@@ -138,7 +141,8 @@ def partition(
     (default 0.8, the paper's tuned value — Fig. 6b), ``min_node_size`` the
     minimum node size ``n`` (default 10, Sec. V-A).  ``distance_rows``
     evaluates whole distance columns against one trajectory — see
-    :func:`select_pivots`.
+    :func:`select_pivots`.  ``stats`` collects the assignment's counters
+    (see :func:`~repro.index.tboxseq.least_growth`).
     """
     if rng is None:
         rng = random.Random(0)
@@ -165,20 +169,9 @@ def partition(
     for i in range(n):
         if i in pivot_set:
             continue
-        traj = trajectories[i]
-        best_g = 0
-        best_growth = math.inf
-        best_candidate: Optional[TBoxSeq] = None
-        for g, seq in enumerate(boxseqs):
-            candidate = seq.with_trajectory(traj, max_boxes=max_boxes)
-            growth = candidate.volume - seq.volume
-            if growth < best_growth:
-                best_growth = growth
-                best_g = g
-                best_candidate = candidate
-        assert best_candidate is not None
-        boxseqs[best_g] = best_candidate
-        groups[best_g].append(i)
+        g, grown = least_growth(boxseqs, trajectories[i], max_boxes, stats)
+        boxseqs[g] = grown
+        groups[g].append(i)
 
     # Balance guard (implementation addition, documented in DESIGN.md):
     # when one pivot's tBoxSeq already covers most of the space, every

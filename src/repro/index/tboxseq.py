@@ -54,6 +54,7 @@ __all__ = [
     "edwp_sub_box",
     "edwp_sub_box_many",
     "edwp_sub_box_alignment",
+    "least_growth",
 ]
 
 _REP = 0
@@ -214,10 +215,15 @@ class TBoxSeq:
         boxes = [grown.get(i, box) for i, box in enumerate(self.boxes)]
         return TBoxSeq(boxes).compacted(max_boxes)
 
-    def volume_increase(self, traj: Trajectory) -> float:
-        """``Vol(tBoxSeq({B, T})) - Vol(B)`` — the insertion criterion of
-        Alg. 1 (line 11) and of dynamic inserts (Sec. IV-F)."""
-        return self.with_trajectory(traj).volume - self.volume
+    def volume_increase(
+        self, traj: Trajectory, max_boxes: int = DEFAULT_MAX_BOXES
+    ) -> float:
+        """``Vol(tBoxSeq({B, T})) - Vol(B)`` under the caller's box budget:
+        the quantity Alg. 1 (line 11) and dynamic inserts (Sec. IV-F)
+        minimise over sibling summaries, which the index does through
+        :func:`least_growth` without aligning against every sibling."""
+        grown = self.with_trajectory(traj, max_boxes=max_boxes)
+        return grown.volume - self.volume
 
     def compacted(self, max_boxes: int) -> "TBoxSeq":
         """Merge adjacent boxes (cheapest union first) until within budget.
@@ -274,6 +280,92 @@ def _boxes_from_arrays(x0, y0, x1, y1, ml) -> List[STBox]:
         STBox(float(a), float(b), float(c), float(d), float(e))
         for a, b, c, d, e in zip(x0, y0, x1, y1, ml)
     ]
+
+
+# ---------------------------------------------------------------------- #
+# least-growth assignment (Alg. 1 line 11, Sec. IV-F inserts)
+# ---------------------------------------------------------------------- #
+
+
+def _growth_bounds(
+    seqs: Sequence[TBoxSeq], traj: Trajectory, max_boxes: int
+) -> np.ndarray:
+    """Per sequence, a lower bound on the *computed* growth
+    ``seq.with_trajectory(traj, max_boxes).volume - seq.volume``
+    (``traj`` has at least one segment).
+
+    The alignment's pieces tile ``traj``, so every sample point ends
+    inside some box; boxes only grow, and stretching a ``w x h`` box to a
+    point ``dx, dy`` outside it adds ``w*dy + h*dx + dx*dy``.  Hence
+    ``growth >= max_p min_b`` of that.  It holds while the box count
+    survives ``with_trajectory``: a sequence longer than ``max_boxes``
+    would be compacted and gets ``-inf``.  The rounding margin of the two
+    float volume sums is already taken off (derivation and soundness
+    argument: DESIGN.md, "Least-growth assignment").
+    """
+    geoms = [seq.geometry() for seq in seqs]
+    sizes = np.array([len(g) for g in geoms])
+    starts = np.cumsum(sizes) - sizes
+    xmin = np.concatenate([g.xmin for g in geoms])
+    ymin = np.concatenate([g.ymin for g in geoms])
+    xmax = np.concatenate([g.xmax for g in geoms])
+    ymax = np.concatenate([g.ymax for g in geoms])
+    xy = traj.coords()
+    px = xy[:, :1]
+    py = xy[:, 1:]
+    dx = np.maximum(np.maximum(xmin - px, px - xmax), 0.0)
+    dy = np.maximum(np.maximum(ymin - py, py - ymax), 0.0)
+    w = xmax - xmin
+    h = ymax - ymin
+    raw = np.minimum.reduceat(w * dy + h * dx + dx * dy, starts,
+                              axis=1).max(axis=0)
+    volumes = np.add.reduceat(w * h, starts)
+    # (m + 3) * eps of the volume is the proven need; 4 * (m + 4) taken.
+    finfo = np.finfo(np.float64)
+    slack = 4 * (sizes + 4) * finfo.eps
+    bounds = raw - slack * (raw + volumes) - finfo.tiny
+    bounds[sizes > max_boxes] = -math.inf
+    return bounds
+
+
+def least_growth(
+    seqs: Sequence[TBoxSeq],
+    traj: Trajectory,
+    max_boxes: int = DEFAULT_MAX_BOXES,
+    stats=None,
+) -> Tuple[int, TBoxSeq]:
+    """Alg. 1 line 11: which of ``seqs`` grows least by absorbing ``traj``.
+
+    Returns ``(index, seqs[index].with_trajectory(traj, max_boxes))`` for
+    the lexicographic minimum of ``(growth, index)`` — what aligning
+    against every sequence and keeping the first strict minimum returns —
+    but aligns in ascending ``(bound, index)`` order of
+    :func:`_growth_bounds` and stops at the first bound above the least
+    growth found: no later sequence can win or tie.  ``stats`` (a
+    ``TrajTreeStats``) counts the bounds in ``quick_bound_computations``
+    and the alignments run in ``bound_computations``.
+    """
+    if not seqs:
+        raise ValueError("least_growth needs at least one sequence")
+    if traj.num_segments == 0:
+        return 0, seqs[0]      # with_trajectory is the identity: all tie
+    bounds = _growth_bounds(seqs, traj, max_boxes)
+    best, best_growth, best_seq = len(seqs), math.inf, None
+    aligned = 0
+    for i in np.argsort(bounds, kind="stable").tolist():
+        if bounds[i] > best_growth:
+            break
+        grown = seqs[i].with_trajectory(traj, max_boxes=max_boxes)
+        aligned += 1
+        growth = grown.volume - seqs[i].volume
+        if (growth, i) < (best_growth, best):
+            best, best_growth, best_seq = i, growth, grown
+    if stats is not None:
+        stats.quick_bound_computations += len(seqs)
+        stats.bound_computations += aligned
+    if best_seq is None:
+        raise ValueError("every sequence's volume growth is NaN")
+    return best, best_seq
 
 
 # ---------------------------------------------------------------------- #

@@ -40,7 +40,8 @@ from ..core.geometry import polyline_rects_distance
 from ..core.trajectory import Trajectory, assign_ids
 from .budget import AnytimeResult, as_tracker, bound_factor_for
 from .partition import partition
-from .tboxseq import DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box_many
+from .tboxseq import (DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box_many,
+                      least_growth)
 from .vantage import VantageIndex
 
 __all__ = ["TrajTree", "TrajTreeStats"]
@@ -83,6 +84,12 @@ class TrajTreeStats:
       drive the identical traversal (batched leaf refinement included —
       see DESIGN.md, "Batched leaf refinement"), so python/numpy runs of
       the same query report the same numbers.
+
+    ``TrajTree.build_stats`` reads the same pair for Alg. 1's assignment
+    (DESIGN.md, "Least-growth assignment"): ``quick_bound_computations``
+    growth bounds evaluated — one per (trajectory, pivot), the alignments
+    an exhaustive assignment runs — ``bound_computations`` the alignment
+    DPs they let through, ``nodes_visited`` the nodes built.
     """
 
     nodes_visited: int = 0
@@ -339,9 +346,13 @@ class TrajTree:
     # construction
     # ------------------------------------------------------------------ #
 
-    def _build(self, ids: List[int], depth: int = 0) -> _Node:
+    def _build(self, ids: List[int], depth: int = 0,
+               boxseq: Optional[TBoxSeq] = None) -> _Node:
+        """Node over ``ids``; ``boxseq`` is their summary when the parent's
+        partition already folded it (every node but the root)."""
         trajs = [self._db[i] for i in ids]
-        boxseq = TBoxSeq.from_trajectories(trajs, max_boxes=self.max_boxes)
+        if boxseq is None:
+            boxseq = TBoxSeq.from_trajectories(trajs, max_boxes=self.max_boxes)
         vantage: Optional[VantageIndex] = None
         if depth < self.vp_levels:
             vantage = VantageIndex.build(trajs, ids, self.num_vps, self._rng)
@@ -356,14 +367,15 @@ class TrajTree:
             max_boxes=self.max_boxes,
             max_pivots=self.max_branching,
             distance_rows=self._pivot_distance_rows,
+            stats=self.build_stats,
         )
         if result is None or len(result.groups) < 2:
             return _Node(boxseq, vantage, [], list(ids), max_length,
                          list(ids), depth)
 
         children = [
-            self._build([ids[i] for i in group], depth + 1)
-            for group in result.groups
+            self._build([ids[i] for i in group], depth + 1, grown)
+            for group, grown in zip(result.groups, result.boxseqs)
         ]
         return _Node(boxseq, vantage, children, [], max_length, list(ids),
                      depth)
@@ -1007,10 +1019,9 @@ class TrajTree:
         self._db[traj_id] = traj
 
         node = self.root
+        grown = node.boxseq.with_trajectory(traj, max_boxes=self.max_boxes)
         while True:
-            node.boxseq = node.boxseq.with_trajectory(
-                traj, max_boxes=self.max_boxes
-            )
+            node.boxseq = grown
             # The boxes just grew; the quick bound's union rectangle must
             # grow with them or it would overestimate the box distance.
             node.refresh_union_rect()
@@ -1025,13 +1036,10 @@ class TrajTree:
             if node.is_leaf:
                 node.member_ids.append(traj_id)
                 break
-            node = min(
-                node.children,
-                key=lambda c: c.boxseq.with_trajectory(
-                    traj, max_boxes=self.max_boxes
-                ).volume
-                - c.boxseq.volume,
+            g, grown = least_growth(
+                [c.boxseq for c in node.children], traj, self.max_boxes
             )
+            node = node.children[g]
         self._updates_since_build += 1
         return traj_id
 
