@@ -77,10 +77,12 @@ __all__ = [
 
 _INF = math.inf
 
-#: Lockstep batch width, matching :data:`repro.core.edwp_fast.BATCH_CHUNK`:
-#: large enough to amortize per-diagonal dispatch, small enough that the
-#: diagonal buffers stay cache-resident and length skew inside one chunk
-#: (targets are processed length-sorted) is bounded.
+#: Lockstep batch width (targets are processed length-sorted).  These DPs
+#: carry one scalar per cell, so a diagonal costs a fraction of an EDwP
+#: diagonal's fixed dispatch and the row cap of
+#: :data:`repro.core.edwp_fast.SWEEP_CELLS` does not carry over: over 512
+#: targets, 256-row chunks are ~1.3x faster than 64 at 10-20 points and
+#: 1.2-2x *slower* at 60 (DESIGN.md, "What a sweep costs"), so 64 stays.
 BATCH_CHUNK = 64
 
 

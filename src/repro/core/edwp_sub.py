@@ -83,7 +83,8 @@ def edwp_sub_many(
 
     The batched entry point of the sub-trajectory distance: on the
     ``"numpy"`` backend the whole batch runs through the lockstep kernel
-    (:func:`repro.core.edwp_fast.edwp_sub_many_numpy`, both DP passes);
+    (:func:`repro.core.edwp_fast.edwp_sub_many_numpy`, both DP passes in
+    one sweep);
     on ``"python"`` it is a plain loop.  TrajTree's ``subtrajectory_knn``
     leaf refinement and scan oracle route through this.
 

@@ -78,8 +78,9 @@ class TrajTreeStats:
       (VP-offered candidates and refined leaf members).
       ``members_pruned`` counts members skipped by the per-member bound
       (own rectangle, own length) *instead of* being refined, so for
-      ``knn`` over a freshly built tree, refined + member-pruned covers
-      every member of every node refined whole exactly once.
+      ``knn`` and ``range_query`` over a freshly built tree, refined +
+      member-pruned covers every member of every node refined whole (and
+      of every leaf a range query reaches by traversal) exactly once.
     * The counters do not depend on the distance backend: both backends
       drive the identical traversal (batched leaf refinement included —
       see DESIGN.md, "Batched leaf refinement"), so python/numpy runs of
@@ -540,6 +541,37 @@ class TrajTree:
         q_len = query.length
         return [2.0 * dmin * q_len for dmin in dmins]
 
+    def _members_within(
+        self,
+        query: Trajectory,
+        members: List[Tuple[int, Trajectory]],
+        raws: Sequence[float],
+        limit: float,
+        normalized: bool,
+        stats: TrajTreeStats,
+    ) -> List[Tuple[int, Trajectory]]:
+        """The members whose own lower bound does not pass ``limit``.
+
+        Per-member bound: the larger of ``raws[i]`` (the raw bound of the
+        node the member came from) and the member's own rectangle's, over
+        its own length.  The rest count in ``stats.members_pruned``.
+        """
+        if not members:
+            return members
+        quick_raws = (
+            self._quick_bounds_many_raw(
+                query, [t.bounding_rect() for _, t in members])
+            if self.use_quick_bound else [0.0] * len(members)
+        )
+        kept = [
+            member
+            for member, raw, qraw in zip(members, raws, quick_raws)
+            if self._normalize_bound(
+                query, member[1].length, max(raw, qraw), normalized) <= limit
+        ]
+        stats.members_pruned += len(members) - len(kept)
+        return kept
+
     # ------------------------------------------------------------------ #
     # querying (Alg. 2)
     # ------------------------------------------------------------------ #
@@ -655,11 +687,11 @@ class TrajTree:
 
             # Step 1 (Alg. 2 lines 8-10): refine the upper bound via VPs,
             # batched through the same deferral buffer (flushed at once so
-            # the upper bound tightens before any pruning decision).  On a
-            # node refined whole it only gives the member filter a threshold.
-            if (use_vps and node.vantage is not None
-                    and len(node.vantage) > 0
-                    and not (whole and kth() < math.inf)):
+            # the upper bound tightens before any pruning decision).  Only
+            # on a node the search descends into: for one refined whole the
+            # VP sweep costs what refining its members does.
+            if (use_vps and not whole and node.vantage is not None
+                    and len(node.vantage) > 0):
                 stats.vp_rankings += 1
                 qdesc = node.vantage.describe(query)
                 for tid, _vd in node.vantage.top_k(qdesc, answer.k,
@@ -674,23 +706,10 @@ class TrajTree:
                 members = [(tid, self._db[tid]) for tid in node.subtree_ids
                            if tid not in processed]
                 limit = kth()
-                if members and limit < math.inf:
-                    # Per-member bound: the larger of the node's raw bound
-                    # and the member's own rectangle's, over its own length.
-                    quick_raws = (
-                        self._quick_bounds_many_raw(
-                            query, [t.bounding_rect() for _, t in members])
-                        if self.use_quick_bound else [0.0] * len(members)
-                    )
-                    kept = [
-                        member
-                        for member, qraw in zip(members, quick_raws)
-                        if self._normalize_bound(
-                            query, member[1].length, max(raw, qraw),
-                            normalized) <= limit
-                    ]
-                    stats.members_pruned += len(members) - len(kept)
-                    members = kept
+                if limit < math.inf:
+                    members = self._members_within(
+                        query, members, [raw] * len(members), limit,
+                        normalized, stats)
                 for tid, traj in members:
                     answer.defer(tid, traj)
                 if len(answer.pending) >= REFINE_FLUSH:
@@ -870,9 +889,11 @@ class TrajTree:
     ) -> List[Tuple[int, float]]:
         """All trajectories within (normalized) EDwP ``radius`` of the query.
 
-        Uses the same lower bounds as k-NN: a subtree is skipped when its
-        bound exceeds the radius.  Returns ``[(traj_id, distance), ...]``
-        sorted ascending.
+        Uses the same lower bounds as k-NN, against the radius: a subtree
+        is skipped when its bound exceeds it, a subtree one flush can hold
+        is refined whole, and a member is refined only if its own bound
+        is within it.  Returns ``[(traj_id, distance), ...]`` sorted
+        ascending.
 
         ``budget`` (optional) is checked once per traversal wave; on
         exhaustion the collected hits come back as an anytime *subset*
@@ -892,8 +913,11 @@ class TrajTree:
 
         # Wave traversal: the radius never changes, so whole frontiers can
         # be filtered at once — one batched quick-bound call, one batched
-        # box-bound call, and one batched exact-refinement call over every
-        # surviving leaf's members per level.
+        # box-bound call, and one batched exact-refinement call over the
+        # members every node of the wave hands over.  As in
+        # :meth:`_best_first`, a node one flush can hold is refined whole,
+        # not bounded or descended into, and every member handed over
+        # passes its own bound first.
         out: List[Tuple[int, float]] = []
         frontier: List[_Node] = [self.root]
         while frontier:
@@ -902,43 +926,54 @@ class TrajTree:
                 if truncate_reason is not None:
                     stats.nodes_pruned += len(frontier)
                     break
-            if self.use_quick_bound:
-                stats.quick_bound_computations += len(frontier)
+            # (node, raw bound) pairs whose members this wave refines.
+            refined = [(node, 0.0) for node in frontier
+                       if node.count() <= REFINE_FLUSH]
+            stats.nodes_visited += len(refined)
+            bounded = [node for node in frontier
+                       if node.count() > REFINE_FLUSH]
+            if self.use_quick_bound and bounded:
+                stats.quick_bound_computations += len(bounded)
                 quicks = self._quick_bounds_many_raw(
-                    query, [node.union_rect for node in frontier])
-                survivors = [
-                    node
-                    for node, quick in zip(frontier, quicks)
-                    if self._normalize_bound(query, node.max_length, quick,
-                                             self.normalized) <= radius
-                ]
-                stats.nodes_pruned += len(frontier) - len(survivors)
+                    query, [node.union_rect for node in bounded])
             else:
-                survivors = frontier
-            if not survivors:
-                break
-            stats.bound_computations += len(survivors)
-            if tracker is not None:
-                tracker.charge_bounds(len(survivors))
-            bounds = self._bounds_many_raw(query, survivors)
+                quicks = [0.0] * len(bounded)
+            survivors = [
+                (node, quick)
+                for node, quick in zip(bounded, quicks)
+                if self._normalize_bound(query, node.max_length, quick,
+                                         self.normalized) <= radius
+            ]
+            stats.nodes_pruned += len(bounded) - len(survivors)
             next_frontier: List[_Node] = []
-            leaf_ids: List[int] = []
-            for node, lb in zip(survivors, bounds):
-                if self._normalize_bound(query, node.max_length, lb,
-                                         self.normalized) > radius:
-                    stats.nodes_pruned += 1
-                    continue
-                stats.nodes_visited += 1
-                if node.is_leaf:
-                    leaf_ids.extend(node.member_ids)
-                else:
-                    next_frontier.extend(node.children)
-            if leaf_ids:
-                ds = self._exact_many(
-                    query, [self._db[tid] for tid in leaf_ids])
-                stats.exact_computations += len(leaf_ids)
+            if survivors:
+                stats.bound_computations += len(survivors)
+                if tracker is not None:
+                    tracker.charge_bounds(len(survivors))
+                bounds = self._bounds_many_raw(
+                    query, [node for node, _ in survivors])
+                for (node, quick), lb in zip(survivors, bounds):
+                    if self._normalize_bound(query, node.max_length, lb,
+                                             self.normalized) > radius:
+                        stats.nodes_pruned += 1
+                        continue
+                    stats.nodes_visited += 1
+                    if node.is_leaf:
+                        refined.append((node, max(quick, lb)))
+                    else:
+                        next_frontier.extend(node.children)
+            members = self._members_within(
+                query,
+                [(tid, self._db[tid])
+                 for node, _ in refined for tid in node.subtree_ids],
+                [raw for node, raw in refined for _ in node.subtree_ids],
+                radius, self.normalized, stats)
+            if members:
+                ds = self._exact_many(query, [traj for _, traj in members])
+                stats.exact_computations += len(members)
                 out.extend(
-                    (tid, d) for tid, d in zip(leaf_ids, ds) if d <= radius
+                    (tid, d) for (tid, _), d in zip(members, ds)
+                    if d <= radius
                 )
             frontier = next_frontier
         out.sort(key=lambda x: (x[1], x[0]))

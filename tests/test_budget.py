@@ -310,7 +310,8 @@ class TestBudgetMechanics:
         r = tree.knn(queries[0], 5, budget=tracker)
         assert not r.exact and r.reason == "deadline"
 
-    def test_range_truncation_is_a_subset(self, tree, queries):
+    def test_range_truncation_is_a_subset(self, tree, queries,
+                                          small_refine_flush):
         q = queries[0]
         radius = tree.knn(q, 8)[-1][1] * 1.2
         full = tree.range_query(q, radius)

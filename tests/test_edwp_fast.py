@@ -112,16 +112,21 @@ class TestEdwpMany:
             batch = edwp_many(query, targets, backend=backend)
             assert batch == pytest.approx(reference, abs=TOL)
 
-    def test_chunking_covers_large_batches(self, rng):
-        """More targets than one lockstep chunk still come back in order."""
+    def test_chunking_covers_large_batches(self, rng, monkeypatch):
+        """More targets than one lockstep sweep still come back in order:
+        one row under the cap, exactly at it, and one over (two sweeps)."""
         query = random_trajectory(rng, 6)
-        targets = [
-            random_trajectory(rng, int(rng.integers(2, 10)))
-            for _ in range(edwp_fast.BATCH_CHUNK + 7)
-        ]
-        reference = [edwp(query, t, backend="python") for t in targets]
-        assert edwp_many(query, targets, backend="numpy") == pytest.approx(
-            reference, abs=TOL)
+        cap_rows = 8
+        monkeypatch.setattr(edwp_fast, "SWEEP_CELLS",
+                            cap_rows * (len(query) + 2))
+        for rows in (cap_rows - 1, cap_rows, cap_rows + 1):
+            targets = [
+                random_trajectory(rng, int(rng.integers(2, 10)))
+                for _ in range(rows)
+            ]
+            reference = [edwp(query, t, backend="python") for t in targets]
+            assert edwp_many(query, targets, backend="numpy") == pytest.approx(
+                reference, abs=TOL)
 
     def test_segmentless_targets_get_inf(self, rng):
         query = random_trajectory(rng, 5)

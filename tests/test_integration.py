@@ -52,7 +52,7 @@ class TestFullPipeline:
         assert edwp_corr > 0.85
         assert edwp_corr >= edr_corr - 1e-9
 
-    def test_trajtree_beats_index_free_candidates(self):
+    def test_trajtree_beats_index_free_candidates(self, small_refine_flush):
         """TrajTree computes exact EDwP for fewer trajectories than a scan
         on clustered city data."""
         from repro.index.trajtree import TrajTreeStats

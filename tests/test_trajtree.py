@@ -120,7 +120,7 @@ class TestPruning:
         assert stats.nodes_visited > 0
         assert stats.exact_computations > 0
 
-    def test_prunes_on_clustered_data(self):
+    def test_prunes_on_clustered_data(self, small_refine_flush):
         """With clearly clustered data the tree must avoid computing exact
         distances for most of the far clusters."""
         rng = np.random.default_rng(4)

@@ -46,7 +46,7 @@ class TestRangeQuery:
         got = tree.range_query(member, 0.0)
         assert (3, 0.0) in [(t, round(d, 9)) for t, d in got]
 
-    def test_prunes_far_clusters(self, tree):
+    def test_prunes_far_clusters(self, tree, small_refine_flush):
         rng = np.random.default_rng(2)
         q = random_walk_trajectory(rng, 7, origin=np.array([0.0, 0.0]))
         radius = tree.knn_scan(q, 3)[-1][1]

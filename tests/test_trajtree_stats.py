@@ -174,7 +174,7 @@ class TestKnnAccounting:
 
 
 class TestOtherQueriesAccounting:
-    def test_range_query_counters(self, tree, query):
+    def test_range_query_counters(self, tree, query, small_refine_flush):
         stats = TrajTreeStats()
         radius = tree.knn(query, 8)[-1][1] * 1.01
         out = tree.range_query(query, radius, stats=stats)
