@@ -28,11 +28,13 @@ The package provides:
 Every distance runs on one of up to three interchangeable backends — the
 pure-Python reference DPs, the vectorized numpy kernels
 (``set_backend("numpy")``), and the optional numba-compiled native tier
-(``set_backend("native")``, ``pip install .[native]``); DESIGN.md
-documents the contract between them ("Dual-backend EDwP kernels",
-"Baseline kernels" and "Native kernel tier").  numba is never imported
-eagerly: without it the package works unchanged and ``"native"`` raises
-a typed :class:`~repro.core.edwp.NativeBackendUnavailableError`.
+(``set_backend("native")``, ``pip install .[native]``: the EDwP family and
+the index's box bound; everything else falls back to numpy).
+:mod:`repro.core.backend` holds the switch and the one kernel table;
+DESIGN.md documents the contract between the tiers ("Dual-backend EDwP
+kernels", "Baseline kernels" and "Native kernel tier").  numba is never
+imported eagerly: without it the package works unchanged and ``"native"``
+raises a typed :class:`~repro.core.backend.NativeBackendUnavailableError`.
 
 Quickstart::
 

@@ -1,7 +1,8 @@
 """Optional compiled (``"native"``) backend — numba-jitted DP kernels.
 
 This package is the third realization of the dual-backend contract (see
-DESIGN.md, "Native kernel tier"): the same dynamic programs as the
+DESIGN.md, "Native kernel tier") for the kernels the index runs — the
+EDwP family and the Theorem-2 box bound: the same dynamic programs as the
 ``"python"`` reference and the ``"numpy"`` anti-diagonal kernels, written
 as scalar loops that `numba <https://numba.pydata.org>`_ compiles to
 machine code with ``@njit(cache=True)``.
@@ -12,14 +13,15 @@ time:
 
 * :func:`numba_available` probes for numba with ``importlib.util.find_spec``
   (no import) and memoizes the answer; backend selection
-  (:func:`repro.core.edwp.set_backend` / ``resolve_backend``) consults it
-  and raises the typed
-  :class:`~repro.core.edwp.NativeBackendUnavailableError` when
+  (:mod:`repro.core.backend`, the only module that imports this package)
+  consults it and raises the typed
+  :class:`~repro.core.backend.NativeBackendUnavailableError` when
   ``"native"`` is requested without numba installed.
-* :func:`load` imports :mod:`repro._native.api` lazily on first native
-  dispatch.  Importing that module imports numba (when present) but does
-  not compile anything; each kernel JIT-compiles on first call and the
-  compiled code is persisted by numba's on-disk cache.
+* :mod:`repro._native.api` is imported on the first native resolution
+  (:func:`repro.core.backend.tier_kernel`).  Importing that module
+  imports numba (when present) but does not compile anything; each kernel
+  JIT-compiles on first call and the compiled code is persisted by
+  numba's on-disk cache.
 * Without numba the kernels degrade to their plain-Python definitions (an
   identity ``njit`` shim), which is how the differential tests exercise
   the kernel *logic* on numba-less machines.
@@ -33,13 +35,11 @@ from __future__ import annotations
 import importlib.util
 from typing import Optional
 
-__all__ = ["numba_available", "load", "warmup"]
+__all__ = ["numba_available", "warmup"]
 
 #: Memoized availability probe; ``None`` means "not probed yet".  Tests
 #: monkeypatch this to simulate a numba-less environment.
 _AVAILABLE: Optional[bool] = None
-
-_api = None
 
 
 def numba_available() -> bool:
@@ -50,21 +50,6 @@ def numba_available() -> bool:
     return bool(_AVAILABLE)
 
 
-def load():
-    """Import (once) and return the native kernel API module.
-
-    Cheap after the first call.  The module itself imports fine without
-    numba — the kernels just run un-jitted — so callers that must *refuse*
-    to run interpreted (the backend dispatch) gate on
-    :func:`numba_available` first.
-    """
-    global _api
-    if _api is None:
-        from . import api
-        _api = api
-    return _api
-
-
 def warmup() -> None:
     """Force-compile every native kernel on tiny inputs.
 
@@ -72,4 +57,5 @@ def warmup() -> None:
     on-disk-cache load) never lands inside a measured region.  A no-op
     waste of microseconds when numba is absent.
     """
-    load().warmup()
+    from . import api
+    api.warmup()

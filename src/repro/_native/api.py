@@ -1,16 +1,16 @@
 """Python-side wrappers around the compiled kernels.
 
-This is what the dispatch layer routes to when the ``"native"`` backend is
-resolved: each function mirrors the calling convention *and the base-case
-semantics* of its numpy counterpart in :mod:`repro.core.edwp_fast`,
-:mod:`repro.baselines.fast` and :mod:`repro.index.fast_bounds` — the
-callers have already peeled the trivial cases they peel for numpy (e.g.
-:func:`repro.core.edwp.edwp` never dispatches a segment-less pair), and
-the batched EDwP/box entry points here fill the same per-target base
-values the python loop would (``inf`` for a segment-less EDwP target)
-before handing the live targets to one kernel call over a concatenated
-coordinate array.  The baseline comparators have single-pair kernels
-only: their ``*_many`` callers loop over them.
+:data:`KERNELS` declares what :func:`repro.core.backend.tier_kernel` hands
+out when the ``"native"`` backend is resolved — the EDwP family and the
+Theorem-2 box bound; every other op falls through to the numpy tier.  Each
+function mirrors the calling convention *and the base-case semantics* of
+its numpy counterpart in :mod:`repro.core.edwp_fast` and
+:mod:`repro.index.fast_bounds` — the callers have already peeled the
+trivial cases they peel for numpy (e.g. :func:`repro.core.edwp.edwp`
+never dispatches a segment-less pair), and the batched entry points here
+fill the same per-item base values the python loop would (``inf`` for a
+segment-less EDwP target) before handing the live items to one kernel
+call over a concatenated coordinate array.
 
 Importing this module imports numba when it is installed (kernels compile
 lazily on first call, cached on disk); without numba the kernels run
@@ -20,7 +20,7 @@ un-jitted, which only the differential tests do on purpose.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -36,30 +36,34 @@ __all__ = [
     "edwp_sub_fast_native",
     "edwp_sub_fast_queries_native",
     "prefix_dist_native",
-    "dtw_native",
-    "edr_native",
-    "erp_native",
-    "lcss_length_native",
-    "frechet_native",
     "edwp_sub_box_native",
     "edwp_sub_box_many_native",
+    "KERNELS",
 ]
 
 
-def _pack(trajectories: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate cached coordinate matrices plus int64 offsets.
+def _ragged(items: Sequence[Trajectory], fill: float,
+            run: Callable) -> List[float]:
+    """One ragged-batch kernel call over the items that have segments.
 
-    The ragged-batch wire format of every ``*_many`` kernel: ``pts`` is the
-    row-stacked ``(sum n_k, 2)`` float64 array, ``offs[b]:offs[b+1]`` the
-    rows of batch member ``b``.
+    The wire format of every batched kernel: ``pts`` is the row-stacked
+    ``(sum n_k, 2)`` float64 array of the live items' cached coordinate
+    matrices, ``offs[b]:offs[b+1]`` the rows of batch member ``b``.
+    ``run(pts, offs, out)`` fills ``out[b]``; segment-less items keep
+    ``fill`` (the caller's base case) and never enter the kernel.  Answers
+    come back in input order.
     """
-    offs = np.zeros(len(trajectories) + 1, dtype=np.int64)
-    for k, t in enumerate(trajectories):
-        offs[k + 1] = offs[k] + len(t)
-    pts = np.empty((int(offs[-1]), 2), dtype=np.float64)
-    for k, t in enumerate(trajectories):
-        pts[offs[k]:offs[k + 1]] = t.coords()
-    return pts, offs
+    out = [fill] * len(items)
+    live = [k for k, t in enumerate(items) if t.num_segments > 0]
+    if live:
+        offs = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum([len(items[k]) for k in live], out=offs[1:])
+        pts = np.concatenate([items[k].coords() for k in live])
+        res = np.empty(len(live), dtype=np.float64)
+        run(pts, offs, res)
+        for k, value in zip(live, res):
+            out[k] = float(value)
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -76,16 +80,10 @@ def edwp_many_native(
     query: Trajectory, trajectories: Sequence[Trajectory]
 ) -> List[float]:
     """Raw EDwP of one query (>= 1 segment) against many targets."""
-    out = [math.inf] * len(trajectories)
-    live = [k for k, t in enumerate(trajectories)
-            if t.num_segments > 0]
-    if live:
-        pts, offs = _pack([trajectories[k] for k in live])
-        res = np.empty(len(live), dtype=np.float64)
-        kernels.edwp_many_kernel(query.coords(), pts, offs, res)
-        for k, value in zip(live, res):
-            out[k] = float(value)
-    return out
+    q = query.coords()
+    return _ragged(
+        trajectories, math.inf,
+        lambda pts, offs, out: kernels.edwp_many_kernel(q, pts, offs, out))
 
 
 def edwp_sub_native(t: Trajectory, s: Trajectory) -> float:
@@ -97,15 +95,11 @@ def edwp_sub_many_native(
     t: Trajectory, trajectories: Sequence[Trajectory]
 ) -> List[float]:
     """EDwPsub of one query (>= 1 segment) against many targets."""
-    out = [math.inf] * len(trajectories)
-    live = [k for k, s in enumerate(trajectories) if s.num_segments > 0]
-    if live:
-        pts, offs = _pack([trajectories[k] for k in live])
-        res = np.empty(len(live), dtype=np.float64)
-        kernels.edwp_sub_many_kernel(t.coords(), pts, offs, True, res)
-        for k, value in zip(live, res):
-            out[k] = float(value)
-    return out
+    q = t.coords()
+    return _ragged(
+        trajectories, math.inf,
+        lambda pts, offs, out: kernels.edwp_sub_many_kernel(
+            q, pts, offs, True, out))
 
 
 def edwp_sub_fast_native(t: Trajectory, s: Trajectory) -> float:
@@ -118,51 +112,16 @@ def edwp_sub_fast_queries_native(
 ) -> List[float]:
     """Single-pass EDwPsub of many queries against one target
     (>= 1 segment); segment-less queries match trivially (0.0)."""
-    out = [0.0] * len(queries)
-    live = [k for k, q in enumerate(queries) if q.num_segments > 0]
-    if live:
-        pts, offs = _pack([queries[k] for k in live])
-        res = np.empty(len(live), dtype=np.float64)
-        kernels.edwp_sub_fast_queries_kernel(pts, offs, s.coords(), res)
-        for k, value in zip(live, res):
-            out[k] = float(value)
-    return out
+    target = s.coords()
+    return _ragged(
+        queries, 0.0,
+        lambda pts, offs, out: kernels.edwp_sub_fast_queries_kernel(
+            pts, offs, target, out))
 
 
 def prefix_dist_native(t: Trajectory, s: Trajectory) -> float:
     """PrefixDist (both arguments have >= 1 segment)."""
     return float(kernels.prefix_dist_value(t.coords(), s.coords()))
-
-
-# ---------------------------------------------------------------------- #
-# baseline comparators
-# ---------------------------------------------------------------------- #
-
-
-def dtw_native(t1: Trajectory, t2: Trajectory, window: int = 0) -> float:
-    """DTW (both non-empty)."""
-    return float(kernels.dtw_kernel(t1.coords(), t2.coords(), window))
-
-
-def edr_native(t1: Trajectory, t2: Trajectory, eps: float) -> int:
-    """EDR edit count (both non-empty)."""
-    return int(kernels.edr_kernel(t1.coords(), t2.coords(), eps))
-
-
-def erp_native(t1: Trajectory, t2: Trajectory,
-               g: Tuple[float, float]) -> float:
-    """ERP (both non-empty)."""
-    return float(kernels.erp_kernel(t1.coords(), t2.coords(), g[0], g[1]))
-
-
-def lcss_length_native(t1: Trajectory, t2: Trajectory, eps: float) -> int:
-    """LCSS match count, delta = 0 (both non-empty)."""
-    return int(kernels.lcss_kernel(t1.coords(), t2.coords(), eps))
-
-
-def frechet_native(t1: Trajectory, t2: Trajectory) -> float:
-    """Discrete Fréchet (both non-empty)."""
-    return float(kernels.frechet_kernel(t1.coords(), t2.coords()))
 
 
 # ---------------------------------------------------------------------- #
@@ -227,11 +186,6 @@ def warmup() -> None:
     kernels.edwp_many_kernel(p, q, offs, out)
     kernels.edwp_sub_many_kernel(p, q, offs, True, out)
     kernels.edwp_sub_fast_queries_kernel(q, offs, p, out)
-    kernels.dtw_kernel(p, q, 0)
-    kernels.edr_kernel(p, q, 0.5)
-    kernels.erp_kernel(p, q, 0.0, 0.0)
-    kernels.lcss_kernel(p, q, 0.5)
-    kernels.frechet_kernel(p, q)
     bx0 = np.array([0.0])
     by0 = np.array([0.0])
     bx1 = np.array([1.0])
@@ -240,3 +194,18 @@ def warmup() -> None:
     goffs = np.array([0, 1], dtype=np.int64)
     kernels.box_sub_value(p, bx0, by0, bx1, by1, bml, True)
     kernels.box_many_kernel(p, bx0, by0, bx1, by1, bml, goffs, True, out)
+
+
+#: The native tier's kernel per op (:func:`repro.core.backend.tier_kernel`),
+#: signature-compatible with the numpy tier's entries of the same name.
+KERNELS = {
+    "edwp": edwp_native,
+    "edwp_many": edwp_many_native,
+    "edwp_sub": edwp_sub_native,
+    "edwp_sub_many": edwp_sub_many_native,
+    "edwp_sub_fast": edwp_sub_fast_native,
+    "edwp_sub_fast_queries": edwp_sub_fast_queries_native,
+    "prefix_dist": prefix_dist_native,
+    "edwp_sub_box": edwp_sub_box_native,
+    "edwp_sub_box_many": edwp_sub_box_many_native,
+}

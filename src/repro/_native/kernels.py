@@ -1,12 +1,16 @@
 """The compiled DP kernels — scalar loops under ``@njit(cache=True)``.
 
+Only what :class:`~repro.index.trajtree.TrajTree` runs is compiled: the
+EDwP family and the Theorem-2 box bound.  The Table-I comparators have no
+kernel here; ``backend="native"`` runs their numpy kernels (DESIGN.md,
+"Native kernel tier").
+
 Every kernel is an operation-for-operation port of its pure-Python
 reference (the same additions and multiplications in the same association
 order, the same strict-``<`` tie-breaking, the same candidate order in the
 rectangle projection scan), so the numerical contract of the ``"numpy"``
 tier (DESIGN.md) carries over: agreement with the ``"python"`` oracle to
-float tolerance, exact integer answers for the edit-count DPs.  The only
-licensed deviation is ``math.hypot`` — CPython computes it with its own
+float tolerance.  The only licensed deviation is ``math.hypot`` — CPython computes it with its own
 correctly-rounded algorithm while compiled code calls libm's, which may
 differ in the last ulps; the cross-backend tests therefore compare at
 ``1e-9`` relative, same as the numpy tier.
@@ -27,7 +31,7 @@ the dispatch layer never routes to them un-jitted (selecting
 
 Base cases (empty / segment-less trajectories) are handled python-side by
 :mod:`repro._native.api`; every kernel here may assume at least one point
-(and for the EDwP family, at least one segment) per input.
+and one segment per trajectory.
 """
 
 from __future__ import annotations
@@ -63,11 +67,6 @@ __all__ = [
     "edwp_many_kernel",
     "edwp_sub_many_kernel",
     "edwp_sub_fast_queries_kernel",
-    "dtw_kernel",
-    "edr_kernel",
-    "erp_kernel",
-    "lcss_kernel",
-    "frechet_kernel",
     "box_dp_min",
     "box_sub_value",
     "box_many_kernel",
@@ -398,164 +397,6 @@ def edwp_sub_fast_queries_kernel(pts, offs, s, out):
     """Single-pass EDwPsub of a ragged batch of queries against one target."""
     for b in range(offs.shape[0] - 1):
         out[b] = _row_min(edwp_last_row(pts[offs[b]:offs[b + 1]], s, True))
-
-
-# ---------------------------------------------------------------------- #
-# baseline DPs (ports of repro.baselines.{dtw,edr,erp,lcss,frechet})
-# ---------------------------------------------------------------------- #
-
-
-@njit(cache=True)
-def dtw_kernel(p1, p2, window):
-    """DTW over sampled points, optional Sakoe-Chiba band (0 = off)."""
-    n = p1.shape[0]
-    m = p2.shape[0]
-    inf = math.inf
-    prev = np.empty(m + 1)
-    cur = np.empty(m + 1)
-    prev[0] = 0.0
-    for j in range(1, m + 1):
-        prev[j] = inf
-    for i in range(1, n + 1):
-        for j in range(m + 1):
-            cur[j] = inf
-        lo = 1
-        hi = m
-        if window > 0:
-            lo = max(1, i - window)
-            hi = min(m, i + window)
-        ax = p1[i - 1, 0]
-        ay = p1[i - 1, 1]
-        for j in range(lo, hi + 1):
-            d = math.hypot(ax - p2[j - 1, 0], ay - p2[j - 1, 1])
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = d + best
-        prev, cur = cur, prev
-    return prev[m]
-
-
-@njit(cache=True)
-def edr_kernel(p1, p2, eps):
-    """EDR edit count (inclusive ``<= eps`` per-coordinate match)."""
-    n = p1.shape[0]
-    m = p2.shape[0]
-    prev = np.empty(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for j in range(m + 1):
-        prev[j] = j
-    for i in range(1, n + 1):
-        cur[0] = i
-        x1 = p1[i - 1, 0]
-        y1 = p1[i - 1, 1]
-        for j in range(1, m + 1):
-            if abs(x1 - p2[j - 1, 0]) <= eps and abs(y1 - p2[j - 1, 1]) <= eps:
-                sub = 0
-            else:
-                sub = 1
-            best = prev[j - 1] + sub
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m]
-
-
-@njit(cache=True)
-def erp_kernel(p1, p2, gx, gy):
-    """ERP with gap point ``(gx, gy)`` (both inputs non-empty)."""
-    n = p1.shape[0]
-    m = p2.shape[0]
-    gap2 = np.empty(m)
-    for j in range(m):
-        gap2[j] = math.hypot(p2[j, 0] - gx, p2[j, 1] - gy)
-    prev = np.empty(m + 1)
-    cur = np.empty(m + 1)
-    prev[0] = 0.0
-    for j in range(1, m + 1):
-        prev[j] = prev[j - 1] + gap2[j - 1]
-    for i in range(1, n + 1):
-        ax = p1[i - 1, 0]
-        ay = p1[i - 1, 1]
-        ga = math.hypot(ax - gx, ay - gy)
-        cur[0] = prev[0] + ga
-        for j in range(1, m + 1):
-            best = prev[j - 1] + math.hypot(ax - p2[j - 1, 0], ay - p2[j - 1, 1])
-            gap_t1 = prev[j] + ga
-            if gap_t1 < best:
-                best = gap_t1
-            gap_t2 = cur[j - 1] + gap2[j - 1]
-            if gap_t2 < best:
-                best = gap_t2
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m]
-
-
-@njit(cache=True)
-def lcss_kernel(p1, p2, eps):
-    """LCSS match count, unconstrained (``delta = 0``; strict ``< eps``)."""
-    n = p1.shape[0]
-    m = p2.shape[0]
-    prev = np.zeros(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = 0
-        x1 = p1[i - 1, 0]
-        y1 = p1[i - 1, 1]
-        for j in range(1, m + 1):
-            if abs(x1 - p2[j - 1, 0]) < eps and abs(y1 - p2[j - 1, 1]) < eps:
-                cur[j] = prev[j - 1] + 1
-            elif prev[j] >= cur[j - 1]:
-                cur[j] = prev[j]
-            else:
-                cur[j] = cur[j - 1]
-        prev, cur = cur, prev
-    return prev[m]
-
-
-@njit(cache=True)
-def frechet_kernel(p1, p2):
-    """Discrete Fréchet (both inputs non-empty)."""
-    n = p1.shape[0]
-    m = p2.shape[0]
-    inf = math.inf
-    prev = np.empty(m)
-    cur = np.empty(m)
-    for j in range(m):
-        prev[j] = inf
-    for i in range(n):
-        ax = p1[i, 0]
-        ay = p1[i, 1]
-        for j in range(m):
-            d = math.hypot(ax - p2[j, 0], ay - p2[j, 1])
-            if i == 0 and j == 0:
-                best = d
-            elif i == 0:
-                best = cur[j - 1]
-                if d > best:
-                    best = d
-            elif j == 0:
-                best = prev[j]
-                if d > best:
-                    best = d
-            else:
-                reach = prev[j - 1]
-                if prev[j] < reach:
-                    reach = prev[j]
-                if cur[j - 1] < reach:
-                    reach = cur[j - 1]
-                best = reach
-                if d > best:
-                    best = d
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m - 1]
 
 
 # ---------------------------------------------------------------------- #

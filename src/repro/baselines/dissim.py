@@ -28,10 +28,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.geometry import point_distance
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["dissim"]
 
@@ -60,10 +59,9 @@ def dissim(t1: Trajectory, t2: Trajectory, refine: int = 1,
         p2 = t2.point_at_time(start)
         return point_distance(p1.xy, p2.xy)
 
-    if resolve_backend(backend) in ("numpy", "native"):
-        # already vectorized; the native tier compiles only the DP kernels,
-        # so "native" routes through the numpy implementation here
-        return fast.dissim_numpy(t1, t2, refine)
+    kernel = tier_kernel("dissim", backend)
+    if kernel is not None:
+        return kernel(t1, t2, refine)
 
     breaks = np.union1d(t1.times(), t2.times())
     breaks = breaks[(breaks >= start) & (breaks <= end)]

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .. import _native
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.geometry import point_distance
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["dtw", "dtw_many"]
 
@@ -47,11 +45,9 @@ def dtw(t1: Trajectory, t2: Trajectory, window: int = 0,
         return 0.0
     if n == 0 or m == 0:
         return math.inf
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return fast.dtw_numpy(t1, t2, window)
-    if resolved == "native":
-        return _native.load().dtw_native(t1, t2, window)
+    kernel = tier_kernel("dtw", backend)
+    if kernel is not None:
+        return kernel(t1, t2, window)
 
     p1 = [(row[0], row[1]) for row in t1.data]
     p2 = [(row[0], row[1]) for row in t2.data]
@@ -86,9 +82,9 @@ def dtw_many(query: Trajectory, trajectories: Sequence[Trajectory],
     each pair's own corner cell); on ``"python"`` it is a plain loop.
     Feeds the batched matrix engine (:mod:`repro.baselines.matrix`).
     """
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("dtw_many", backend)
     trajectories = list(trajectories)
-    if resolved == "numpy" and len(query) > 0 and trajectories:
-        return fast.dtw_many_numpy(query, trajectories, window)
-    return [dtw(query, t, window=window, backend=resolved)
+    if kernel is not None and len(query) > 0 and trajectories:
+        return kernel(query, trajectories, window)
+    return [dtw(query, t, window=window, backend=backend)
             for t in trajectories]

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .. import _native
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["edr", "edr_normalized", "edr_many", "edr_normalized_many",
            "points_match"]
@@ -45,11 +43,9 @@ def edr(t1: Trajectory, t2: Trajectory, eps: float,
         return m
     if m == 0:
         return n
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return fast.edr_numpy(t1, t2, eps)
-    if resolved == "native":
-        return _native.load().edr_native(t1, t2, eps)
+    kernel = tier_kernel("edr", backend)
+    if kernel is not None:
+        return kernel(t1, t2, eps)
     d1 = t1.data
     d2 = t2.data
     prev: List[int] = list(range(m + 1))
@@ -83,11 +79,11 @@ def edr_many(query: Trajectory, trajectories: Sequence[Trajectory],
              eps: float, backend: Optional[str] = None) -> List[int]:
     """EDR edit counts of one query against many trajectories, batched on
     the ``"numpy"`` backend through the lockstep kernel."""
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("edr_many", backend)
     trajectories = list(trajectories)
-    if resolved == "numpy" and len(query) > 0 and trajectories:
-        return fast.edr_many_numpy(query, trajectories, eps)
-    return [edr(query, t, eps, backend=resolved) for t in trajectories]
+    if kernel is not None and len(query) > 0 and trajectories:
+        return kernel(query, trajectories, eps)
+    return [edr(query, t, eps, backend=backend) for t in trajectories]
 
 
 def edr_normalized_many(query: Trajectory, trajectories: Sequence[Trajectory],

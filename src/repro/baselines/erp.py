@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .. import _native
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.geometry import point_distance
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["erp", "erp_many"]
 
@@ -44,11 +42,9 @@ def erp(
     if n == 0 and m == 0:
         return 0.0
     if n > 0 and m > 0:
-        resolved = resolve_backend(backend)
-        if resolved == "numpy":
-            return fast.erp_numpy(t1, t2, g)
-        if resolved == "native":
-            return _native.load().erp_native(t1, t2, g)
+        kernel = tier_kernel("erp", backend)
+        if kernel is not None:
+            return kernel(t1, t2, g)
 
     p1 = [(row[0], row[1]) for row in t1.data]
     p2 = [(row[0], row[1]) for row in t2.data]
@@ -87,9 +83,9 @@ def erp_many(query: Trajectory, trajectories: Sequence[Trajectory],
              backend: Optional[str] = None) -> List[float]:
     """ERP of one query against many trajectories, batched on the
     ``"numpy"`` backend through the lockstep kernel."""
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("erp_many", backend)
     trajectories = list(trajectories)
     g: Tuple[float, float] = (0.0, 0.0) if gap is None else (gap[0], gap[1])
-    if resolved == "numpy" and len(query) > 0 and trajectories:
-        return fast.erp_many_numpy(query, trajectories, g)
-    return [erp(query, t, gap=gap, backend=resolved) for t in trajectories]
+    if kernel is not None and len(query) > 0 and trajectories:
+        return kernel(query, trajectories, g)
+    return [erp(query, t, gap=gap, backend=backend) for t in trajectories]

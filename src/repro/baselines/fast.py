@@ -70,7 +70,6 @@ __all__ = [
     "lcss_length_numpy",
     "frechet_many_numpy",
     "frechet_numpy",
-    "hausdorff_numpy",
     "directed_hausdorff_numpy",
     "dissim_numpy",
 ]
@@ -452,12 +451,6 @@ def directed_hausdorff_numpy(t1, t2) -> float:
     return float(np.hypot(px - cx, py - cy).min(axis=1).max())
 
 
-def hausdorff_numpy(t1, t2) -> float:
-    """Symmetric Hausdorff via two broadcast directed passes."""
-    return max(directed_hausdorff_numpy(t1, t2),
-               directed_hausdorff_numpy(t2, t1))
-
-
 # --------------------------------------------------------------------- #
 # DISSIM (closed form — vectorized time-synchronized interpolation)
 # --------------------------------------------------------------------- #
@@ -515,3 +508,23 @@ def dissim_numpy(t1, t2, refine: int = 1) -> float:
     if breaks.size == 1:
         return float(dists[0])
     return float(np.trapezoid(dists, breaks))
+
+
+#: The numpy tier's kernel per op (:func:`repro.core.backend.tier_kernel`);
+#: each takes what its dispatching function in :mod:`repro.baselines` takes
+#: once the empty-trajectory base cases are peeled.  The compiled tier has
+#: no comparator kernels, so ``backend="native"`` runs these too.
+KERNELS = {
+    "dtw": dtw_numpy,
+    "dtw_many": dtw_many_numpy,
+    "edr": edr_numpy,
+    "edr_many": edr_many_numpy,
+    "erp": erp_numpy,
+    "erp_many": erp_many_numpy,
+    "lcss_length": lcss_length_numpy,
+    "lcss_length_many": lcss_length_many_numpy,
+    "frechet": frechet_numpy,
+    "frechet_many": frechet_many_numpy,
+    "directed_hausdorff": directed_hausdorff_numpy,
+    "dissim": dissim_numpy,
+}

@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .. import _native
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.geometry import point_distance
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["discrete_frechet", "frechet_many"]
 
@@ -43,11 +41,9 @@ def discrete_frechet(t1: Trajectory, t2: Trajectory,
         return 0.0
     if n == 0 or m == 0:
         return math.inf
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return fast.frechet_numpy(t1, t2)
-    if resolved == "native":
-        return _native.load().frechet_native(t1, t2)
+    kernel = tier_kernel("frechet", backend)
+    if kernel is not None:
+        return kernel(t1, t2)
 
     p1 = [(row[0], row[1]) for row in t1.data]
     p2 = [(row[0], row[1]) for row in t2.data]
@@ -80,9 +76,9 @@ def frechet_many(query: Trajectory, trajectories: Sequence[Trajectory],
                  backend: Optional[str] = None) -> List[float]:
     """Discrete Fréchet of one query against many trajectories, batched on
     the ``"numpy"`` backend through the lockstep kernel."""
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("frechet_many", backend)
     trajectories = list(trajectories)
-    if resolved == "numpy" and len(query) > 0 and trajectories:
-        return fast.frechet_many_numpy(query, trajectories)
-    return [discrete_frechet(query, t, backend=resolved)
+    if kernel is not None and len(query) > 0 and trajectories:
+        return kernel(query, trajectories)
+    return [discrete_frechet(query, t, backend=backend)
             for t in trajectories]

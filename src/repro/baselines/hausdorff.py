@@ -21,10 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.geometry import point_segment_distance
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["hausdorff", "directed_hausdorff"]
 
@@ -53,10 +52,9 @@ def directed_hausdorff(t1: Trajectory, t2: Trajectory,
     """
     if len(t1) == 0 or len(t2) == 0:
         return math.inf if len(t1) != len(t2) else 0.0
-    if resolve_backend(backend) in ("numpy", "native"):
-        # already vectorized; the native tier compiles only the DP kernels,
-        # so "native" routes through the numpy implementation here
-        return fast.directed_hausdorff_numpy(t1, t2)
+    kernel = tier_kernel("directed_hausdorff", backend)
+    if kernel is not None:
+        return kernel(t1, t2)
     pts2 = t2.spatial()
     best = 0.0
     for row in t1.data:

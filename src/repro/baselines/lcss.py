@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .. import _native
-from ..core.edwp import resolve_backend
+from ..core.backend import tier_kernel
 from ..core.trajectory import Trajectory
-from . import fast
 
 __all__ = ["lcss_length", "lcss", "lcss_distance", "lcss_distance_many"]
 
@@ -41,12 +39,9 @@ def lcss_length(t1: Trajectory, t2: Trajectory, eps: float,
     n, m = len(t1), len(t2)
     if n == 0 or m == 0:
         return 0
-    if delta == 0:
-        resolved = resolve_backend(backend)
-        if resolved == "numpy":
-            return fast.lcss_length_numpy(t1, t2, eps)
-        if resolved == "native":
-            return _native.load().lcss_length_native(t1, t2, eps)
+    kernel = tier_kernel("lcss_length", backend) if delta == 0 else None
+    if kernel is not None:
+        return kernel(t1, t2, eps)
     d1 = t1.data
     d2 = t2.data
     prev: List[int] = [0] * (m + 1)
@@ -98,15 +93,15 @@ def lcss_distance_many(query: Trajectory, trajectories: Sequence[Trajectory],
                        backend: Optional[str] = None) -> List[float]:
     """LCSS distance of one query against many trajectories (``delta = 0``),
     batched on the ``"numpy"`` backend through the lockstep kernel."""
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("lcss_length_many", backend)
     trajectories = list(trajectories)
     n = len(query)
-    if resolved == "numpy" and n > 0 and trajectories:
-        lengths = fast.lcss_length_many_numpy(query, trajectories, eps)
+    if kernel is not None and n > 0 and trajectories:
+        lengths = kernel(query, trajectories, eps)
         out = []
         for length, t in zip(lengths, trajectories):
             m = len(t)
             out.append(1.0 if m == 0 else 1.0 - length / min(n, m))
         return out
-    return [lcss_distance(query, t, eps, backend=resolved)
+    return [lcss_distance(query, t, eps, backend=backend)
             for t in trajectories]

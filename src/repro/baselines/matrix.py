@@ -15,12 +15,10 @@ python calls:
   and mirrored.
 
 Both accept a registry name (plus its parameters) or a prebuilt
-:class:`~repro.baselines.registry.DistanceSpec`, follow the global
-:func:`repro.core.set_backend` choice unless ``backend=`` pins one, and
-fan rows out over ``workers`` threads on request (numpy releases the GIL
-inside the kernels, so multi-query sweeps scale).  Metrics without a
-lockstep kernel (MA, Hausdorff, DISSIM, Lp) fall back to a per-pair loop
-over ``spec.fn`` — same contract, no batching speedup.
+:class:`~repro.baselines.registry.DistanceSpec` and follow the global
+:func:`repro.core.set_backend` choice unless ``backend=`` pins one.
+Metrics without a lockstep kernel (MA, Hausdorff, DISSIM, Lp) fall back
+to a per-pair loop over ``spec.fn`` — same contract, no batching speedup.
 
 Batched rows reuse each trajectory's cached
 :meth:`~repro.core.trajectory.Trajectory.coords` matrix and pack
@@ -31,7 +29,6 @@ kernels", for the contract this engine guarantees).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -45,20 +42,15 @@ __all__ = ["pairwise_matrix", "cross_matrix"]
 MetricArg = Union[str, DistanceSpec]
 
 
-def _resolve_spec(
-    metric: MetricArg,
-    eps: Optional[float],
-    ma_params: Optional[MAParams],
-    backend: Optional[str],
-) -> DistanceSpec:
+def _resolve_spec(metric: MetricArg, **params) -> DistanceSpec:
     if isinstance(metric, DistanceSpec):
-        if eps is not None or ma_params is not None or backend is not None:
+        if any(value is not None for value in params.values()):
             raise TypeError(
                 "pass eps/ma_params/backend to get_distance, not alongside "
                 "a prebuilt DistanceSpec"
             )
         return metric
-    return get_distance(metric, eps=eps, ma_params=ma_params, backend=backend)
+    return get_distance(metric, **params)
 
 
 def _row(spec: DistanceSpec, query: Trajectory,
@@ -66,16 +58,6 @@ def _row(spec: DistanceSpec, query: Trajectory,
     if spec.many is not None:
         return spec.many(query, targets)
     return [spec.fn(query, t) for t in targets]
-
-
-def _map_rows(fill, count: int, workers: Optional[int]) -> None:
-    """Run ``fill(i)`` for every row, threaded when ``workers`` asks."""
-    if workers is not None and workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(count)))
-    else:
-        for i in range(count):
-            fill(i)
 
 
 def cross_matrix(
@@ -86,7 +68,6 @@ def cross_matrix(
     eps: Optional[float] = None,
     ma_params: Optional[MAParams] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> np.ndarray:
     """Distance matrix of every query against every target.
 
@@ -96,15 +77,13 @@ def cross_matrix(
     array; entry ``[i, j]`` equals ``metric(queries[i], targets[j])`` with
     the metric's own base-case semantics (``inf`` entries included).
     """
-    spec = _resolve_spec(metric, eps, ma_params, backend)
+    spec = _resolve_spec(metric, eps=eps, ma_params=ma_params,
+                         backend=backend)
     queries = list(queries)
     targets = list(targets)
     out = np.empty((len(queries), len(targets)), dtype=np.float64)
-
-    def fill(i: int) -> None:
-        out[i, :] = _row(spec, queries[i], targets)
-
-    _map_rows(fill, len(queries), workers)
+    for i, query in enumerate(queries):
+        out[i, :] = _row(spec, query, targets)
     return out
 
 
@@ -115,7 +94,6 @@ def pairwise_matrix(
     eps: Optional[float] = None,
     ma_params: Optional[MAParams] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
     symmetric: Optional[bool] = None,
 ) -> np.ndarray:
     """Square self-distance matrix over one trajectory set.
@@ -127,20 +105,18 @@ def pairwise_matrix(
     ``cross_matrix(trajs, trajs)`` — required for MA, whose alignment is
     directional.
     """
-    spec = _resolve_spec(metric, eps, ma_params, backend)
+    spec = _resolve_spec(metric, eps=eps, ma_params=ma_params,
+                         backend=backend)
     if symmetric is None:
         symmetric = spec.symmetric
     trajs = list(trajs)
     if not symmetric:
-        return cross_matrix(trajs, trajs, spec, workers=workers)
+        return cross_matrix(trajs, trajs, spec)
 
     n = len(trajs)
     out = np.empty((n, n), dtype=np.float64)
-
-    def fill(i: int) -> None:
+    for i in range(n):
         row = _row(spec, trajs[i], trajs[i:])
         out[i, i:] = row
         out[i:, i] = row
-
-    _map_rows(fill, n, workers)
     return out

@@ -519,16 +519,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if name == "fig5j":
         result = run_fig5j(db_size=args.db_size, k_values=args.k_values,
-                           num_queries=args.queries, seed=args.seed,
-                           backend=args.backend)
+                           num_queries=args.queries, seed=args.seed)
         print("Fig. 5(j): total query seconds vs k")
         print(format_series_table("k", result.x_values, result.series))
         return 0
 
     if name in ("fig6a", "fig6e"):
         result = run_scaling(db_sizes=args.db_sizes,
-                             num_queries=args.queries, seed=args.seed,
-                             backend=args.backend)
+                             num_queries=args.queries, seed=args.seed)
         if name == "fig6a":
             print("Fig. 6(a): total query seconds vs database size")
             print(format_series_table("db size", result.x_values,
@@ -541,7 +539,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if name in ("fig6b", "fig6f"):
         result = run_theta_sweep(thetas=args.thetas, db_size=args.db_size,
-                                 seed=args.seed, backend=args.backend)
+                                 seed=args.seed)
         if name == "fig6b":
             print("Fig. 6(b): query seconds vs theta")
             print(format_series_table("theta", result.x_values,
@@ -554,14 +552,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if name == "fig6c":
         result = run_fig6c(vp_counts=args.vps, db_size=args.db_size,
-                           seed=args.seed, backend=args.backend)
+                           seed=args.seed)
         print("Fig. 6(c): UB-factor vs #VPs (lower is tighter; optimal = 1)")
         print(format_series_table("#VPs", result.x_values, result.series))
         return 0
 
     if name == "fig6d":
         result = run_fig6d(k_values=args.k_values, db_size=args.db_size,
-                           seed=args.seed, backend=args.backend)
+                           seed=args.seed)
         print("Fig. 6(d): UB-factor vs k (lower is tighter; optimal = 1)")
         print(format_series_table("k", result.x_values, result.series))
         return 0

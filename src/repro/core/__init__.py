@@ -10,11 +10,13 @@ Public surface:
   many trajectories (the hot path of index refinement and benchmarks).
 * :func:`~repro.core.edwp_sub.edwp_sub`, :func:`~repro.core.edwp_sub.prefix_dist`
   — the sub-trajectory distance of Sec. IV-B (Eq. 5-6).
-* :func:`~repro.core.edwp.set_backend` / :func:`~repro.core.edwp.get_backend`
-  / :func:`~repro.core.edwp.use_backend` — switch between the pure-Python
-  reference DP, the vectorized numpy kernel (:mod:`repro.core.edwp_fast`)
-  and the optional numba-compiled native tier (:mod:`repro._native`); see
-  DESIGN.md, "Dual-backend EDwP kernels" and "Native kernel tier".
+* :func:`~repro.core.backend.set_backend` /
+  :func:`~repro.core.backend.get_backend` /
+  :func:`~repro.core.backend.use_backend` — switch between the pure-Python
+  reference DPs, the vectorized numpy kernels and the optional
+  numba-compiled native tier; :mod:`repro.core.backend` holds the switch
+  and the one kernel table behind it (DESIGN.md, "Dual-backend EDwP
+  kernels" and "Native kernel tier").
 """
 
 from .trajectory import STPoint, Segment, Trajectory

@@ -32,47 +32,43 @@ Timestamps never enter the cost: EDwP is a purely spatial distance, and the
 timestamp assigned to an inserted point (proportional to the spatial split,
 Sec. III-A) only matters to consumers of the alignment.
 
-Dual-backend architecture
--------------------------
-The DP has two interchangeable realizations (see DESIGN.md, "Dual-backend
-EDwP kernels"):
+Reference tier
+--------------
+The cell-by-cell loop in this module is the ``"python"`` backend — plain
+floats, easy to audit against the paper's equations, the default and the
+oracle the test-suite compares against.  The faster tiers (the
+anti-diagonal numpy sweep of :mod:`repro.core.edwp_fast`, the optional
+compiled kernels) are looked up per call through
+:func:`repro.core.backend.tier_kernel`, which also owns the backend switch
+(:func:`set_backend` and friends, re-exported here); both match this
+reference to float tolerance (DESIGN.md, "Dual-backend EDwP kernels").
+:func:`edwp_many` is the batched entry point; TrajTree routes leaf
+refinement and scan oracles through it.
 
-``"python"``
-    The reference implementation in this module — a readable cell-by-cell
-    loop over plain floats, easy to audit against the paper's equations.
-    This is the default and the oracle the test-suite compares against.
-``"numpy"``
-    The vectorized kernel in :mod:`repro.core.edwp_fast` — the same DP
-    swept anti-diagonally over preallocated coordinate arrays, with a
-    lockstep batched mode that computes one query against many targets at
-    once.  Matches the reference to float tolerance.
-``"native"``
-    The numba-compiled scalar kernels in :mod:`repro._native` — the same
-    DP as machine code, selectable only when the optional numba dependency
-    is installed (DESIGN.md, "Native kernel tier").  Matches the reference
-    to float tolerance.
-
-The active backend is selected globally with :func:`set_backend` (or
-temporarily with :func:`use_backend`), and every distance entry point also
-accepts an explicit ``backend=`` override.  :func:`edwp_many` exposes the
-batched kernel directly; TrajTree routes leaf refinement and scan oracles
-through it.
-
-Alignment recovery (:func:`edwp_alignment`) always runs the python backend:
-backtracking needs the full parent/position matrices, which the vectorized
-kernel deliberately does not materialize.
+Alignment recovery (:func:`edwp_alignment`) always runs the reference DP:
+backtracking needs the full parent/position matrices, which the faster
+kernels deliberately do not materialize.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from . import edwp_fast
-from .. import _native
+from .backend import (
+    BACKENDS,
+    KNOWN_BACKENDS,
+    BackendError,
+    NativeBackendUnavailableError,
+    UnknownBackendError,
+    available_backends,
+    get_backend,
+    resolve_backend,
+    set_backend,
+    tier_kernel,
+    use_backend,
+)
 from .geometry import Point, point_distance, project_point_on_segment
 from .trajectory import Trajectory
 
@@ -96,118 +92,6 @@ __all__ = [
     "UnknownBackendError",
     "NativeBackendUnavailableError",
 ]
-
-#: Every backend name this package knows of, installed or not.  Selection
-#: distinguishes a typo (:class:`UnknownBackendError`) from a missing
-#: optional dependency (:class:`NativeBackendUnavailableError`).
-KNOWN_BACKENDS = ("python", "numpy", "native")
-
-
-def available_backends() -> tuple:
-    """The backend names selectable *right now*: the pure-Python reference
-    and the vectorized numpy kernels always, plus the compiled ``"native"``
-    tier when numba is installed (``pip install .[native]``)."""
-    if _native.numba_available():
-        return ("python", "numpy", "native")
-    return ("python", "numpy")
-
-
-#: The selectable DP realizations, snapshotted at import time: the
-#: pure-Python reference, the vectorized numpy kernel, and — when numba is
-#: installed — the compiled native tier (see module docstring).  Harness
-#: loops iterating ``BACKENDS`` therefore automatically cover the native
-#: tier on machines that have it.
-BACKENDS = available_backends()
-
-
-class BackendError(ValueError):
-    """A backend name could not be selected.
-
-    Subclasses ``ValueError`` so pre-existing ``except ValueError``
-    call sites (and tests matching on the message) keep working.
-    """
-
-
-class UnknownBackendError(BackendError):
-    """The requested backend name is not one this package knows of."""
-
-    def __init__(self, name: object):
-        self.backend = name
-        super().__init__(
-            f"unknown backend {name!r}; choose from {available_backends()}"
-        )
-
-
-class NativeBackendUnavailableError(BackendError):
-    """``"native"`` was requested but numba is not installed."""
-
-    def __init__(self):
-        self.backend = "native"
-        super().__init__(
-            'backend "native" requires numba, which is not installed '
-            "(pip install .[native]); available backends: "
-            f"{available_backends()}"
-        )
-
-
-def _check_backend(name: str) -> None:
-    """Validate a backend name at selection time, with typed errors."""
-    if name not in KNOWN_BACKENDS:
-        raise UnknownBackendError(name)
-    if name == "native" and not _native.numba_available():
-        raise NativeBackendUnavailableError()
-
-
-_active_backend = "python"
-
-
-def get_backend() -> str:
-    """Name of the globally active distance backend."""
-    return _active_backend
-
-
-def set_backend(name: str) -> str:
-    """Select the global distance backend; returns the previous one.
-
-    Affects every call that does not pass an explicit ``backend=`` —
-    the EDwP family, every baseline comparator in
-    :mod:`repro.baselines`, the distance registry, the batched matrix
-    engine, TrajTree queries and the CLI.
-
-    Raises :class:`UnknownBackendError` for a name this package does not
-    know, and :class:`NativeBackendUnavailableError` when ``"native"`` is
-    requested without numba installed (both ``ValueError`` subclasses).
-    """
-    global _active_backend
-    _check_backend(name)
-    previous = _active_backend
-    _active_backend = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Context manager running a block under a specific backend."""
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a per-call ``backend=`` override against the global choice.
-
-    ``None`` means "follow :func:`set_backend`"; anything else must be a
-    selectable backend (same typed errors as :func:`set_backend`).  Shared
-    by every dual-backend distance — the EDwP family here and the baseline
-    comparators in :mod:`repro.baselines` — so one switch governs them all.
-    """
-    if backend is None:
-        return _active_backend
-    _check_backend(backend)
-    return backend
-
 
 _REP = 0
 _INS1 = 1  # insert on T1 (T2 advances)
@@ -410,11 +294,9 @@ def edwp(t1: Trajectory, t2: Trajectory, backend: Optional[str] = None) -> float
     trivial = _trivial_distance(t1.num_segments, t2.num_segments)
     if trivial is not None:
         return trivial
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return edwp_fast.edwp_numpy(t1, t2)
-    if resolved == "native":
-        return _native.load().edwp_native(t1, t2)
+    kernel = tier_kernel("edwp", backend)
+    if kernel is not None:
+        return kernel(t1, t2)
     p1 = _spatial_points(t1)
     p2 = _spatial_points(t2)
     cost, _, _ = _edwp_dp(p1, p2, keep_parents=False)
@@ -443,7 +325,6 @@ def edwp_many(
     trajectories: Sequence[Trajectory],
     normalized: bool = False,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[float]:
     """(Normalized) EDwP of one query against many trajectories.
 
@@ -455,36 +336,15 @@ def edwp_many(
     it is a plain loop.  TrajTree leaf refinement and the scan oracles route
     through this.
 
-    ``workers`` (optional) fans the batch out over that many threads.
-    Worthwhile for multi-query driver loops on large batches; within one
-    process the GIL limits the gain, so it is off by default.
-
     Returns one distance per input trajectory, in order, with the same
     base-case semantics as :func:`edwp` / :func:`edwp_avg` per pair.
     """
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("edwp_many", backend)
     trajectories = list(trajectories)
-    if workers is not None and workers > 1 and len(trajectories) > 1:
-        shard = math.ceil(len(trajectories) / workers)
-        parts = [
-            trajectories[i:i + shard]
-            for i in range(0, len(trajectories), shard)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda part: edwp_many(
-                    query, part, normalized=normalized, backend=resolved
-                ),
-                parts,
-            )
-        return [d for part in results for d in part]
-
-    if resolved == "numpy" and query.num_segments > 0 and trajectories:
-        raw = edwp_fast.edwp_many_numpy(query, trajectories)
-    elif resolved == "native" and query.num_segments > 0 and trajectories:
-        raw = _native.load().edwp_many_native(query, trajectories)
+    if kernel is not None and query.num_segments > 0 and trajectories:
+        raw = kernel(query, trajectories)
     else:
-        raw = [edwp(query, t, backend=resolved) for t in trajectories]
+        raw = [edwp(query, t, backend=backend) for t in trajectories]
     if not normalized:
         return raw
     q_len = query.length

@@ -51,9 +51,9 @@ Spatial points are packed as complex numbers (``x + yj``): ``np.abs`` of a
 complex difference is the point distance, and one complex array halves the
 number of numpy operations versus separate x/y arrays.
 
-This module is self-contained (numpy only) and is dispatched to by
-:func:`repro.core.edwp.edwp` and friends when the ``"numpy"`` backend is
-active; the pure-Python DP remains the reference oracle.
+This module is self-contained (numpy only); :data:`KERNELS` declares what
+:func:`repro.core.edwp.edwp` and friends run when the ``"numpy"`` backend
+is active, and the pure-Python DP remains the reference oracle.
 """
 
 from __future__ import annotations
@@ -421,3 +421,17 @@ def edwp_sub_fast_queries_numpy(queries: Sequence, target) -> List[float]:
 def prefix_dist_numpy(t, s) -> float:
     """PrefixDist (Eq. 5) via the vectorized kernel."""
     return float(_last_rows(*_pair(t, s)).min())
+
+
+#: The numpy tier's kernel per op (:func:`repro.core.backend.tier_kernel`);
+#: each takes what its dispatching function in :mod:`repro.core.edwp` /
+#: :mod:`repro.core.edwp_sub` takes once the base cases are peeled.
+KERNELS = {
+    "edwp": edwp_numpy,
+    "edwp_many": edwp_many_numpy,
+    "edwp_sub": edwp_sub_numpy,
+    "edwp_sub_many": edwp_sub_many_numpy,
+    "edwp_sub_fast": edwp_sub_fast_numpy,
+    "edwp_sub_fast_queries": edwp_sub_fast_queries_numpy,
+    "prefix_dist": prefix_dist_numpy,
+}

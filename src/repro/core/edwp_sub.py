@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from . import edwp_fast
-from .. import _native
-from .edwp import EdwpResult, _backtrack, _edwp_dp, _spatial_points, resolve_backend
+from .backend import tier_kernel
+from .edwp import EdwpResult, _backtrack, _edwp_dp, _spatial_points
 from .trajectory import Trajectory
 
 __all__ = [
@@ -62,11 +61,9 @@ def edwp_sub(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> flo
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return edwp_fast.edwp_sub_numpy(t, s)
-    if resolved == "native":
-        return _native.load().edwp_sub_native(t, s)
+    kernel = tier_kernel("edwp_sub", backend)
+    if kernel is not None:
+        return kernel(t, s)
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     free, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=True)
@@ -91,15 +88,13 @@ def edwp_sub_many(
     Returns one distance per target, in order, with the same base-case
     semantics as :func:`edwp_sub` per pair.
     """
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("edwp_sub_many", backend)
     trajectories = list(trajectories)
     if t.num_segments <= 0:
         return [0.0] * len(trajectories)
-    if resolved == "numpy" and trajectories:
-        return edwp_fast.edwp_sub_many_numpy(t, trajectories)
-    if resolved == "native" and trajectories:
-        return _native.load().edwp_sub_many_native(t, trajectories)
-    return [edwp_sub(t, s, backend=resolved) for s in trajectories]
+    if kernel is not None and trajectories:
+        return kernel(t, trajectories)
+    return [edwp_sub(t, s, backend=backend) for s in trajectories]
 
 
 def edwp_sub_fast(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> float:
@@ -113,11 +108,9 @@ def edwp_sub_fast(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return edwp_fast.edwp_sub_fast_numpy(t, s)
-    if resolved == "native":
-        return _native.load().edwp_sub_fast_native(t, s)
+    kernel = tier_kernel("edwp_sub_fast", backend)
+    if kernel is not None:
+        return kernel(t, s)
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     free, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=True)
@@ -139,15 +132,13 @@ def edwp_sub_fast_queries(
     ``"python"`` it is a plain loop.  Returns one value per query, in
     order, with the same base-case semantics as :func:`edwp_sub_fast`.
     """
-    resolved = resolve_backend(backend)
+    kernel = tier_kernel("edwp_sub_fast_queries", backend)
     queries = list(queries)
     if s.num_segments <= 0:
         return [_sub_trivial(q.num_segments, 0) for q in queries]
-    if resolved == "numpy" and queries:
-        return edwp_fast.edwp_sub_fast_queries_numpy(queries, s)
-    if resolved == "native" and queries:
-        return _native.load().edwp_sub_fast_queries_native(queries, s)
-    return [edwp_sub_fast(q, s, backend=resolved) for q in queries]
+    if kernel is not None and queries:
+        return kernel(queries, s)
+    return [edwp_sub_fast(q, s, backend=backend) for q in queries]
 
 
 def prefix_dist(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> float:
@@ -156,11 +147,9 @@ def prefix_dist(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> 
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return edwp_fast.prefix_dist_numpy(t, s)
-    if resolved == "native":
-        return _native.load().prefix_dist_native(t, s)
+    kernel = tier_kernel("prefix_dist", backend)
+    if kernel is not None:
+        return kernel(t, s)
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     cost, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=False)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.edwp import edwp_avg, resolve_backend, use_backend
+from ..core.edwp import edwp_avg
 from ..core.trajectory import Trajectory
 from ..index.vantage import VantageIndex
 from .knn import DistanceFn, distance_table, knn_from_table
@@ -143,7 +143,6 @@ def vp_experiment(
     k: int,
     distance: DistanceFn = edwp_avg,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
     """Aggregate UB-factor measurement over several queries.
 
@@ -151,24 +150,11 @@ def vp_experiment(
     worst case: the paper notes deeper nodes only tighten the bound) and
     averages the three statistics over the queries.
 
-    ``backend`` pins the distance backend for every exact distance the
-    measurement needs (``None`` follows the global
-    :func:`repro.core.set_backend` choice); the distance *tables* behind
+    Every exact distance follows the global
+    :func:`repro.core.set_backend` choice; the distance *tables* behind
     the UB-factors batch one-query-vs-database through the registry, so
     the ``"numpy"`` backend's lockstep kernels apply wholesale.
     """
-    with use_backend(resolve_backend(backend)):
-        return _vp_experiment(database, queries, num_vps, k, distance, seed)
-
-
-def _vp_experiment(
-    database: Sequence[Trajectory],
-    queries: Sequence[Trajectory],
-    num_vps: int,
-    k: int,
-    distance: DistanceFn,
-    seed: int,
-) -> Dict[str, float]:
     rng = random.Random(seed)
     keys = [t.traj_id if t.traj_id is not None else i
             for i, t in enumerate(database)]

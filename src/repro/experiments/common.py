@@ -9,9 +9,9 @@ The metric factories return :class:`~repro.baselines.registry.DistanceSpec`
 objects (callable like plain functions), so every harness that feeds them
 into :func:`repro.eval.knn.distance_table` or
 :func:`repro.eval.classification.nn_classify` automatically gets the
-metric's batched lockstep kernel.  ``backend=`` pins all of them to one DP
-backend; the default follows the global :func:`repro.core.set_backend`
-choice (which is how the CLI's ``--backend`` flag reaches every metric).
+metric's batched lockstep kernel.  All of them follow the global
+:func:`repro.core.set_backend` choice, which is how the CLI's
+``--backend`` flag reaches every metric.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def robustness_metrics(
     dataset: Sequence[Trajectory],
     eps: Optional[float] = None,
     ma_params: Optional[MAParams] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, DistanceSpec]:
     """The Fig. 5(b)-(i) metric set: EDwP, EDR, LCSS, MA.
 
@@ -69,9 +68,9 @@ def robustness_metrics(
     gap = float(np.mean([t.segment_lengths().mean() for t in dataset if len(t) > 1]))
     params = ma_params or MAParams(gap_penalty=gap, match_threshold=2 * eps)
     return {
-        "EDwP": get_distance("edwp", backend=backend),
-        "EDR": get_distance("edr", eps=eps, backend=backend),
-        "LCSS": get_distance("lcss", eps=eps, backend=backend),
+        "EDwP": get_distance("edwp"),
+        "EDR": get_distance("edr", eps=eps),
+        "LCSS": get_distance("lcss", eps=eps),
         "MA": get_distance("ma", ma_params=params),
     }
 
@@ -79,17 +78,16 @@ def robustness_metrics(
 def classification_metrics(
     dataset: Sequence[Trajectory],
     eps: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, DistanceSpec]:
     """The Fig. 5(a) metric set: EDwP, EDR, LCSS, DISSIM, MA."""
     if eps is None:
         eps = suggest_eps(dataset)
     gap = float(np.mean([t.segment_lengths().mean() for t in dataset if len(t) > 1]))
     return {
-        "EDwP": get_distance("edwp", backend=backend),
-        "EDR": get_distance("edr", eps=eps, backend=backend),
-        "LCSS": get_distance("lcss", eps=eps, backend=backend),
-        "DISSIM": get_distance("dissim", backend=backend),
+        "EDwP": get_distance("edwp"),
+        "EDR": get_distance("edr", eps=eps),
+        "LCSS": get_distance("lcss", eps=eps),
+        "DISSIM": get_distance("dissim"),
         "MA": get_distance("ma", ma_params=MAParams(gap_penalty=gap,
                                                     match_threshold=2 * eps)),
     }
@@ -105,7 +103,6 @@ def edr_interpolated_metric(
     d2: Sequence[Trajectory],
     eps: Optional[float] = None,
     max_points: int = 128,
-    backend: Optional[str] = None,
 ):
     """EDR-I: interpolate both databases to one uniform density, return the
     interpolated copies plus the EDR spec to run on them (Sec. V-C)."""
@@ -116,4 +113,4 @@ def edr_interpolated_metric(
     spacing = corpus_target_spacing(list(d1) + list(d2))
     d1i = interpolate_dataset(d1, spacing=spacing, max_points=max_points)
     d2i = interpolate_dataset(d2, spacing=spacing, max_points=max_points)
-    return d1i, d2i, get_distance("edr", eps=eps, backend=backend)
+    return d1i, d2i, get_distance("edr", eps=eps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -54,11 +54,10 @@ def _one_cell(
     num_queries: int,
     seed: int,
     include_edr_i: bool,
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
     """Mean correlation per metric for one (protocol, k, n) cell."""
     d1, d2 = make_noisy_dataset(clean, protocol, noise, seed)
-    metrics = robustness_metrics(clean, backend=backend)
+    metrics = robustness_metrics(clean)
     rng = random.Random(seed)
     query_ids = rng.sample(range(len(d1)), min(num_queries, len(d1)))
 
@@ -67,8 +66,7 @@ def _one_cell(
 
     if include_edr_i:
         eps = suggest_eps(clean)
-        d1i, d2i, edr_metric = edr_interpolated_metric(d1, d2, eps=eps,
-                                                       backend=backend)
+        d1i, d2i, edr_metric = edr_interpolated_metric(d1, d2, eps=eps)
         vals = pair_correlations(d1i, d2i, {"EDR-I": edr_metric}, k, query_ids)
         out["EDR-I"] = float(np.mean(vals["EDR-I"]))
     return out
@@ -85,15 +83,13 @@ def robustness_sweep(
     num_queries: int = 3,
     include_edr_i: bool = True,
     seed: int = 7,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """One of the eight robustness panels.
 
     ``vary`` is ``"k"`` (Figs. 5b/d/f/h: noise fixed at ``fixed_noise``) or
     ``"n"`` (Figs. 5c/e/g/i: k fixed at ``fixed_k``).  Database sizes and
     query counts default to laptop scale; README.md's benchmark matrix
-    records the scales used for the shipped results.  ``backend`` pins the
-    metrics' DP backend (default: the global choice); every
+    records the scales used for the shipped results.  Every
     query-vs-database table runs through the batched lockstep kernels.
     """
     clean = beijing_database(db_size, seed=seed)
@@ -110,7 +106,7 @@ def robustness_sweep(
 
     for k, noise in cells:
         cell = _one_cell(clean, protocol, k, noise, num_queries, seed,
-                         include_edr_i, backend=backend)
+                         include_edr_i)
         for name, value in cell.items():
             result.series.setdefault(name, []).append(value)
     return result

@@ -8,7 +8,7 @@ EDwP is most accurate at every class count and degrades slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..datasets import generate_asl
 from ..eval.classification import classification_experiment
@@ -31,24 +31,21 @@ def run_fig5a(
     repeats: int = 2,
     folds: int = 5,
     seed: int = 7,
-    backend: Optional[str] = None,
 ) -> Fig5aResult:
     """Run the Fig. 5(a) sweep at laptop scale.
 
     The full 98-class corpus is generated once; each cell draws ``repeats``
     random subsets of ``c`` classes (the paper repeats 100x with 10 folds;
     the defaults scale that down — see README.md's benchmark matrix).
-    ``backend`` pins every metric's DP backend (default: the global
-    :func:`repro.core.set_backend` choice); the 1-NN inner loops run each
-    test point against its fold's references through the metrics' batched
-    lockstep kernels either way.
+    The 1-NN inner loops run each test point against its fold's references
+    through the metrics' batched lockstep kernels.
     """
     dataset = generate_asl(
         num_classes=max(class_counts),
         instances_per_class=instances_per_class,
         seed=seed,
     )
-    metrics = classification_metrics(dataset, backend=backend)
+    metrics = classification_metrics(dataset)
     res = classification_experiment(
         dataset, metrics, class_counts, repeats=repeats, folds=folds, seed=seed
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..baselines import EDRIndex, MAParams, get_distance
 from ..core.trajectory import Trajectory
@@ -51,7 +51,6 @@ def _setup_methods(
     theta: float = 0.8,
     num_vps: int = 40,
     include_ma: bool = True,
-    backend: Optional[str] = None,
 ):
     """Build all retrieval methods over one database.
 
@@ -62,7 +61,7 @@ def _setup_methods(
 
     start = time.perf_counter()
     tree = TrajTree(db, theta=theta, num_vps=num_vps, normalized=True,
-                    seed=seed, backend=backend)
+                    seed=seed)
     tree_build = time.perf_counter() - start
 
     spacing = corpus_target_spacing(db)
@@ -119,18 +118,15 @@ def run_fig5j(
     num_queries: int = 3,
     seed: int = 7,
     include_ma: bool = True,
-    backend: Optional[str] = None,
 ) -> QueryTimeResult:
     """Fig. 5(j): query time growth with k for all four methods.
 
-    ``backend`` selects the distance backend for the TrajTree method
-    (bounds, build and refinement alike); ``None`` follows the global
-    :func:`repro.core.set_backend` choice, so CLI ``--backend`` reaches
-    this either way.
+    The TrajTree method (bounds, build and refinement alike) follows the
+    global :func:`repro.core.set_backend` choice, which is how CLI
+    ``--backend`` reaches it.
     """
     db = beijing_database(db_size, seed=seed)
-    methods, _ = _setup_methods(db, seed, include_ma=include_ma,
-                                backend=backend)
+    methods, _ = _setup_methods(db, seed, include_ma=include_ma)
     queries = _queries(num_queries, seed)
     result = QueryTimeResult(x_name="k",
                              x_values=[float(k) for k in k_values])
@@ -147,11 +143,10 @@ def run_scaling(
     num_queries: int = 3,
     seed: int = 7,
     include_ma: bool = True,
-    backend: Optional[str] = None,
 ) -> QueryTimeResult:
     """Figs. 6(a) and 6(e): query time and build time vs database size.
 
-    ``backend`` as in :func:`run_fig5j` — the ``"numpy"`` backend runs
+    Backend as in :func:`run_fig5j` — the ``"numpy"`` backend runs
     TrajTree builds and queries through the batched bound/refinement
     kernels (identical results, see the benchmark gate in
     ``benchmarks/bench_fig6a_querytime_dbsize.py``).
@@ -161,8 +156,7 @@ def run_scaling(
     queries = _queries(num_queries, seed)
     for size in db_sizes:
         db = beijing_database(size, seed=seed)
-        methods, builds = _setup_methods(db, seed, include_ma=include_ma,
-                                         backend=backend)
+        methods, builds = _setup_methods(db, seed, include_ma=include_ma)
         cell = _time_methods(methods, queries, k)
         for name, secs in cell.items():
             result.series.setdefault(name, []).append(secs)
@@ -177,13 +171,12 @@ def run_theta_sweep(
     k: int = 10,
     num_queries: int = 3,
     seed: int = 7,
-    backend: Optional[str] = None,
 ) -> QueryTimeResult:
     """Figs. 6(b) and 6(f): TrajTree query and build time vs θ.
 
     θ trades lower-bound tightness against per-level bound computations;
     the paper finds query time minimized near 0.8 while build time rises
-    monotonically with θ.  ``backend`` as in :func:`run_fig5j`.
+    monotonically with θ.  Backend as in :func:`run_fig5j`.
     """
     db = beijing_database(db_size, seed=seed)
     queries = _queries(num_queries, seed)
@@ -192,7 +185,7 @@ def run_theta_sweep(
     for theta in thetas:
         start = time.perf_counter()
         tree = TrajTree(db, theta=theta, num_vps=40, normalized=True,
-                        seed=seed, backend=backend)
+                        seed=seed)
         build = time.perf_counter() - start
         start = time.perf_counter()
         for q in queries:

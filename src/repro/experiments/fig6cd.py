@@ -9,7 +9,7 @@ Measured at the root node — the paper's stated worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..datasets import generate_beijing
 from ..eval.ubfactor import vp_experiment
@@ -33,20 +33,14 @@ def run_fig6c(
     k: int = 10,
     num_queries: int = 4,
     seed: int = 7,
-    backend: Optional[str] = None,
 ) -> UBSweepResult:
-    """Fig. 6(c): UB-factor vs number of vantage points.
-
-    ``backend`` pins the distance backend for the exact-distance tables
-    behind the UB-factors (see :func:`repro.eval.ubfactor.vp_experiment`).
-    """
+    """Fig. 6(c): UB-factor vs number of vantage points."""
     db = beijing_database(db_size, seed=seed)
     queries = generate_beijing(num_queries, seed=seed + 1000)
     result = UBSweepResult(x_name="#VPs",
                            x_values=[float(v) for v in vp_counts])
     for v in vp_counts:
-        stats = vp_experiment(db, queries, num_vps=v, k=k, seed=seed,
-                              backend=backend)
+        stats = vp_experiment(db, queries, num_vps=v, k=k, seed=seed)
         result.series.setdefault("Beijing", []).append(stats["vp_ub_factor"])
         result.series.setdefault("Beijing Random", []).append(
             stats["random_ub_factor"])
@@ -61,19 +55,14 @@ def run_fig6d(
     num_vps: int = 80,
     num_queries: int = 4,
     seed: int = 7,
-    backend: Optional[str] = None,
 ) -> UBSweepResult:
-    """Fig. 6(d): UB-factor vs k at a fixed VP budget.
-
-    ``backend`` as in :func:`run_fig6c`.
-    """
+    """Fig. 6(d): UB-factor vs k at a fixed VP budget."""
     db = beijing_database(db_size, seed=seed)
     queries = generate_beijing(num_queries, seed=seed + 1000)
     result = UBSweepResult(x_name="k",
                            x_values=[float(k) for k in k_values])
     for k in k_values:
-        stats = vp_experiment(db, queries, num_vps=num_vps, k=k, seed=seed,
-                              backend=backend)
+        stats = vp_experiment(db, queries, num_vps=num_vps, k=k, seed=seed)
         result.series.setdefault("Beijing", []).append(stats["vp_ub_factor"])
         result.series.setdefault("Beijing Random", []).append(
             stats["random_ub_factor"])

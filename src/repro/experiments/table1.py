@@ -11,7 +11,7 @@ Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..baselines import MAParams, get_distance
 from ..core import Trajectory, edwp
@@ -64,25 +64,24 @@ def scenario_anchors() -> Dict[str, float]:
     }
 
 
-def run_table1(eps: float = 3.0, backend: Optional[str] = None) -> Table1Result:
+def run_table1(eps: float = 3.0) -> Table1Result:
     """Build the empirical Table I and the scenario anchors.
 
     ``eps`` parameterizes the threshold-dependent comparators for the
     behavioural probes (the probe trajectories live on a ~100-unit extent;
-    3.0 matches the paper's Fig. 1 scale).  ``backend`` pins every metric
-    to one DP backend; by default all follow the global
-    :func:`repro.core.set_backend` choice — both backends produce the same
-    table (the kernels agree to float tolerance).
+    3.0 matches the paper's Fig. 1 scale).  Every metric follows the
+    global :func:`repro.core.set_backend` choice; all backends produce the
+    same table (the kernels agree to float tolerance).
     """
     metrics = {
-        "DTW": get_distance("dtw", backend=backend),
-        "LCSS": get_distance("lcss", eps=eps, backend=backend),
-        "ERP": get_distance("erp", backend=backend),
-        "EDR": get_distance("edr", eps=eps, backend=backend),
-        "DISSIM": get_distance("dissim", backend=backend),
+        "DTW": get_distance("dtw"),
+        "LCSS": get_distance("lcss", eps=eps),
+        "ERP": get_distance("erp"),
+        "EDR": get_distance("edr", eps=eps),
+        "DISSIM": get_distance("dissim"),
         "MA": get_distance("ma", ma_params=MAParams(gap_penalty=5.0,
                                                     match_threshold=eps)),
-        "EDwP": get_distance("edwp", backend=backend),
+        "EDwP": get_distance("edwp"),
     }
     threshold_free = {
         name: spec.threshold_free for name, spec in metrics.items()

@@ -49,10 +49,10 @@ Box geometry enters as :class:`BoxGeometry` — five aligned float64 arrays
 repeated bounds against the same node (every query!) pay the
 object-to-array conversion once.
 
-This module is self-contained (numpy + the core coordinate cache) and is
-dispatched to by :func:`repro.index.tboxseq.edwp_sub_box` /
-:func:`repro.index.tboxseq.edwp_sub_box_many` when the ``"numpy"`` backend
-is active; the pure-Python DP remains the reference oracle.
+This module is self-contained (numpy + the core coordinate cache);
+:data:`KERNELS` declares what :func:`repro.index.tboxseq.edwp_sub_box` /
+:func:`repro.index.tboxseq.edwp_sub_box_many` run when the ``"numpy"``
+backend is active, and the pure-Python DP remains the reference oracle.
 
 Interaction with query budgets (:mod:`repro.index.budget`): budget
 accounting happens one level up, in TrajTree, *before* a batch is handed
@@ -539,3 +539,12 @@ def edwp_sub_box_many_numpy(
 def edwp_sub_box_numpy(traj, geom: BoxGeometry, thorough: bool = False) -> float:
     """Single-sequence entry point (a batch of one)."""
     return edwp_sub_box_many_numpy(traj, [geom], thorough=thorough)[0]
+
+
+#: The numpy tier's kernel per op (:func:`repro.core.backend.tier_kernel`),
+#: called as ``kernel(traj, geometry_or_geometries, thorough=...)`` with a
+#: trajectory of at least one segment.
+KERNELS = {
+    "edwp_sub_box": edwp_sub_box_numpy,
+    "edwp_sub_box_many": edwp_sub_box_many_numpy,
+}

@@ -2,7 +2,7 @@
 
 A single :class:`~repro.index.trajtree.TrajTree` is built in one piece
 and pickled in one piece; past ~10^4 trajectories both become the
-bottleneck (ROADMAP item 2).  :class:`TrajForest` partitions the dataset
+bottleneck.  :class:`TrajForest` partitions the dataset
 into shards, builds one independent TrajTree per shard — optionally in
 parallel worker processes reading a memory-mapped
 :class:`~repro.store.ColumnarStore` — and answers the same queries over

@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import _native
-from ..core.edwp import _spatial_points, resolve_backend
+from ..core.backend import tier_kernel
+from ..core.edwp import _spatial_points
 from ..core.geometry import Point, point_distance
 from ..core.trajectory import Trajectory
 from . import fast_bounds
@@ -532,15 +532,9 @@ def edwp_sub_box(
     """
     if traj.num_segments == 0:
         return 0.0
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return fast_bounds.edwp_sub_box_numpy(
-            traj, seq.geometry(), thorough=thorough
-        )
-    if resolved == "native":
-        return _native.load().edwp_sub_box_native(
-            traj, seq.geometry(), thorough=thorough
-        )
+    kernel = tier_kernel("edwp_sub_box", backend)
+    if kernel is not None:
+        return kernel(traj, seq.geometry(), thorough=thorough)
     pts = _spatial_points(traj)
     n = len(pts) - 1
     free, _, _ = _box_dp(pts, seq.boxes, keep_parents=False)
@@ -570,17 +564,12 @@ def edwp_sub_box_many(
     seqs = list(seqs)
     if traj.num_segments == 0:
         return [0.0] * len(seqs)
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return fast_bounds.edwp_sub_box_many_numpy(
-            traj, [seq.geometry() for seq in seqs], thorough=thorough
-        )
-    if resolved == "native":
-        return _native.load().edwp_sub_box_many_native(
-            traj, [seq.geometry() for seq in seqs], thorough=thorough
-        )
+    kernel = tier_kernel("edwp_sub_box_many", backend)
+    if kernel is not None:
+        return kernel(traj, [seq.geometry() for seq in seqs],
+                      thorough=thorough)
     return [
-        edwp_sub_box(traj, seq, thorough=thorough, backend="python")
+        edwp_sub_box(traj, seq, thorough=thorough, backend=backend)
         for seq in seqs
     ]
 

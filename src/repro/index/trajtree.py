@@ -28,7 +28,6 @@ import heapq
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -794,20 +793,12 @@ class TrajTree:
         self,
         queries: Sequence[Trajectory],
         k: int,
-        workers: Optional[int] = None,
     ) -> List[List[Tuple[int, float]]]:
         """:meth:`knn` for a batch of queries; one result list per query.
 
-        Equivalent to ``[self.knn(q, k) for q in queries]``.  ``workers``
-        (optional) fans the queries out over that many threads — the tree is
-        read-only during queries, so concurrent searches are safe; within
-        one process the GIL limits the gain, so it is off by default.  For
+        Equivalent to ``[self.knn(q, k) for q in queries]``.  For
         per-query counters run :meth:`knn` directly with a ``stats``.
         """
-        queries = list(queries)
-        if workers is not None and workers > 1 and len(queries) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda q: self.knn(q, k), queries))
         return [self.knn(q, k) for q in queries]
 
     def query_many(

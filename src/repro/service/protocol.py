@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -163,10 +164,15 @@ class QueryRequest:
         if self.query.num_segments == 0:
             raise InvalidRequest("query needs at least one segment")
         if self.kind == "range":
-            if self.param < 0:
-                raise InvalidRequest("radius must be non-negative")
-        elif int(self.param) <= 0 or int(self.param) != self.param:
+            # written so that NaN — a radius no pruning test can order,
+            # and not JSON on the way back — fails the comparison
+            if not 0 <= self.param < math.inf:
+                raise InvalidRequest("radius must be finite and non-negative")
+        elif not (0 < self.param < math.inf and self.param == int(self.param)):
             raise InvalidRequest("k must be a positive integer")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise InvalidRequest("timeout must be a positive, finite number "
+                                 "of seconds")
         return self
 
 
@@ -260,19 +266,22 @@ def request_from_obj(obj: Dict[str, Any]) -> QueryRequest:
         raise InvalidRequest(f"bad query points: {exc}") from None
     try:
         param = float(obj["radius"] if kind == "range" else obj["k"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         needed = "radius" if kind == "range" else "k"
         raise InvalidRequest(f"query needs a numeric {needed!r}") from None
     timeout = obj.get("timeout")
     if timeout is not None:
-        timeout = float(timeout)
+        try:
+            timeout = float(timeout)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidRequest("'timeout' must be numeric") from None
     budget = obj.get("budget")
     if budget is not None:
         if not isinstance(budget, dict):
             raise InvalidRequest("'budget' must be a JSON object")
         try:
             budget = QueryBudget.from_dict(budget)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidRequest(f"bad budget: {exc}") from None
     return QueryRequest(kind, query, param, timeout, budget).validated()
 

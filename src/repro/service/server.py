@@ -59,6 +59,7 @@ from .batcher import CoalescingBatcher
 from .breaker import CircuitBreaker
 from .cache import LRUCache
 from .protocol import (
+    InvalidRequest,
     QueryRequest,
     QueryResponse,
     RequestTimeout,
@@ -542,6 +543,62 @@ class QueryService:
 # ---------------------------------------------------------------------- #
 
 
+#: Longest request line the server reads, in bytes, sized in query points:
+#: a point is three JSON numbers, ~25 bytes as the dataset generators emit
+#: them and at most ~70 at full float precision, so 1 MiB is a query of
+#: 15,000 points at worst and ~40,000 typically (asyncio's 64 KiB default
+#: stops at ~2,600).  A connection buffers up to twice this.
+MAX_REQUEST_BYTES = 1 << 20
+
+_CONTROL_OPS = ("ping", "stats", "health", "reload")
+
+
+def _error_reply(exc: ServiceError) -> Dict[str, Any]:
+    error: Dict[str, Any] = {"code": exc.code, "message": str(exc)}
+    retry_after = getattr(exc, "retry_after", None)
+    if retry_after is not None:
+        error["retry_after"] = retry_after
+    return {"ok": False, "error": error}
+
+
+async def _reply(service: QueryService, line: bytes) -> Dict[str, Any]:
+    """The response object for one request line."""
+    try:
+        obj = decode_request(line)
+        op = obj["op"]
+        request = None if op in _CONTROL_OPS else request_from_obj(obj)
+    except Exception as exc:
+        # Whatever a hostile frame trips while decoding costs its sender
+        # one typed reply, never the connection.
+        if not isinstance(exc, ServiceError):
+            exc = InvalidRequest(f"undecodable request: {exc!r}")
+        service.stats.record_error(exc.code)
+        return _error_reply(exc)
+    try:
+        if request is not None:
+            answer = await service.submit(request)
+            return {
+                "ok": True,
+                "result": [[tid, d] for tid, d in answer.results],
+                "meta": answer.meta,
+            }
+        # Control ops run under the "control" admission class: they may
+        # take the reserved tokens, so health probes and stats scrapes
+        # answer promptly during kNN floods.
+        async with service.admission.admit("control"):
+            if op == "ping":
+                result: Any = "pong"
+            elif op == "stats":
+                result = service.stats_dict()
+            elif op == "health":
+                result = service.health_dict()
+            else:
+                result = await service.reload()
+        return {"ok": True, "result": result}
+    except ServiceError as exc:
+        return _error_reply(exc)
+
+
 async def _handle_connection(
     service: QueryService,
     reader: asyncio.StreamReader,
@@ -551,52 +608,36 @@ async def _handle_connection(
 
     Concurrency across *connections* is what feeds the coalescing window;
     within a connection, requests are answered sequentially so responses
-    line up with requests.
+    line up with requests.  A line over :data:`MAX_REQUEST_BYTES` is
+    discarded through its newline and answered ``invalid_request``.
     """
+    oversized = False
     try:
         while True:
             try:
-                line = await reader.readline()
-            except (ConnectionError, asyncio.IncompleteReadError):
-                break
-            if not line:
-                break
-            if not line.strip():
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial              # EOF: the unterminated tail
+            except asyncio.LimitOverrunError as exc:
+                # Drop what is buffered of the frame; the next read that
+                # succeeds returns its tail, through the newline.
+                await reader.readexactly(exc.consumed)
+                oversized = True
                 continue
-            try:
-                obj = decode_request(line)
-                op = obj.get("op")
-                if op in ("ping", "stats", "health", "reload"):
-                    # Control ops run under the "control" admission class:
-                    # they may take the reserved tokens, so health probes
-                    # and stats scrapes answer promptly during kNN floods.
-                    async with service.admission.admit("control"):
-                        if op == "ping":
-                            response = {"ok": True, "result": "pong"}
-                        elif op == "stats":
-                            response = {"ok": True,
-                                        "result": service.stats_dict()}
-                        elif op == "health":
-                            response = {"ok": True,
-                                        "result": service.health_dict()}
-                        else:
-                            response = {"ok": True,
-                                        "result": await service.reload()}
-                else:
-                    answer = await service.submit(request_from_obj(obj))
-                    response = {
-                        "ok": True,
-                        "result": [[tid, d] for tid, d in answer.results],
-                        "meta": answer.meta,
-                    }
-            except ServiceError as exc:
-                error: Dict[str, Any] = {
-                    "code": exc.code, "message": str(exc)
-                }
-                retry_after = getattr(exc, "retry_after", None)
-                if retry_after is not None:
-                    error["retry_after"] = retry_after
-                response = {"ok": False, "error": error}
+            except ConnectionError:
+                break
+            if oversized:
+                oversized = False
+                service.stats.record_error(InvalidRequest.code)
+                response = _error_reply(InvalidRequest(
+                    "request line exceeds the "
+                    f"{MAX_REQUEST_BYTES}-byte limit"))
+            elif not line:
+                break
+            elif not line.strip():
+                continue
+            else:
+                response = await _reply(service, line)
             writer.write(encode_response(response))
             try:
                 await writer.drain()
@@ -624,5 +665,6 @@ async def serve(
     drain in-flight batches.
     """
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w), host, port,
+        limit=MAX_REQUEST_BYTES,
     )

@@ -146,14 +146,6 @@ class TestEdwpMany:
                 query, targets, normalized=True, backend=backend
             ) == pytest.approx(expected, abs=TOL)
 
-    def test_workers_preserve_order_and_values(self, rng):
-        query = random_trajectory(rng, 8)
-        targets = [random_trajectory(rng, int(rng.integers(2, 12)))
-                   for _ in range(23)]
-        plain = edwp_many(query, targets, backend="numpy")
-        threaded = edwp_many(query, targets, backend="numpy", workers=3)
-        assert threaded == pytest.approx(plain, abs=TOL)
-
     def test_empty_batch(self, rng):
         assert edwp_many(random_trajectory(rng, 4), []) == []
 
@@ -184,9 +176,10 @@ class TestBackendSelection:
     def test_global_backend_drives_dispatch(self, rng, monkeypatch):
         """With the global backend set, plain edwp() runs the fast kernel."""
         calls = []
-        real = edwp_fast.edwp_numpy
-        monkeypatch.setattr(edwp_fast, "edwp_numpy",
-                            lambda a, b: calls.append(1) or real(a, b))
+        real = edwp_fast.dp_sweep
+        monkeypatch.setattr(
+            edwp_fast, "dp_sweep",
+            lambda *args, **kw: calls.append(1) or real(*args, **kw))
         a, b = random_trajectory(rng, 5), random_trajectory(rng, 6)
         with use_backend("numpy"):
             edwp(a, b)
@@ -194,9 +187,10 @@ class TestBackendSelection:
 
     def test_explicit_kwarg_overrides_global(self, rng, monkeypatch):
         calls = []
-        real = edwp_fast.edwp_numpy
-        monkeypatch.setattr(edwp_fast, "edwp_numpy",
-                            lambda a, b: calls.append(1) or real(a, b))
+        real = edwp_fast.dp_sweep
+        monkeypatch.setattr(
+            edwp_fast, "dp_sweep",
+            lambda *args, **kw: calls.append(1) or real(*args, **kw))
         a, b = random_trajectory(rng, 5), random_trajectory(rng, 6)
         with use_backend("numpy"):
             edwp(a, b, backend="python")

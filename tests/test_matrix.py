@@ -50,11 +50,6 @@ class TestPairwiseMatrix:
             mat = pairwise_matrix(trajs, "dtw")
         assert np.abs(mat - pairwise_matrix(trajs, "dtw")).max() < 1e-9
 
-    def test_workers_equivalent(self, trajs):
-        serial = pairwise_matrix(trajs, "erp", backend="numpy")
-        threaded = pairwise_matrix(trajs, "erp", backend="numpy", workers=4)
-        assert np.array_equal(serial, threaded)
-
     def test_ma_computes_full_matrix(self, trajs):
         """MA is asymmetric: the spec flags it and the engine must not
         mirror the upper triangle."""
@@ -112,9 +107,3 @@ class TestCrossMatrix:
         with pytest.raises(KeyError):
             cross_matrix(trajs, trajs, "sspd")
 
-    def test_workers_equivalent(self, trajs):
-        serial = cross_matrix(trajs, trajs, "lcss", eps=3.0,
-                              backend="numpy")
-        threaded = cross_matrix(trajs, trajs, "lcss", eps=3.0,
-                                backend="numpy", workers=3)
-        assert np.array_equal(serial, threaded)

@@ -30,10 +30,6 @@ class TestKnnBatch:
         batch = tree.knn_batch(queries, k=5)
         assert batch == [tree.knn(q, 5) for q in queries]
 
-    def test_workers_match_sequential(self, tree, queries):
-        assert tree.knn_batch(queries, k=5, workers=3) == tree.knn_batch(
-            queries, k=5)
-
     def test_empty_batch(self, tree):
         assert tree.knn_batch([], k=3) == []
 
@@ -77,5 +73,4 @@ class TestBackendParity:
 
 @pytest.mark.usefixtures("small_refine_flush")
 class TestKnnBatchTraversing(TestKnnBatch):
-    """The same properties with the crossover at 4 (worker threads read
-    the patched module global too)."""
+    """The same properties with the crossover at 4."""
