@@ -188,17 +188,7 @@ class Trajectory:
         return (self.data, self.traj_id, self.label)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 2 and isinstance(state[1], dict):
-            # Legacy pickles (pre coordinate-cache) carry the default slots
-            # state ``(None, {slot: value})``.  Accept it so old index
-            # snapshots decode far enough to reach the persistence layer's
-            # version check instead of dying inside pickle.load.
-            slots = state[1]
-            self.data = slots["data"]
-            self.traj_id = slots.get("traj_id")
-            self.label = slots.get("label")
-        else:
-            self.data, self.traj_id, self.label = state
+        self.data, self.traj_id, self.label = state
         self._coords = None
         self._length = None
         self._rect = None

@@ -4,52 +4,56 @@ Index construction is the expensive phase (`O(|D|^2 / bf)` EDwPsub
 alignments, Sec. IV-F), so a production deployment builds once and reloads
 thereafter.  Two snapshot formats exist:
 
-* **Single tree** — one pickle file with a version/fingerprint header
-  (:func:`save_tree` / :func:`load_tree`).  The tree is a plain object
-  graph of floats/ints/numpy arrays; pickle round-trips it faithfully.
+* **Single tree** — one file: the pickled tree (a plain object graph of
+  floats/ints/numpy arrays) behind the :mod:`repro.store.atomic` envelope
+  header ``repro-trajtree <version> sha256:<hex> <payload length>\\n``
+  (:func:`save_tree` / :func:`load_tree`).
 * **Forest** — a directory: a ``forest.json`` manifest (magic, format
-  version, shard scheme, per-shard filenames, fingerprints and sha256
-  checksums) next to one single-tree pickle per shard
-  (:func:`save_forest` / :func:`load_forest`, the ``ForestSnapshot``
-  layout of DESIGN.md, "Columnar store and sharded forest").  Shards load
+  version, shard scheme, one ``{file, sha256}`` entry per shard) next to
+  one single-tree file per shard (:func:`save_forest` /
+  :func:`load_forest`; DESIGN.md, "Snapshot format").  Shards load
   independently, so a damaged snapshot fails with a
-  :class:`ShardLoadError` *naming the shard* instead of a bare
-  ``FileNotFoundError`` — or, with ``on_shard_error="skip"``, loads
-  **degraded** over the healthy shards only (DESIGN.md, "Fault model and
-  degraded serving").
+  :class:`ShardLoadError` *naming the shard* — or, with
+  ``on_shard_error="skip"``, loads **degraded** over the healthy shards
+  (DESIGN.md, "Fault model and degraded serving").
 
-Writes are crash-safe: every file goes through the
-:mod:`repro.store.atomic` temp-sibling/fsync/atomic-rename protocol, the
-forest manifest — which records each shard's checksum — is written last,
-and stale temps from an interrupted save are swept on the next save.  A
-crash at any byte offset therefore leaves either the previous intact
-snapshot or damage the loaders detect as a typed error; never a load that
-silently succeeds with wrong data.
+Check, then decode: a file reaches the decoder only after
+:func:`~repro.store.atomic.read_envelope` has matched its magic, format
+version, payload length and sha256 — and, for a shard, the checksum its
+manifest recorded: each shard file is intact on its own, so only that
+record tells new shards beside an old manifest (a save that crashed
+before the manifest, which is written last) from a snapshot.  Every write
+is temp-sibling/fsync/atomic-rename.  A crash at any byte offset, a
+truncation or a flipped bit therefore leaves an intact snapshot or a
+typed error, and a file of the other kind or of another format version —
+every pre-1.3.0 pickle included — names the right loader or says to
+rebuild; never a load with wrong data, never a half-read file.
 
-The two formats version-gate each other cleanly: pointing
-:func:`load_tree` at a forest directory (or :func:`load_forest` at a
-single-tree pickle — including legacy 1.2.0 files) raises a ``ValueError``
-telling you which loader to use.
-
-Pickle executes code on load; only load index files you created.  (The
-trajectory *data* has portable exchange formats in
-:mod:`repro.datasets.io` and :mod:`repro.store`; the index is a cache,
-not an interchange format.)
+The decoder resolves only the names a tree contains
+(:data:`_TREE_GLOBALS`): a payload naming anything else — ``os.system``
+behind a ``__reduce__`` — is a typed ``ValueError`` and the name is never
+imported or called.  Not guaranteed: the checksum detects damage, not
+forgery (whoever can write the file can write a matching header), and a
+payload forged from the allowed classes alone can still decode to a tree
+of nonsense or raise from inside them.  The index is a cache, not an
+interchange format; trajectory *data* has portable formats in
+:mod:`repro.datasets.io` and :mod:`repro.store`.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import pickle
 from pathlib import Path
-from typing import Union
+from typing import Optional
 
 from ..store.atomic import (
-    IntegrityError,
-    atomic_write_bytes,
+    PathLike,
     atomic_write_json,
     cleanup_stale_temps,
-    verify_checksum,
+    read_envelope,
+    read_manifest,
+    write_envelope,
 )
 from .forest import SHARD_SCHEMES, TrajForest
 from .trajtree import TrajTree
@@ -62,26 +66,51 @@ __all__ = [
     "ShardLoadError",
 ]
 
-PathLike = Union[str, Path]
-
 _MAGIC = "repro-trajtree"
-#: bumped together with the package version when index layout changes
-#: (1.1.0: TrajTree.backend attribute + Trajectory coordinate-cache slot;
-#: 1.2.0: TBoxSeq geometry-cache slot + TrajTreeStats counter layout — the
-#: cache itself is excluded from pickles, but the slot changes the state
-#: shape old readers expect, exactly like the Trajectory bump before it)
-_FORMAT_VERSION = "1.2.0"
+#: bumped whenever the pickled state of a class in _TREE_GLOBALS changes
+#: (1.3.0: the bare pickled tree behind the envelope header, no build RNG)
+_FORMAT_VERSION = "1.3.0"
 
 _FOREST_MAGIC = "repro-trajforest"
-#: the ForestSnapshot manifest version; bumped when the manifest schema
-#: or the shard layout changes (shard payloads additionally carry the
-#: single-tree version gate above).  1.1.0: per-shard sha256 checksums +
-#: crash-safe manifest-last write order.
-_FOREST_VERSION = "1.1.0"
+#: the manifest's own version, bumped with its schema (1.2.0: shard
+#: entries are ``{file, sha256}``, the sha256 the shard's envelope's)
+_FOREST_VERSION = "1.2.0"
 _FOREST_MANIFEST = "forest.json"
 
 #: the ``on_shard_error`` policies of :func:`load_forest`
 ON_SHARD_ERROR = ("fail", "skip")
+
+#: every global a tree's pickle names (recorded over numpy- and
+#: python-built trees, inserts and ``from_store`` shards); numpy moved
+#: its reconstructors from ``numpy.core`` to ``numpy._core`` in 2.0
+_TREE_GLOBALS = frozenset({
+    ("repro.core.trajectory", "Trajectory"),
+    ("repro.index.stbox", "STBox"),
+    ("repro.index.tboxseq", "TBoxSeq"),
+    ("repro.index.trajtree", "TrajTree"),
+    ("repro.index.trajtree", "TrajTreeStats"),
+    ("repro.index.trajtree", "_Node"),
+    ("repro.index.vantage", "VantageIndex"),
+    ("numpy", "dtype"),
+    ("numpy", "ndarray"),
+    ("numpy.core.numeric", "_frombuffer"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "_reconstruct"),
+})
+
+
+class _TreeUnpickler(pickle.Unpickler):
+    """Refuses any name outside :data:`_TREE_GLOBALS` before it is
+    imported, let alone called."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _TREE_GLOBALS:
+            raise ValueError(
+                f"snapshot payload does not decode to a TrajTree: it names "
+                f"{module}.{name}"
+            )
+        return super().find_class(module, name)
 
 
 class ShardLoadError(ValueError):
@@ -99,43 +128,30 @@ class ShardLoadError(ValueError):
         )
 
 
-def _fingerprint(tree: TrajTree) -> dict:
-    """Cheap integrity descriptor of the indexed database."""
-    ids = sorted(tree.ids())
-    return {
-        "count": len(ids),
-        "first_ids": ids[:8],
-        "total_points": sum(len(tree.get(t)) for t in ids[:32]),
-    }
-
-
 def save_tree(tree: TrajTree, path: PathLike) -> str:
     """Serialize a TrajTree (including its trajectory database) to disk.
 
     Crash-safe (temp sibling + fsync + atomic rename): an interrupted
     save leaves any previous snapshot at ``path`` intact.  Returns the
-    written payload's ``sha256:<hex>`` checksum — :func:`save_forest`
-    records it in the manifest.
+    pickled payload's ``sha256:<hex>`` checksum, the one the envelope
+    header carries — :func:`save_forest` records it in the manifest.
     """
-    payload = {
-        "magic": _MAGIC,
-        "version": _FORMAT_VERSION,
-        "fingerprint": _fingerprint(tree),
-        "tree": tree,
-    }
-    return atomic_write_bytes(
-        path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return write_envelope(
+        path, _MAGIC, _FORMAT_VERSION,
+        pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL),
     )
 
 
-def load_tree(path: PathLike) -> TrajTree:
+def load_tree(path: PathLike, expected: Optional[str] = None) -> TrajTree:
     """Load a TrajTree written by :func:`save_tree`.
 
-    Raises ``ValueError`` for files that are not TrajTree snapshots,
-    are truncated or corrupt (the unpickle failure is wrapped, not
-    leaked raw), or were written by a different library version (rebuild
-    instead: bounds and defaults may have changed between versions), and
-    for forest snapshot directories (load those with :func:`load_forest`).
+    Raises ``ValueError`` before anything is decoded for files that are
+    not TrajTree snapshots or are of another format version (rebuild:
+    bounds and defaults may have changed) and for forest directories
+    (:func:`load_forest`), its subclass :class:`~repro.store.atomic.
+    IntegrityError` for truncated or corrupt files or a checksum other
+    than ``expected`` (a forest manifest's record of it), and
+    ``ValueError`` again for a payload that is not a tree's.
     """
     p = Path(path)
     if p.is_dir():
@@ -145,27 +161,10 @@ def load_tree(path: PathLike) -> TrajTree:
                 f"(or serve it with --forest)"
             )
         raise ValueError(f"{p!s} is a directory, not a TrajTree snapshot")
-    try:
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
-    except (pickle.UnpicklingError, EOFError, AttributeError, IndexError,
-            MemoryError) as exc:
-        raise ValueError(
-            f"{path!s} is truncated or corrupt ({exc}); restore the "
-            f"snapshot or rebuild the index"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-        raise ValueError(f"{path!s} is not a TrajTree snapshot")
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"index was written by version {payload.get('version')}, "
-            f"this library expects {_FORMAT_VERSION}; rebuild the index"
-        )
-    tree = payload["tree"]
+    payload = read_envelope(p, _MAGIC, _FORMAT_VERSION, expected)
+    tree = _TreeUnpickler(io.BytesIO(payload)).load()
     if not isinstance(tree, TrajTree):
-        raise ValueError(f"{path!s} does not contain a TrajTree")
-    if _fingerprint(tree) != payload.get("fingerprint"):
-        raise ValueError(f"{path!s} fingerprint mismatch; file corrupted?")
+        raise ValueError(f"{p!s} does not decode to a TrajTree")
     return tree
 
 
@@ -174,34 +173,26 @@ def load_tree(path: PathLike) -> TrajTree:
 # ---------------------------------------------------------------------- #
 
 
-def _shard_filename(shard: int) -> str:
-    return f"shard_{shard:04d}.pkl"
-
-
 def save_forest(forest: TrajForest, path: PathLike) -> None:
     """Write a TrajForest as a snapshot directory (the ForestSnapshot
-    layout): ``forest.json`` + one single-tree pickle per shard.
+    layout): ``forest.json`` + one single-tree file per shard.
 
-    Shards are written through :func:`save_tree`, so each carries its own
-    version gate and fingerprint — and lands crash-safely; the manifest
-    pins the shard count, the assignment scheme, and every shard's
-    fingerprint *and sha256 checksum*, and is written **last**, so a save
-    that dies mid-way leaves either the previous intact snapshot or a
-    manifest/shard mismatch the loader reports as a typed error.  Stale
-    temp files from an earlier interrupted save are swept first.
+    Shards are written through :func:`save_tree`, so each is a
+    self-checking envelope and lands crash-safely; the manifest pins the
+    shard count, the assignment scheme and every shard's checksum, and is
+    written **last**, so a save that dies mid-way leaves either the
+    previous intact snapshot or a manifest/shard mismatch the loader
+    reports as a typed error.  Stale temp files from an earlier
+    interrupted save are swept first.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     cleanup_stale_temps(root)
     shards = []
     for i, tree in enumerate(forest.shards):
-        filename = _shard_filename(i)
+        filename = f"shard_{i:04d}.pkl"
         checksum = save_tree(tree, root / filename)
-        shards.append({
-            "file": filename,
-            "fingerprint": _fingerprint(tree),
-            "sha256": checksum,
-        })
+        shards.append({"file": filename, "sha256": checksum})
     manifest = {
         "magic": _FOREST_MAGIC,
         "version": _FOREST_VERSION,
@@ -213,43 +204,24 @@ def save_forest(forest: TrajForest, path: PathLike) -> None:
     atomic_write_json(root / _FOREST_MANIFEST, manifest, indent=1)
 
 
-def _load_shard(root: Path, shard: int, entry: dict,
-                verify: bool) -> TrajTree:
-    """Load + integrity-check one shard, every failure a ShardLoadError."""
-    filename = entry.get("file", _shard_filename(shard))
-    file = root / filename
+def _load_shard(root: Path, shard: int, entry: dict) -> TrajTree:
+    """Load one shard by its manifest entry, every failure a ShardLoadError."""
+    file = root / entry["file"]
     if not file.is_file():
-        raise ShardLoadError(shard, filename, "is missing")
-    if verify and entry.get("sha256"):
-        try:
-            verify_checksum(file, entry["sha256"])
-        except IntegrityError as exc:
-            raise ShardLoadError(shard, filename, str(exc)) from None
+        raise ShardLoadError(shard, entry["file"], "is missing")
     try:
-        tree = load_tree(file)
-    except (ValueError, OSError, EOFError,
-            pickle.UnpicklingError) as exc:
+        return load_tree(file, expected=entry["sha256"])
+    except (ValueError, OSError) as exc:
         raise ShardLoadError(
-            shard, filename, f"failed to load: {exc}"
+            shard, entry["file"], f"failed to load: {exc}"
         ) from None
-    if entry.get("fingerprint") is not None \
-            and _fingerprint(tree) != entry["fingerprint"]:
-        raise ShardLoadError(
-            shard, filename, "fingerprint mismatch; file corrupted?"
-        )
-    return tree
 
 
-def load_forest(
-    path: PathLike,
-    on_shard_error: str = "fail",
-    verify: bool = True,
-) -> TrajForest:
+def load_forest(path: PathLike, on_shard_error: str = "fail") -> TrajForest:
     """Load a TrajForest written by :func:`save_forest`.
 
-    Every shard is integrity-checked before it is trusted: file present,
-    sha256 checksum matching the manifest (``verify=False`` skips the
-    hash pass), unpickle clean, version gate and fingerprint matching.
+    Every shard is checked before it is decoded: file present, envelope
+    intact and of this format version, checksum the manifest's.
 
     ``on_shard_error`` decides what a damaged shard means:
 
@@ -264,8 +236,8 @@ def load_forest(
       forest to serve.
 
     Raises ``ValueError`` for paths that are not forest snapshots —
-    including single-tree pickles (legacy 1.2.0 files and current ones),
-    which get a message pointing at :func:`load_tree`.
+    including single-tree files of any format version, which get a
+    message pointing at :func:`load_tree`.
     """
     if on_shard_error not in ON_SHARD_ERROR:
         raise ValueError(
@@ -274,47 +246,33 @@ def load_forest(
         )
     root = Path(path)
     if root.is_file():
-        # A single-tree pickle (any version, including legacy 1.2.0
-        # files): refuse with a pointer at the right loader rather than
-        # failing inside the manifest parse.
+        # A single-tree file (any format version): point at the right
+        # loader rather than fail inside the manifest parse.
         raise ValueError(
             f"{root!s} is a single-tree snapshot, not a forest snapshot "
             f"directory; load it with load_tree (or serve it with --index)"
         )
-    if not root.is_dir() or not (root / _FOREST_MANIFEST).is_file():
-        raise ValueError(f"{root!s} is not a forest snapshot")
-    # Reap temp files a crashed writer left behind: the atomic-write
-    # protocol guarantees they were never part of a committed snapshot.
-    cleanup_stale_temps(root)
-    try:
-        manifest = json.loads((root / _FOREST_MANIFEST).read_text())
-    except ValueError as exc:
-        raise ValueError(
-            f"{root!s}: forest manifest is not valid JSON: {exc}"
-        ) from None
-    if not isinstance(manifest, dict) \
-            or manifest.get("magic") != _FOREST_MAGIC:
-        raise ValueError(f"{root!s} is not a forest snapshot")
-    if manifest.get("version") != _FOREST_VERSION:
-        raise ValueError(
-            f"forest snapshot was written by version "
-            f"{manifest.get('version')}, this library expects "
-            f"{_FOREST_VERSION}; rebuild the forest"
-        )
+    manifest = read_manifest(
+        root / _FOREST_MANIFEST, _FOREST_MAGIC, _FOREST_VERSION, ValueError,
+        "a forest snapshot", "rebuild the forest",
+    )
     scheme = manifest.get("scheme", "round_robin")
     if scheme not in SHARD_SCHEMES:
         raise ValueError(
             f"{root!s}: unknown shard scheme {scheme!r} in manifest"
         )
     entries = manifest.get("shards")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{root!s}: forest manifest lists no shards")
+    if not isinstance(entries, list) or not entries or not all(
+            isinstance(e, dict) and {"file", "sha256"} <= set(e)
+            for e in entries):
+        raise ValueError(
+            f"{root!s}: forest manifest lists no {{file, sha256}} shards")
 
     trees = []
     missing = []
     for i, entry in enumerate(entries):
         try:
-            trees.append(_load_shard(root, i, entry, verify))
+            trees.append(_load_shard(root, i, entry))
         except ShardLoadError as exc:
             if on_shard_error == "fail":
                 raise

@@ -113,14 +113,7 @@ class TBoxSeq:
         return (self.boxes,)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 2 and isinstance(state[1], dict):
-            # Legacy pickles (pre geometry-cache) carry the default slots
-            # state ``(None, {slot: value})``.  Accept it so old index
-            # snapshots decode far enough to reach the persistence layer's
-            # version check instead of dying inside pickle.load.
-            self.boxes = state[1]["boxes"]
-        else:
-            (self.boxes,) = state
+        (self.boxes,) = state
         self._geom = None
 
     def geometry(self) -> fast_bounds.BoxGeometry:

@@ -335,27 +335,27 @@ class TrajTree:
         self.seed = seed
         self.rebuild_ratio = rebuild_ratio
 
-        self._rng = random.Random(seed)
         ids = assign_ids(trajectories)
         self._db: Dict[int, Trajectory] = dict(zip(ids, trajectories))
         self._updates_since_build = 0
         self.build_stats = TrajTreeStats()
-        self.root = self._build(ids)
+        self.root = self._build(ids, random.Random(seed))
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
 
-    def _build(self, ids: List[int], depth: int = 0,
+    def _build(self, ids: List[int], rng: random.Random, depth: int = 0,
                boxseq: Optional[TBoxSeq] = None) -> _Node:
         """Node over ``ids``; ``boxseq`` is their summary when the parent's
-        partition already folded it (every node but the root)."""
+        partition already folded it (every node but the root); ``rng`` is
+        the build's one generator (nothing draws after a build)."""
         trajs = [self._db[i] for i in ids]
         if boxseq is None:
             boxseq = TBoxSeq.from_trajectories(trajs, max_boxes=self.max_boxes)
         vantage: Optional[VantageIndex] = None
         if depth < self.vp_levels:
-            vantage = VantageIndex.build(trajs, ids, self.num_vps, self._rng)
+            vantage = VantageIndex.build(trajs, ids, self.num_vps, rng)
         max_length = max(t.length for t in trajs)
         self.build_stats.nodes_visited += 1
 
@@ -363,7 +363,7 @@ class TrajTree:
             trajs,
             theta=self.theta,
             min_node_size=self.min_node_size,
-            rng=self._rng,
+            rng=rng,
             max_boxes=self.max_boxes,
             max_pivots=self.max_branching,
             distance_rows=self._pivot_distance_rows,
@@ -374,7 +374,7 @@ class TrajTree:
                          list(ids), depth)
 
         children = [
-            self._build([ids[i] for i in group], depth + 1, grown)
+            self._build([ids[i] for i in group], rng, depth + 1, grown)
             for group, grown in zip(result.groups, result.boxseqs)
         ]
         return _Node(boxseq, vantage, children, [], max_length, list(ids),
@@ -893,7 +893,7 @@ class TrajTree:
         — ``exact=False``, ``residual_bound=0.0``).  Epsilon does not
         apply: the radius is fixed, there is no k-th distance to relax.
         """
-        if radius < 0:
+        if not radius >= 0:     # NaN compares false with everything
             raise ValueError("radius must be non-negative")
         if query.num_segments == 0:
             raise ValueError("query needs at least one segment")
@@ -1000,7 +1000,7 @@ class TrajTree:
         same reason it underestimates ``EDwP(Q, T)`` (sub-alignment only
         removes cost), so the best-first search carries over — including
         the quick union-rectangle pre-filter, which only relies on the
-        query being fully consumed (see :meth:`_quick_bounds_many`).
+        query being fully consumed (see :meth:`_quick_bounds_many_raw`).
         Distances are raw ``EDwPsub`` values (length normalization is not
         meaningful when only part of the target is matched); leaf
         refinement batches them through
@@ -1104,8 +1104,6 @@ class TrajTree:
 
     def rebuild(self) -> None:
         """Bulk-rebuild the tree over the current database."""
-        self._rng = random.Random(self.seed)
         self.build_stats = TrajTreeStats()
-        ids = list(self._db)
-        self.root = self._build(ids)
+        self.root = self._build(list(self._db), random.Random(self.seed))
         self._updates_since_build = 0

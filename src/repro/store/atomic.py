@@ -1,7 +1,7 @@
-"""Crash-safe file writes and sha256 integrity checks.
+"""Crash-safe file writes, sha256 integrity checks, the snapshot envelope.
 
 Every on-disk artifact of the library — columnar store arrays,
-``meta.json``, single-tree pickles, forest manifests — goes through one
+``meta.json``, tree snapshots, forest manifests — goes through one
 write protocol (DESIGN.md, "Fault model and degraded serving"):
 
 1. write the full payload to a hidden *temp sibling* in the same
@@ -25,6 +25,9 @@ Stale temp siblings are ignored by every loader (loaders open files by
 their recorded names only) and swept by :func:`cleanup_stale_temps` at
 the start of the next save into the same directory.
 
+An *index* file additionally travels behind a one-line header, the
+**envelope** (:func:`write_envelope`), checked before it is decoded.
+
 Fault points (:mod:`repro.testing.faults`): ``atomic.write:<name>``
 before the temp write — ``truncate`` rules make the writer persist
 exactly N payload bytes and then crash — and ``atomic.rename:<name>``
@@ -39,7 +42,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Any, List, Union
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -55,6 +58,9 @@ __all__ = [
     "npy_bytes",
     "cleanup_stale_temps",
     "verify_checksum",
+    "write_envelope",
+    "read_envelope",
+    "read_manifest",
 ]
 
 PathLike = Union[str, Path]
@@ -64,7 +70,7 @@ TMP_SUFFIX = ".tmp"
 
 
 class IntegrityError(ValueError):
-    """A file's content does not match its recorded sha256 checksum."""
+    """A file's content does not match its recorded length or sha256."""
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -173,9 +179,8 @@ def verify_checksum(
 ) -> None:
     """Raise ``error_cls`` unless ``path`` hashes to ``expected``.
 
-    ``error_cls`` lets each loader surface its own typed error
-    (``StoreError``, ``ShardLoadError`` wrapping, ...) while sharing the
-    one checking path.
+    ``error_cls`` lets the loader surface its own typed error
+    (``StoreError``).
     """
     actual = sha256_file(path)
     if actual != expected:
@@ -183,3 +188,81 @@ def verify_checksum(
             f"{Path(path).name} failed its integrity check "
             f"(recorded {expected}, found {actual}); file corrupted?"
         )
+
+
+def write_envelope(path: PathLike, magic: str, version: str,
+                   payload: bytes) -> str:
+    """Write ``payload`` behind its envelope header, crash-safely; returns
+    the *payload's* checksum (the header's, and what a manifest pins)."""
+    checksum = sha256_bytes(payload)
+    header = f"{magic} {version} {checksum} {len(payload)}\n".encode("ascii")
+    atomic_write_bytes(path, header + payload)
+    return checksum
+
+
+def read_envelope(path: PathLike, magic: str, version: str,
+                  expected: Optional[str] = None) -> bytes:
+    """The payload of an envelope file, once it has proved itself.
+
+    Checked in order, before the caller decodes a byte: header present
+    (no snapshot written before envelopes has one), ``magic`` and
+    ``version`` — plain ``ValueError``: another kind or release, rebuild;
+    then payload length and sha256 against the header, and against
+    ``expected`` when the caller holds a manifest's record of the checksum
+    — :class:`IntegrityError`: damaged, or not the manifest's file.  One
+    hash pass serves both comparisons.
+    """
+    with open(path, "rb") as f:
+        # four short fields; the cap bounds the scan of a header-less file
+        header = f.readline(256)
+        payload = f.read()
+    fields = header[:-1].decode("ascii", "replace").split(" ") \
+        if header.endswith(b"\n") else []
+    if len(fields) != 4 or not fields[3].isdigit():
+        raise ValueError(
+            f"{path!s} has no {magic} header: another kind of file, or one "
+            f"that predates format {version}; rebuild it"
+        )
+    if fields[:2] != [magic, version]:
+        raise ValueError(
+            f"{path!s} is a {fields[0]} {fields[1]} file, this library "
+            f"reads {magic} {version}; rebuild it"
+        )
+    recorded, length, actual = fields[2], int(fields[3]), sha256_bytes(payload)
+    if len(payload) != length or actual != recorded:
+        raise IntegrityError(
+            f"{path!s} failed its integrity check (header records {length} "
+            f"bytes hashing to {recorded}, file holds {len(payload)} "
+            f"hashing to {actual}); truncated or corrupt"
+        )
+    if expected is not None and actual != expected:
+        raise IntegrityError(
+            f"{path!s} failed its integrity check (manifest records "
+            f"{expected}, file holds {actual}): intact, but not the file "
+            f"the manifest was written with"
+        )
+    return payload
+
+
+def read_manifest(path: PathLike, magic: str, version: str,
+                  error_cls: type, kind: str, remedy: str) -> dict:
+    """The parsed JSON manifest of a snapshot directory, once it names its
+    ``magic`` and ``version``; ``kind`` ("a forest snapshot") and
+    ``remedy`` ("rebuild the forest") word the caller's ``error_cls``.
+    Then sweeps the temp files a crashed writer left beside it (never
+    part of a committed snapshot, by the write protocol)."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text()) if path.is_file() else None
+    except ValueError as exc:
+        raise error_cls(f"{path!s} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("magic") != magic:
+        raise error_cls(f"{path.parent!s} is not {kind}")
+    if manifest.get("version") != version:
+        raise error_cls(
+            f"{path.parent!s} was written in format "
+            f"{manifest.get('version')}, this library expects {version}; "
+            f"{remedy}"
+        )
+    cleanup_stale_temps(path.parent)
+    return manifest

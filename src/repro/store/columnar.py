@@ -40,24 +40,23 @@ a directory :meth:`ColumnarStore.load` rejects with a typed
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.trajectory import Trajectory, assign_ids
 from .atomic import (
+    PathLike,
     atomic_write_bytes,
     atomic_write_json,
     cleanup_stale_temps,
     npy_bytes,
+    read_manifest,
     verify_checksum,
 )
 
 __all__ = ["ColumnarStore", "StoreError"]
-
-PathLike = Union[str, Path]
 
 _MAGIC = "repro-columnar-store"
 #: bumped when the on-disk layout changes (arrays, meta schema)
@@ -248,15 +247,6 @@ class ColumnarStore:
         for i in range(len(self)):
             yield self.trajectory(i)
 
-    def fingerprint(self) -> dict:
-        """Cheap integrity descriptor (mirrors the index snapshots')."""
-        ids = sorted(int(t) for t in self.ids[:8])
-        return {
-            "count": len(self),
-            "points": self.num_points,
-            "first_ids": ids,
-        }
-
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
@@ -321,29 +311,16 @@ class ColumnarStore:
         anything that is not a complete, compatible store directory.
 
         Opening also sweeps stale ``*.tmp*`` files a crashed writer left
-        behind (:func:`repro.store.atomic.cleanup_stale_temps`) — the
-        atomic-write protocol guarantees they are never part of a
-        committed store, so reaping them on the read path keeps crash
-        debris from accumulating.
+        behind (:func:`repro.store.atomic.read_manifest`).
         """
         root = Path(path)
         if not root.is_dir():
             raise StoreError(f"{root!s} is not a store directory")
-        cleanup_stale_temps(root)
         meta_path = root / "meta.json"
-        if not meta_path.is_file():
-            raise StoreError(f"{root!s} has no meta.json; not a store?")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except ValueError as exc:
-            raise StoreError(f"{meta_path!s} is not valid JSON: {exc}") from None
-        if not isinstance(meta, dict) or meta.get("magic") != _MAGIC:
-            raise StoreError(f"{root!s} is not a columnar trajectory store")
-        if meta.get("version") != _FORMAT_VERSION:
-            raise StoreError(
-                f"store was written by format version {meta.get('version')}, "
-                f"this library expects {_FORMAT_VERSION}; repack the store"
-            )
+        meta = read_manifest(
+            meta_path, _MAGIC, _FORMAT_VERSION, StoreError,
+            "a columnar trajectory store", "repack the store",
+        )
         checksums = meta.get("checksums")
         if not isinstance(checksums, dict):
             raise StoreError(

@@ -7,7 +7,8 @@ either the previous intact version or a typed error (``StoreError``,
 ``ShardLoadError``, ``ValueError``).  Plus the on-disk corruption matrix:
 truncated arrays, bit-flipped payloads caught by sha256, missing shard
 files, and stale temp siblings from a crashed save being ignored on load
-and swept on the next save.
+and swept on the next save.  ``TestCorruptionMatrix`` holds index files to
+the same contract under seeded bit flips and truncations at every offset.
 """
 
 import json
@@ -30,6 +31,7 @@ from repro.store.atomic import (
     TMP_SUFFIX,
     atomic_write_bytes,
     cleanup_stale_temps,
+    read_envelope,
     sha256_bytes,
     sha256_file,
     verify_checksum,
@@ -253,8 +255,142 @@ class TestForestCrashSafety:
         assert not list(root.glob(f".*{TMP_SUFFIX}"))
 
     def test_save_tree_returns_manifest_checksum(self, tmp_path, forests):
+        """The checksum is of the *payload*: the value the envelope
+        header carries, so manifest and file vouch for the same bytes."""
         old, _ = forests
         path = tmp_path / "one.pkl"
         checksum = save_tree(old.shards[0], path)
         assert checksum.startswith("sha256:")
-        assert checksum == sha256_file(path)
+        header, _, payload = path.read_bytes().partition(b"\n")
+        assert checksum == sha256_bytes(payload)
+        assert header.split(b" ")[2] == checksum.encode()
+        assert read_envelope(path, "repro-trajtree", "1.3.0",
+                             expected=checksum) == payload
+
+
+def flips(raw, count, seed):
+    """``count`` seeded single-bit flips of ``raw``: ``(offset, bytes)``."""
+    rng = np.random.default_rng(seed)
+    for offset, bit in zip(rng.integers(0, len(raw), count),
+                           rng.integers(0, 8, count)):
+        damaged = bytearray(raw)
+        damaged[offset] ^= 1 << bit
+        yield int(offset), bytes(damaged)
+
+
+class TestCorruptionMatrix:
+    """The gate of ISSUE 23: damage anywhere in an index file is a typed
+    error raised before anything is decoded — never a load, never an
+    exception outside ``ValueError``.  (At the parent commit 276 of 400
+    such flips of a tree file loaded, 6 with different answers.)"""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return TrajTree(make_db(5, n=30), num_vps=4, min_node_size=6,
+                        seed=1)
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        return TrajForest(make_db(6, n=30), num_shards=3, num_vps=4,
+                          min_node_size=4, seed=1)
+
+    def assert_typed(self, path, raw, damaged, offset):
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError) as excinfo:
+            load_tree(path)
+        # past the header every byte is under the checksum: damage there
+        # is named as damage, not as "another kind of file"
+        if offset > raw.index(b"\n"):
+            assert isinstance(excinfo.value, IntegrityError), offset
+
+    def test_tree_file_bit_flips(self, tree, tmp_path):
+        path = tmp_path / "index.pkl"
+        save_tree(tree, path)
+        raw = path.read_bytes()
+        header = raw.index(b"\n") + 1
+        for offset, damaged in flips(raw, 2000, seed=23):
+            self.assert_typed(path, raw, damaged, offset)
+        # and every bit of the header itself
+        for offset in range(header):
+            for bit in range(8):
+                damaged = bytearray(raw)
+                damaged[offset] ^= 1 << bit
+                self.assert_typed(path, raw, bytes(damaged), offset)
+
+    def test_tree_file_truncations(self, tree, tmp_path):
+        path = tmp_path / "index.pkl"
+        save_tree(tree, path)
+        raw = path.read_bytes()
+        header = raw.index(b"\n") + 1
+        lengths = set(range(header + 16)) | set(range(0, len(raw), 41)) \
+            | {len(raw) - 1}
+        for length in sorted(lengths):
+            self.assert_typed(path, raw, raw[:length], length)
+        # appended bytes are damage too
+        self.assert_typed(path, raw, raw + b"\0", len(raw))
+
+    def test_forest_shard_flips_name_the_shard(self, forest, tmp_path):
+        root = tmp_path / "forest"
+        save_forest(forest, root)
+        for shard in range(3):
+            file = root / f"shard_{shard:04d}.pkl"
+            raw = file.read_bytes()
+            cases = [d for _, d in flips(raw, 40, seed=shard)]
+            cases += [raw[:n] for n in range(0, len(raw), len(raw) // 12)]
+            for damaged in cases:
+                file.write_bytes(damaged)
+                with pytest.raises(ShardLoadError) as excinfo:
+                    load_forest(root)
+                assert excinfo.value.shard == shard
+                assert excinfo.value.filename == file.name
+                degraded = load_forest(root, on_shard_error="skip")
+                assert [(e.shard, e.filename)
+                        for e in degraded.missing_shards] == [
+                    (shard, file.name)]
+                assert degraded.num_shards == 2
+            file.write_bytes(raw)
+        assert load_forest(root).ids() == forest.ids()
+
+    def test_forest_manifest_flips(self, forest, tmp_path):
+        """``forest.json`` carries no checksum of its own: a flipped bit
+        there is a typed error (bad JSON, a renamed key, a checksum or a
+        count that no longer matches) or lands in a field no answer
+        depends on — never an untyped exception, never other answers."""
+        root = tmp_path / "forest"
+        save_forest(forest, root)
+        raw = (root / "forest.json").read_bytes()
+        probe = make_db(7, n=1)[0]
+        want = forest.knn(probe, 4)
+        for _, damaged in flips(raw, 150, seed=5):
+            (root / "forest.json").write_bytes(damaged)
+            try:
+                loaded = load_forest(root)
+            except ValueError:
+                continue
+            assert loaded.ids() == forest.ids()
+            assert loaded.knn(probe, 4) == want
+
+    def test_parent_format_snapshots_say_rebuild(self, tree, forest,
+                                                 tmp_path):
+        """What the parent commit wrote: a bare pickled dict (tree format
+        1.2.0) and a 1.1.0 manifest over such shards.  Each loader gives
+        its typed message; nothing of the old file is decoded."""
+        path = tmp_path / "old.pkl"
+        path.write_bytes(pickle.dumps(
+            {"magic": "repro-trajtree", "version": "1.2.0",
+             "fingerprint": {"count": len(tree)}, "tree": tree},
+            protocol=pickle.HIGHEST_PROTOCOL))
+        with pytest.raises(ValueError,
+                           match="predates format 1.3.0; rebuild") as excinfo:
+            load_tree(path)
+        assert not isinstance(excinfo.value, IntegrityError)
+        with pytest.raises(ValueError,
+                           match="single-tree snapshot.*load_tree"):
+            load_forest(path)
+        root = tmp_path / "forest"
+        save_forest(forest, root)
+        manifest = json.loads((root / "forest.json").read_text())
+        manifest["version"] = "1.1.0"
+        (root / "forest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="1.1.0.*rebuild the forest"):
+            load_forest(root)

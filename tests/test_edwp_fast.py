@@ -232,15 +232,3 @@ class TestCoordsCache:
         clone = pickle.loads(pickle.dumps(t))
         assert clone._coords is None
         assert edwp(t, clone, backend="numpy") == pytest.approx(0.0, abs=TOL)
-
-    def test_legacy_pickle_state_accepted(self, rng):
-        """Pre coordinate-cache pickles used the default slots state; they
-        must still decode (so old index snapshots reach the persistence
-        version check instead of crashing inside pickle.load)."""
-        t = random_trajectory(rng, 4)
-        legacy = Trajectory.__new__(Trajectory)
-        legacy.__setstate__(
-            (None, {"data": t.data, "traj_id": 7, "label": "sign"}))
-        assert legacy.traj_id == 7 and legacy.label == "sign"
-        assert legacy._coords is None
-        assert edwp(t, legacy, backend="numpy") == pytest.approx(0.0, abs=TOL)

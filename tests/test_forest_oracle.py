@@ -92,6 +92,12 @@ def test_range_matches_single_tree(forests, tree, queries, shards):
                 tree.range_query(query, radius)
 
 
+def test_range_rejects_nan_radius(forests, queries):
+    for radius in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            forests[4].range_query(queries[0], radius)
+
+
 @pytest.mark.parametrize("shards", (1, 4))
 @pytest.mark.parametrize("k", (1, 5))
 def test_subtrajectory_knn_matches_single_tree(forests, tree, queries,

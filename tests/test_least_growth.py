@@ -8,6 +8,7 @@ a byte-equal sequence, the bound must never exceed the growth it bounds,
 and whole trees must come out identical with the bound switched off.
 """
 
+import hashlib
 import math
 import sys
 
@@ -21,6 +22,7 @@ from repro.datasets import generate_beijing
 from repro.index import tboxseq
 from repro.index.stbox import STBox
 from repro.index.tboxseq import TBoxSeq, _growth_bounds, least_growth
+from repro.index.persistence import load_tree, save_tree
 from repro.index.trajtree import TrajTree
 
 from test_backend_matrix import trajectories
@@ -309,6 +311,50 @@ def test_tree_identity_on_every_backend(backend, monkeypatch):
     the numba CI leg); the assignment must agree with its oracle on
     whatever pivots they select."""
     assert_tree_identity("beijing-40", 1, 10, monkeypatch, backend)
+
+
+#: sha256 over :func:`tree_signature`, generated once from the source of
+#: commit 85c3394 (``TrajTree._rng`` still an attribute): passing the
+#: build's generator down ``_build`` must draw the same numbers in the
+#: same order.
+PINNED_DIGESTS = {
+    ("beijing-60", 0):
+        "d79792780efc4a3ee4c2bf814843e07ae7f8cf547a7cf3a694d4ed5bf4e04016",
+    ("beijing-60", 1):
+        "7b3cb109f73f28d00c690df4e8b2a22f84c1998e62e732fff9daeb43f6191e43",
+    ("beijing-60", 2):
+        "44fcca84f5390bbc24729e9a331805b903cb84d8f86e116a63ae3f90238ba5c0",
+    ("tiny-walks-80", 0):
+        "b9024500bcf2c0fc533856e619c85c7625d577abfb06656e990f63ef2fc746ae",
+    ("tiny-walks-80", 1):
+        "4a95f5bae4652b9fe9932f5566aa92f5651401f2c9a93ea2d1e6b31f8a58f916",
+    ("tiny-walks-80", 2):
+        "1761f97818ae505be4b529c76beab5fead6238fc4d7b029373eee755874dd60b",
+}
+
+
+def signature_digest(tree):
+    h = hashlib.sha256()
+    for subtree_ids, member_ids, geometry in tree_signature(tree):
+        h.update(repr((subtree_ids, member_ids)).encode())
+        h.update(geometry)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape, seed", sorted(PINNED_DIGESTS))
+def test_trees_identical_without_a_stored_rng(shape, seed, tmp_path):
+    make, kwargs = TREE_SHAPES[shape]
+    tree = TrajTree(make(seed), seed=seed, **kwargs)
+    assert signature_digest(tree) == PINNED_DIGESTS[shape, seed]
+    assert not hasattr(tree, "_rng")
+    if shape == "tiny-walks-80" or seed == 0:   # a Beijing build is ~5 s
+        tree.rebuild()      # reseeds from ``seed``: the same tree again
+        assert signature_digest(tree) == PINNED_DIGESTS[shape, seed]
+        assert not hasattr(tree, "_rng")
+    save_tree(tree, tmp_path / "tree.pkl")
+    loaded = load_tree(tmp_path / "tree.pkl")
+    assert signature_digest(loaded) == PINNED_DIGESTS[shape, seed]
+    assert not hasattr(loaded, "_rng")
 
 
 def test_build_folds_only_the_root(monkeypatch):

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import Trajectory
 from repro.index import TrajForest, TrajTree
 from repro.index.persistence import (
     ShardLoadError,
@@ -14,6 +15,7 @@ from repro.index.persistence import (
     save_forest,
     save_tree,
 )
+from repro.store.atomic import IntegrityError, sha256_bytes, write_envelope
 
 from helpers import random_walk_trajectory
 
@@ -67,36 +69,96 @@ class TestRoundTrip:
             t for t, _ in loaded.knn_scan(q, 5)
         ]
 
+    def test_strided_trajectory_data_round_trips(self, tmp_path):
+        """Non-contiguous point arrays pickle through numpy's other
+        reconstructor (``_reconstruct`` + ``ndarray``, not
+        ``_frombuffer``): the decoder's allow-list must admit both."""
+        rng = np.random.default_rng(8)
+        wide = np.abs(rng.normal(size=(12, 8, 6))).cumsum(axis=1)
+        db = [Trajectory(block[:, ::2]) for block in wide]
+        assert not db[0].data.flags["C_CONTIGUOUS"]
+        built = TrajTree(db, num_vps=2, min_node_size=4, seed=1)
+        save_tree(built, tmp_path / "index.pkl")
+        loaded = load_tree(tmp_path / "index.pkl")
+        for q in db[:3]:
+            assert loaded.knn(q, 4) == built.knn(q, 4)
+
+
+def rewrite_header(path, field, value):
+    """Replace one space-separated field of a snapshot's envelope header."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    fields = header.split(b" ")
+    fields[field] = value
+    path.write_bytes(b" ".join(fields) + b"\n" + payload)
+
 
 class TestValidation:
     def test_rejects_non_snapshot(self, tmp_path):
         path = tmp_path / "junk.pkl"
         with open(path, "wb") as f:
             pickle.dump({"something": "else"}, f)
-        with pytest.raises(ValueError, match="not a TrajTree snapshot"):
+        with pytest.raises(ValueError, match="no repro-trajtree header"):
+            load_tree(path)
+        # an envelope of another kind is not a tree snapshot either
+        write_envelope(path, "repro-other", "1.3.0", b"payload")
+        with pytest.raises(ValueError,
+                           match="repro-other.*reads repro-trajtree"):
             load_tree(path)
 
     def test_rejects_version_mismatch(self, tree, tmp_path):
         path = tmp_path / "index.pkl"
         save_tree(tree, path)
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
-        payload["version"] = "0.0.1"
-        with open(path, "wb") as f:
-            pickle.dump(payload, f)
-        with pytest.raises(ValueError, match="rebuild"):
+        rewrite_header(path, 1, b"0.0.1")
+        with pytest.raises(ValueError, match="0.0.1.*rebuild") as excinfo:
             load_tree(path)
+        # a version mismatch is not damage: the file is what its writer
+        # wrote, so it is not reported as an integrity failure
+        assert not isinstance(excinfo.value, IntegrityError)
 
     def test_rejects_fingerprint_mismatch(self, tree, tmp_path):
+        """What the fingerprint guarded — the payload not being the one
+        that was written — is now the sha256's job, over every byte."""
         path = tmp_path / "index.pkl"
         save_tree(tree, path)
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
-        payload["fingerprint"]["count"] = 999
-        with open(path, "wb") as f:
-            pickle.dump(payload, f)
-        with pytest.raises(ValueError, match="fingerprint"):
+        raw = bytearray(path.read_bytes())
+        raw[-len(raw) // 3] ^= 0x04
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="integrity"):
             load_tree(path)
+        # a header that lies about the checksum is caught the same way
+        save_tree(tree, path)
+        rewrite_header(path, 2, b"sha256:" + b"0" * 64)
+        with pytest.raises(IntegrityError, match="integrity"):
+            load_tree(path)
+
+    def test_rejects_hostile_payload_in_valid_envelope(self, tmp_path,
+                                                       monkeypatch):
+        """A payload whose ``__reduce__`` names ``os.system`` sits behind
+        a header that checks out: the decoder refuses the name before it
+        is imported, so the command never runs."""
+        monkeypatch.chdir(tmp_path)
+
+        class Hostile:
+            def __reduce__(self):
+                import os
+                return (os.system, ("touch sentinel",))
+
+        path = tmp_path / "hostile.pkl"
+        write_envelope(path, "repro-trajtree", "1.3.0",
+                       pickle.dumps(Hostile()))
+        with pytest.raises(ValueError, match="does not decode to a TrajTree"):
+            load_tree(path)
+        assert not (tmp_path / "sentinel").exists()
+        # allowed names alone, but not a tree
+        write_envelope(path, "repro-trajtree", "1.3.0",
+                       pickle.dumps(np.arange(3)))
+        with pytest.raises(ValueError, match="does not decode to a TrajTree"):
+            load_tree(path)
+
+    def test_load_forest_takes_no_verify(self):
+        import inspect
+        assert list(inspect.signature(load_forest).parameters) == [
+            "path", "on_shard_error"]
 
 
 class TestForestRoundTrip:
@@ -123,16 +185,22 @@ class TestForestRoundTrip:
         save_forest(forest, path)
         manifest = json.loads((path / "forest.json").read_text())
         assert manifest["magic"] == "repro-trajforest"
-        assert manifest["version"] == "1.1.0"
+        assert manifest["version"] == "1.2.0"
         assert manifest["scheme"] == forest.scheme
         assert manifest["trajectories"] == len(forest)
         assert len(manifest["shards"]) == forest.num_shards
         for i, entry in enumerate(manifest["shards"]):
             assert entry["file"] == f"shard_{i:04d}.pkl"
-            # the manifest records each shard's sha256, and it matches
-            # the bytes on disk (the crash-safety checksum contract)
-            from repro.store import sha256_file
-            assert entry["sha256"] == sha256_file(path / entry["file"])
+            # the manifest records each shard's sha256 and nothing else:
+            # the checksum of the payload behind the shard's own envelope
+            # header, which names it too (the checksum contract)
+            assert set(entry) == {"file", "sha256"}
+            header, _, payload = \
+                (path / entry["file"]).read_bytes().partition(b"\n")
+            assert entry["sha256"] == sha256_bytes(payload)
+            assert header.split(b" ") == [
+                b"repro-trajtree", b"1.3.0", entry["sha256"].encode(),
+                str(len(payload)).encode()]
             shard = load_tree(path / entry["file"])
             assert shard.ids() == forest.shards[i].ids()
 
@@ -272,15 +340,16 @@ class TestForestValidation:
             load_forest(path)
 
     def test_load_forest_rejects_legacy_tree_pickle(self, tree, tmp_path):
-        """Same for a *legacy*-version single-tree file (the 1.2.0 format
-        gate lives in load_tree; load_forest must not get that far)."""
+        """Same for *legacy* single-tree files — an older envelope
+        version and the header-less 1.2.0 pickle (the format gate lives
+        in load_tree; load_forest must not get that far)."""
         path = tmp_path / "legacy.pkl"
         save_tree(tree, path)
-        with open(path, "rb") as f:
-            payload = pickle.load(f)
-        payload["version"] = "1.1.0"
-        with open(path, "wb") as f:
-            pickle.dump(payload, f)
+        rewrite_header(path, 1, b"1.1.0")
+        with pytest.raises(ValueError, match="single-tree snapshot"):
+            load_forest(path)
+        path.write_bytes(pickle.dumps(
+            {"magic": "repro-trajtree", "version": "1.2.0", "tree": None}))
         with pytest.raises(ValueError, match="single-tree snapshot"):
             load_forest(path)
 
@@ -332,22 +401,33 @@ class TestForestValidation:
         save_forest(forest, path)
         raw = (path / "shard_0002.pkl").read_bytes()
         (path / "shard_0002.pkl").write_bytes(raw[: len(raw) // 3])
-        # the checksum pass catches the truncation before unpickling
-        with pytest.raises(ShardLoadError, match="shard 2.*integrity"):
+        # the envelope catches the truncation before anything is decoded
+        with pytest.raises(ShardLoadError, match="shard 2.*integrity") \
+                as excinfo:
             load_forest(path)
-        # with verification off, the pickle loader itself must catch it
+        assert "failed to load" in str(excinfo.value)
+        assert "truncated or corrupt" in str(excinfo.value)
+        # cut inside the header: still the shard, still typed
+        (path / "shard_0002.pkl").write_bytes(raw[:40])
         with pytest.raises(ShardLoadError, match="shard 2.*failed to load"):
-            load_forest(path, verify=False)
+            load_forest(path)
 
     def test_shard_fingerprint_mismatch_names_the_shard(self, forest,
                                                         tmp_path):
+        """A shard swapped for another *valid* shard — intact on its own,
+        which is all a fingerprint of its contents could vouch for — is
+        not the file the manifest was written with."""
         path = tmp_path / "forest"
         save_forest(forest, path)
-        manifest = json.loads((path / "forest.json").read_text())
-        manifest["shards"][0]["fingerprint"]["count"] = 999
-        (path / "forest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ShardLoadError, match="shard 0.*fingerprint"):
+        (path / "shard_0000.pkl").write_bytes(
+            (path / "shard_0001.pkl").read_bytes())
+        load_tree(path / "shard_0000.pkl")       # fine on its own
+        with pytest.raises(ShardLoadError,
+                           match="shard 0.*manifest records") as excinfo:
             load_forest(path)
+        assert "integrity" in str(excinfo.value)
+        degraded = load_forest(path, on_shard_error="skip")
+        assert [e.shard for e in degraded.missing_shards] == [0]
 
     def test_manifest_count_mismatch(self, forest, tmp_path):
         path = tmp_path / "forest"

@@ -60,6 +60,13 @@ class TestRangeQuery:
         with pytest.raises(ValueError):
             tree.range_query(random_walk_trajectory(rng, 5), -1.0)
 
+    def test_nan_radius_raises(self, tree):
+        """``nan < 0`` is false and so is every later comparison: a NaN
+        radius used to come back as an empty answer."""
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            tree.range_query(random_walk_trajectory(rng, 5), float("nan"))
+
     def test_results_sorted(self, tree):
         rng = np.random.default_rng(4)
         q = random_walk_trajectory(rng, 7)
