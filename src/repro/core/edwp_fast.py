@@ -12,17 +12,22 @@ Anti-diagonal vectorization
 
 Lockstep batching
     One query is matched against ``B`` trajectories *simultaneously*: every
-    diagonal buffer carries a leading batch axis, so the fixed numpy
-    dispatch cost per diagonal is amortized over the whole batch.  This is
-    where the bulk of the speedup comes from (per-diagonal arrays are short,
-    so single-pair vectorization is dominated by per-call overhead) and it
-    is exactly the shape of the hot workloads: TrajTree leaf refinement,
-    sequential-scan oracles, and the Fig. 5/6 benchmark sweeps.  That fixed
-    cost (~45 us per diagonal, whatever the batch holds) is what a caller
-    pays per *sweep*, so there is one kernel, :func:`dp_sweep`, and every
-    entry point runs it once per batch: rows leave a sweep at their own
-    corner, both EDwPsub passes share one, and a batch is cut only at
-    :data:`SWEEP_CELLS` (DESIGN.md, "What a sweep costs").
+    diagonal buffer carries a batch axis, so the fixed numpy dispatch cost
+    per diagonal is amortized over the whole batch.  This is where the
+    bulk of the speedup comes from (per-diagonal arrays are short, so
+    single-pair vectorization is dominated by per-call overhead) and it is
+    exactly the shape of the hot workloads: TrajTree leaf refinement,
+    sequential-scan oracles, and the Fig. 5/6 benchmark sweeps.  The
+    buffers are cell-major (the batch is the trailing, contiguous axis), so
+    each numpy call on a diagonal runs one long inner loop rather than one
+    short loop per row, and both insertion candidates are computed in one
+    pass stacked on a leading axis of 2 (~50 calls per diagonal instead of
+    ~75).  The fixed cost (~40 us per diagonal, whatever the batch holds)
+    is what a caller pays per *sweep*, so there is one kernel,
+    :func:`dp_sweep`, and every entry point runs it once per batch: rows
+    leave a sweep at their own corner, both EDwPsub passes share one, and
+    a batch is cut only at :data:`SWEEP_CELLS` (DESIGN.md, "What a sweep
+    costs").
 
 Variable-length batches are exact, not approximate.  Shorter trajectories
 are padded by repeating their final point, and padding reproduces the
@@ -39,13 +44,16 @@ that no in-extent cell ever reads (transitions only move forward).
 Numerical contract
 ------------------
 The kernel mirrors the reference DP operation-for-operation — the same
-additions in the same order, ``np.abs`` on complex128 (which is
-``hypot(dx, dy)``) for ``math.hypot``, exact clamp-to-endpoint projection
-rules, and the same strict-``<`` candidate priority (``rep``, then ``ins``
-on T1, then ``ins`` on T2) — so results match the pure-Python backend to
-float tolerance everywhere, including degenerate zero-length segments (see
-DESIGN.md, "Dual-backend EDwP kernels").  ``tests/test_edwp_fast.py``
-enforces this property.
+additions in the same order (up to ``|x - y| == |y - x|`` and the two
+addends of one addition swapped, both exact), ``np.abs`` on complex128
+(which is ``hypot(dx, dy)``) for ``math.hypot``, exact clamp-to-endpoint
+projection rules, and the same strict-``<`` candidate priority (``rep``,
+then ``ins`` on T1, then ``ins`` on T2) — so results match the
+pure-Python backend to float tolerance everywhere, including degenerate
+zero-length segments (see DESIGN.md, "Dual-backend EDwP kernels").
+``tests/test_edwp_fast.py`` enforces this property, and
+``tests/test_lockstep_sweeps.py`` holds the kernel byte-identical to the
+ones it replaced.
 
 Spatial points are packed as complex numbers (``x + yj``): ``np.abs`` of a
 complex difference is the point distance, and one complex array halves the
@@ -79,7 +87,7 @@ __all__ = [
 _INF = math.inf
 
 #: Cells of one diagonal buffer (rows x first-side points) past which a
-#: lockstep batch is cut into several sweeps.  A sweep costs a fixed ~45 us
+#: lockstep batch is cut into several sweeps.  A sweep costs a fixed ~40 us
 #: per diagonal whatever it carries, so the cap sits where the buffers stop
 #: being cache-resident, far above any refinement flush (DESIGN.md, "What a
 #: sweep costs").
@@ -153,149 +161,166 @@ def dp_sweep(
     finished = np.searchsorted(segs1 + segs2, diagonals).tolist()
     reached = np.searchsorted(segs1, diagonals, side="right").tolist()
 
-    # Padded diagonal buffers: cell i lives at column i + 1; sentinel
-    # columns at both ends (and any cell not on the diagonal) keep cost inf
-    # with a finite dummy position, so invalid transitions lose every
-    # strict-< race.  Three buffer sets rotate through diagonals d-2, d-1, d.
-    width = n1 + 3
-    cost_p2 = np.full((batch, width), _INF)
-    u_p2 = np.zeros((batch, width), dtype=np.complex128)
-    v_p2 = np.zeros((batch, width), dtype=np.complex128)
-    cost_p1 = np.full((batch, width), _INF)
-    u_p1 = np.zeros((batch, width), dtype=np.complex128)
-    v_p1 = np.zeros((batch, width), dtype=np.complex128)
-    cost_d = np.full((batch, width), _INF)
-    u_d = np.zeros((batch, width), dtype=np.complex128)
-    v_d = np.zeros((batch, width), dtype=np.complex128)
+    # Cell-major: every array is (slots or points, rows), the batch
+    # trailing, so a diagonal's cells are one contiguous block and finished
+    # rows are trimmed off the trailing axis.  Z1[i] is P1[i]; Z2 is stored
+    # reversed (Z2[n2 - j] is P2[j]) so that P2[d - i] is a forward slice.
+    # "Next point" arrays repeat the final point: the segment past an
+    # exhausted side is zero-length, which reproduces the reference's
+    # stay-in-place rule exactly (the carried position at the boundary is
+    # exactly the final sample, so the projection returns it unchanged).
+    Z1 = np.ascontiguousarray(Z1.T)
+    Z2 = np.ascontiguousarray(Z2.T[::-1])
+    Z1_next = np.concatenate([Z1[1:], Z1[-1:]])
+    Z2_next = np.concatenate([Z2[:1], Z2[:-1]])
 
-    cost_p1[:, 1] = 0.0
-    u_p1[:, 1] = Z1[:, 0]
-    v_p1[:, 1] = Z2[:, 0]
-
-    # "Next point" arrays, shifted by one with the final point repeated.
-    # The repeat makes the segment past an exhausted side zero-length, which
-    # reproduces the reference's stay-in-place rule exactly (the carried
-    # position at the boundary is exactly the final sample, so the
-    # projection's norm_sq == 0 branch returns it unchanged).
-    Z1_next = np.concatenate([Z1[:, 1:], Z1[:, -1:]], axis=1)
-    Z2_next = np.concatenate([Z2[:, 1:], Z2[:, -1:]], axis=1)
+    # Three buffer sets rotate through diagonals d-2, d-1, d.
+    buffers = [_diagonal_buffers(n1 + 3, batch) for _ in range(3)]
+    cost, pos = buffers[1][:2]
+    cost[1] = 0.0
+    pos[0, 1] = Z1[0]
+    pos[1, 1] = Z2[n2]
 
     out = np.full((batch, n1 + n2 + 1), _INF)
     own = out
     row_idx = np.arange(batch)
-    last_cols = segs1 + 1
+    last_slots = segs1 + 1
     dropped = 0
 
     for d in range(1, n1 + n2 + 1):
         if finished[d] > dropped:
             drop = finished[d] - dropped
             dropped = finished[d]
-            (cost_p2, u_p2, v_p2, cost_p1, u_p1, v_p1, cost_d, u_d, v_d,
-             own, last_cols) = [
-                a[drop:] for a in (cost_p2, u_p2, v_p2, cost_p1, u_p1, v_p1,
-                                   cost_d, u_d, v_d, own, last_cols)]
-            if Z1.shape[0] > 1:
-                Z1, Z1_next = Z1[drop:], Z1_next[drop:]
-            if Z2.shape[0] > 1:
-                Z2, Z2_next = Z2[drop:], Z2_next[drop:]
+            buffers = [[a[..., drop:] for a in b] for b in buffers]
+            own, last_slots = own[drop:], last_slots[drop:]
+            if Z1.shape[1] > 1:
+                Z1, Z1_next = Z1[:, drop:], Z1_next[:, drop:]
+            if Z2.shape[1] > 1:
+                Z2, Z2_next = Z2[:, drop:], Z2_next[:, drop:]
+        p2, p1, pd = buffers
+        cost_p2, pos_p2 = p2[:2]
+        ins_cost, ins_from, ins_other = p1[2:]
+        cost_d, pos_d = pd[:2]
 
         lo = d - n2 if d > n2 else 0
         hi = n1 if d > n1 else d
-        cells = slice(lo + 1, hi + 2)       # padded columns of cells (i, d-i)
+        cells = slice(lo + 1, hi + 2)       # slots of cells (i, d-i)
         preds = slice(lo, hi + 1)           # same cells shifted to i-1
+        mirror = slice(n2 - d + lo, n2 - d + hi + 1)    # Z2 of P2[d-i]
 
-        b1 = Z1[:, lo:hi + 1]                           # P1[i]
-        b2 = Z2[:, d - hi:d - lo + 1][:, ::-1]          # P2[d-i]
+        # The points a cell moves to, stacked as the insertions read them:
+        # new = [P2[d-i], P1[i]], nxt = [P1[i+1], P2[d-i+1]].
+        new = np.empty((2, hi - lo + 1, batch - dropped), dtype=np.complex128)
+        new[0] = Z2[mirror]
+        new[1] = Z1[lo:hi + 1]
+        nxt = np.empty_like(new)
+        nxt[0] = Z1_next[lo:hi + 1]
+        nxt[1] = Z2_next[mirror]
+        b2, b1 = new
 
         # Written in place; `best` is a view into the committed cost buffer
         # and candidates fold in with np.minimum, which keeps the earlier
         # candidate on ties — the reference's strict-< priority (rep, then
         # ins on T1, then ins on T2).
-        cost_d.fill(_INF)       # u_d/v_d keep stale finite values: cells
-        best = cost_d[:, cells]  # outside `cells` stay inf and never win
-        best_u = u_d[:, cells]
-        best_v = v_d[:, cells]
+        cost_d.fill(_INF)       # positions keep stale finite values: cells
+        best = cost_d[cells]    # outside `cells` stay inf and never win
+        best_pos = pos_d[:, cells]
 
         # --- rep: from (i-1, j-1) on diagonal d-2 ----------------------- #
-        a1 = u_p2[:, preds]
-        a2 = v_p2[:, preds]
-        best[...] = cost_p2[:, preds] + (
-            np.abs(a1 - a2) + np.abs(b1 - b2)
-        ) * (np.abs(a1 - b1) + np.abs(a2 - b2))
-        best_u[...] = b1
-        best_v[...] = b2
+        a = pos_p2[:, preds]
+        apart = np.abs(a - new[::-1])               # |a1 - b1|, |a2 - b2|
+        np.add(cost_p2[preds], (np.abs(a[0] - a[1]) + np.abs(b1 - b2))
+               * (apart[0] + apart[1]), out=best)
+        best_pos[...] = new[::-1]
 
-        # --- ins on T1: from (i, j-1) on diagonal d-1 ------------------- #
-        # T2 advances to P2[j]; T1 advances to the projection of P2[j] on
-        # its remaining segment (degenerate when T1 is exhausted).
-        a1 = u_p1[:, cells]
-        a2 = v_p1[:, cells]
-        seg_end = Z1_next[:, lo:hi + 1]                 # P1[i+1]
-        seg = seg_end - a1
+        # --- both insertions, stacked: ins on T1 from (i, j-1), ins on T2
+        # from (i-1, j), both on diagonal d-1.  The other side advances to
+        # its new point p; the moving side from its origin o to the
+        # projection q of p on its remaining segment (degenerate when
+        # exhausted).  Cost (|o - o'| + |q - p|) * (|o - q| + |o' - p|) is
+        # the reference's up to |x - y| = |y - x| and commuted addends.
+        o = ins_from[:, preds]
+        o2 = ins_other[:, preds]
+        seg = nxt - o
         seg_c = seg.conj()
         norm_sq = (seg_c * seg).real                    # == |seg|^2 exactly
-        t = (seg_c * (b2 - a1)).real / (norm_sq + (norm_sq <= 0.0))
-        np.maximum(t, 0.0, out=t)       # t == 0 gives a1 + 0*seg == a1 and
+        t = (seg_c * (new - o)).real / (norm_sq + (norm_sq <= 0.0))
+        np.maximum(t, 0.0, out=t)       # t == 0 gives o + 0*seg == o and
         t_hi = t >= 1.0                 # covers the norm_sq == 0 case too
         np.minimum(t, 1.0, out=t)
-        q = a1 + t * seg
-        q = np.where(t_hi, seg_end, q)
-        total = cost_p1[:, cells] + (
-            np.abs(a1 - a2) + np.abs(q - b2)
-        ) * (np.abs(a1 - q) + np.abs(a2 - b2))
-        take = total < best
-        np.copyto(best_u, q, where=take)
-        np.minimum(best, total, out=best)
-
-        # --- ins on T2: from (i-1, j) on diagonal d-1 — symmetric ------- #
-        a1 = u_p1[:, preds]
-        a2 = v_p1[:, preds]
-        seg_end = Z2_next[:, d - hi:d - lo + 1][:, ::-1]    # P2[j+1]
-        seg = seg_end - a2
-        seg_c = seg.conj()
-        norm_sq = (seg_c * seg).real
-        t = (seg_c * (b1 - a2)).real / (norm_sq + (norm_sq <= 0.0))
-        np.maximum(t, 0.0, out=t)
-        t_hi = t >= 1.0
-        np.minimum(t, 1.0, out=t)
-        q = a2 + t * seg
-        q = np.where(t_hi, seg_end, q)
-        total = cost_p1[:, preds] + (
-            np.abs(a1 - a2) + np.abs(b1 - q)
-        ) * (np.abs(a1 - b1) + np.abs(a2 - q))
-        take = total < best
-        np.copyto(best_u, b1, where=take)
-        np.copyto(best_v, q, where=take)
-        np.minimum(best, total, out=best)
+        q = o + t * seg
+        q = np.where(t_hi, nxt, q)
+        total = ins_cost[:, preds] + (
+            np.abs(o - o2) + np.abs(q - new)
+        ) * (np.abs(o - q) + np.abs(o2 - new))
+        take = total[0] < best
+        np.copyto(best_pos[0], q[0], where=take)
+        np.minimum(best, total[0], out=best)
+        take = total[1] < best
+        np.copyto(best_pos[0], b1, where=take)
+        np.copyto(best_pos[1], q[1], where=take)
+        np.minimum(best, total[1], out=best)
 
         # --- commit the diagonal ---------------------------------------- #
         if free_every and lo == 0:          # cell (0, d) is free
-            cost_d[::free_every, 1] = 0.0
-            u_d[::free_every, 1] = Z1[::free_every, 0]
-            v_d[::free_every, 1] = Z2[::free_every, d]
+            cost_d[1, ::free_every] = 0.0
+            pos_d[0, 1, ::free_every] = Z1[0, ::free_every]
+            pos_d[1, 1, ::free_every] = Z2[n2 - d, ::free_every]
         # Capture each pair's own last row as the wavefront crosses it:
         # of the rows still in the sweep, those with segs1[b] <= hi.
         hits = reached[d] - dropped
         if hits > 0:
-            own[:hits, d] = cost_d[row_idx[:hits], last_cols[:hits]]
+            own[:hits, d] = cost_d[last_slots[:hits], row_idx[:hits]]
 
-        cost_p2, u_p2, v_p2, cost_p1, u_p1, v_p1, cost_d, u_d, v_d = (
-            cost_p1, u_p1, v_p1, cost_d, u_d, v_d, cost_p2, u_p2, v_p2,
-        )
+        buffers = buffers[1:] + buffers[:1]
 
     return out
 
 
+def _diagonal_buffers(width: int, rows: int) -> list:
+    """One diagonal's buffers, cell-major: cell ``i`` lives in slot
+    ``i + 1`` of the leading axis, the batch is the trailing one.
+
+    ``[cost, pos, ins_cost, ins_from, ins_other]``: ``cost`` is ``(width,
+    rows)``, ``pos`` the ``(2, width, rows)`` positions on T1 and T2; the
+    sentinel slots at both ends (and any cell not on the diagonal) keep
+    cost inf with a finite dummy position, so invalid transitions lose
+    every strict-< race.  The last three are read-only views stacking
+    what the two insertions read from this diagonal on a leading axis of
+    2, sliced ``[:, preds]``: ins on T1 reads cell ``i`` (slot ``i + 1``)
+    and moves T1, ins on T2 reads cell ``i - 1`` (slot ``i``) and moves
+    T2 — their costs, their origins and the other side's positions.
+    """
+    cost = np.full((width, rows), _INF)
+    pos = np.zeros((2, width, rows), dtype=np.complex128)
+    return [cost, pos, _stacked(cost, 1, -1),           # cost[i], cost[i-1]
+            _stacked(pos, 1, width - 1),                # u[i], v[i-1]
+            _stacked(pos, width + 1, -width - 1)]       # v[i], u[i-1]
+
+
+def _stacked(buffer: np.ndarray, start: int, step: int) -> np.ndarray:
+    """``np.stack`` of two slot ranges of a contiguous cell-major
+    ``buffer`` without a copy: a read-only ``(2, width - 1, rows)`` view
+    whose ``[k, c]`` is slot ``start + k * step + c``, counting the slots
+    of a position buffer's two sides as one sequence.  (Built with the
+    ``ndarray`` constructor: ``as_strided`` costs ~15x more per call, and
+    a sweep builds nine.)"""
+    slot = buffer.strides[-2]
+    view = np.ndarray((2, buffer.shape[-2] - 1, buffer.shape[-1]),
+                      buffer.dtype, buffer, start * slot,
+                      (step * slot, slot, buffer.itemsize))
+    view.flags.writeable = False
+    return view
+
+
 def _pack(points: Sequence[np.ndarray]):
     """Pack complex point arrays into a padded ``(B, m)`` matrix, with the
-    true segment count of every row."""
-    segs = np.array([z.shape[0] - 1 for z in points])
-    m = int(segs.max()) + 1
-    Z = np.empty((len(points), m), dtype=np.complex128)
-    for row, z in enumerate(points):
-        Z[row, :z.shape[0]] = z
-        Z[row, z.shape[0]:] = z[-1]
-    return Z, segs
+    true segment count of every row: one concatenation and one gather
+    whose column index stops at each row's final point."""
+    lens = np.array([z.shape[0] for z in points])
+    starts = np.cumsum(lens) - lens
+    cols = np.minimum(np.arange(lens.max()), lens[:, None] - 1)
+    return np.concatenate(points)[starts[:, None] + cols], lens - 1
 
 
 def _last_rows(z1, Z2, segs2, free_every: int = 0) -> np.ndarray:

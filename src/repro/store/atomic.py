@@ -23,7 +23,9 @@ before trusting any artifact.
 
 Stale temp siblings are ignored by every loader (loaders open files by
 their recorded names only) and swept by :func:`cleanup_stale_temps` at
-the start of the next save into the same directory.
+the start of the next save into the same directory and when a manifest
+is read — except a temp whose writer (the pid in its name) is another
+live process: its save is still in flight.
 
 An *index* file additionally travels behind a one-line header, the
 **envelope** (:func:`write_envelope`), checked before it is decoded.
@@ -155,15 +157,36 @@ def npy_bytes(array: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
+def _live_writer(temp_name: str) -> bool:
+    """Whether the temp file ``.<name>.<pid>.tmp`` belongs to a process
+    that is running and is not this one — a save still in flight."""
+    pid = temp_name[:-len(TMP_SUFFIX)].rpartition(".")[2]
+    if not (pid.isdecimal() and 0 < int(pid) != os.getpid()):
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except PermissionError:         # exists, owned by another user
+        return True
+    except (OSError, OverflowError):
+        return False
+    return True
+
+
 def cleanup_stale_temps(directory: PathLike) -> List[str]:
     """Remove temp siblings a crashed save left in ``directory``.
 
-    Called at the start of every save into the directory; returns the
-    removed names (tests assert the sweep).  Only this module's naming
-    pattern (``.<name>*.tmp``) is touched.
+    Called at the start of every save into the directory and when a
+    snapshot's manifest is read; returns the removed names (tests assert
+    the sweep).  Only this module's naming pattern (``.<name>*.tmp``) is
+    touched, and a temp whose writer pid is a live process other than
+    this one is kept: that save is still in flight, and removing its temp
+    would fail its rename.  A dead pid, this process's own pid (a crash it
+    survived) or a name without a pid is stale.
     """
     removed = []
     for stale in Path(directory).glob(f".*{TMP_SUFFIX}"):
+        if _live_writer(stale.name):
+            continue
         try:
             stale.unlink()
         except OSError:

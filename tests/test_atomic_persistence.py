@@ -13,6 +13,7 @@ the same contract under seeded bit flips and truncations at every offset.
 
 import json
 import pickle
+import subprocess
 
 import numpy as np
 import pytest
@@ -266,6 +267,34 @@ class TestForestCrashSafety:
         assert header.split(b" ")[2] == checksum.encode()
         assert read_envelope(path, "repro-trajtree", "1.3.0",
                              expected=checksum) == payload
+
+
+class TestLiveWriterTemps:
+    def test_running_writers_temp_survives_every_sweep(self, tmp_path):
+        """A temp named with a running process's pid is a save in flight:
+        neither a load nor another save may delete it (its writer's
+        rename would fail); once that process is gone it is stale."""
+        store_root, forest_root = tmp_path / "db.store", tmp_path / "forest"
+        ColumnarStore.from_trajectories(make_db(1)).save(store_root)
+        forest = TrajForest(make_db(4, n=12), num_shards=3, num_vps=4,
+                            min_node_size=4, seed=1)
+        save_forest(forest, forest_root)
+        writer = subprocess.Popen(["sleep", "60"])
+        temps = [store_root / f".points.npy.{writer.pid}{TMP_SUFFIX}",
+                 forest_root / f".shard_0000.pkl.{writer.pid}{TMP_SUFFIX}"]
+        try:
+            for temp in temps:
+                temp.write_bytes(b"in flight")
+            ColumnarStore.load(store_root, mmap=False)
+            load_forest(forest_root)
+            save_forest(forest, forest_root)
+            assert all(temp.exists() for temp in temps)
+        finally:
+            writer.kill()
+            writer.wait(timeout=10)
+        ColumnarStore.load(store_root, mmap=False)
+        load_forest(forest_root)
+        assert not any(temp.exists() for temp in temps)
 
 
 def flips(raw, count, seed):

@@ -2,11 +2,13 @@
 
 ``repro.core.edwp_fast.dp_sweep`` is one diagonal body for both batch
 orientations, drops rows as the wavefront passes their corner and runs
-both EDwPsub passes in one sweep.  None of that may change a byte: the
-parent's ``dp_last_rows`` / ``dp_own_rows`` (every row over every
-diagonal, one mode per sweep) are kept in ``lockstep_oracle.py`` and
-compared with ``np.array_equal``.  The second half counts sweeps: a
-search refines a node it does not descend into with exactly one.
+both EDwPsub passes in one sweep, over cell-major buffers with both
+insertions stacked.  None of that may change a byte: the kernels it
+replaced — ``dp_last_rows`` / ``dp_own_rows`` (every row over every
+diagonal, one mode per sweep) and the row-major ``dp_sweep_rowmajor`` —
+are kept in ``lockstep_oracle.py`` and compared with ``np.array_equal``.
+The second half counts sweeps: a search refines a node it does not
+descend into with exactly one.
 """
 
 import numpy as np
@@ -68,6 +70,42 @@ def in_extent(segs, columns):
     return np.arange(columns)[None, :] <= segs[:, None]
 
 
+def sweep_args(z, Z, segs, orientation, free_every):
+    """``dp_sweep``'s arguments for query points ``z`` against packed rows:
+    the batch on the second side (``"targets"``) or the first
+    (``"queries"``); ``free_every=2`` lists every row twice, as
+    ``_sub_row_min`` does."""
+    if free_every == 2:
+        Z, segs = np.repeat(Z, 2, axis=0), np.repeat(segs, 2)
+    shared = np.full(len(segs), len(z) - 1)
+    if orientation == "targets":
+        return z[None, :], shared, Z, segs, free_every
+    return Z, segs, z[None, :], shared, free_every
+
+
+def assert_rowmajor_identical(args):
+    """The whole by-diagonal output, every cell: ``inf`` (and the ``nan``
+    an overflowing projection makes on both sides) in the same places."""
+    with np.errstate(all="ignore"):
+        new = edwp_fast.dp_sweep(*args)
+        old = oracle.dp_sweep_rowmajor(*args)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
+def pinned_points():
+    """A query and seven length-sorted rows of seeded random walks, one
+    with a zero-length segment and one on integer coordinates."""
+    rng = np.random.default_rng(25)
+
+    def walk(n):
+        return np.cumsum(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    rows = [walk(n) for n in sorted(rng.integers(2, 12, size=7))]
+    rows[1][1] = rows[1][0]
+    rows[3] = np.round(rows[3])
+    return walk(6), rows
+
+
 class TestKernelIdentity:
     """``np.array_equal`` with the parent's kernels, never a tolerance."""
 
@@ -121,6 +159,74 @@ class TestKernelIdentity:
         whole = edwp_fast.edwp_sub_many_numpy(trips[0], trips[1:])
         monkeypatch.setattr(edwp_fast, "SWEEP_CELLS", 1)
         assert edwp_fast.edwp_sub_many_numpy(trips[0], trips[1:]) == whole
+
+    @SETTINGS
+    @given(query=trajectories(min_len=2), batch=skewed_batches(),
+           orientation=st.sampled_from(["targets", "queries"]),
+           free_every=st.sampled_from([0, 1, 2]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_whole_output_equals_rowmajor(self, query, batch, orientation,
+                                          free_every, scale):
+        """The cell-major kernel with both insertions stacked against the
+        row-major one they replaced: the same bytes in every cell."""
+        _, (Z, segs) = pack_sorted(batch)
+        z = edwp_fast.trajectory_complex(query) * scale
+        assert_rowmajor_identical(
+            sweep_args(z, Z * scale, segs, orientation, free_every))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1e150, 1e200])
+    def test_whole_output_equals_rowmajor_at_extreme_scales(self, scale):
+        """Subnormal to overflowing coordinates, where a change of
+        arithmetic (or of numpy's complex-``abs`` loop) would show first."""
+        query, rows = pinned_points()
+        Z, segs = edwp_fast._pack([r * scale for r in rows])
+        for orientation in ("targets", "queries"):
+            for free_every in (0, 1, 2):
+                assert_rowmajor_identical(sweep_args(
+                    query * scale, Z, segs, orientation, free_every))
+
+    def test_exact_ties_keep_the_reference_priority(self):
+        """On a 4 x 4 integer grid candidates tie exactly and only the
+        strict-``<`` order (rep, then ins on T1, then T2) decides which
+        position a cell carries; a few hundred seeded cases reach every
+        tie the fold can get wrong."""
+        rng = np.random.default_rng(0)
+
+        def grid(n):
+            return (rng.integers(0, 4, size=n)
+                    + 1j * rng.integers(0, 4, size=n)).astype(complex)
+
+        for case in range(400):
+            rows = [grid(n) for n in
+                    sorted(rng.integers(2, 8, size=int(rng.integers(1, 6))))]
+            Z, segs = edwp_fast._pack(rows)
+            z = grid(int(rng.integers(2, 8)))
+            assert_rowmajor_identical(sweep_args(
+                z, Z, segs, ("queries", "targets")[case % 2],
+                int(rng.integers(0, 3))))
+
+    @pytest.mark.parametrize("kernel", ["edwp_many_numpy",
+                                        "edwp_sub_many_numpy",
+                                        "edwp_sub_fast_queries_numpy"])
+    def test_one_row_sweeps_equal_rowmajor(self, kernel, monkeypatch):
+        """``SWEEP_CELLS = 1`` cuts every batch to one-row sweeps."""
+        trips = generate_beijing(25, seed=11, config=TRIPS)
+        monkeypatch.setattr(edwp_fast, "SWEEP_CELLS", 1)
+        args = (trips[1:], trips[0]) if "queries" in kernel \
+            else (trips[0], trips[1:])
+        new = getattr(edwp_fast, kernel)(*args)
+        monkeypatch.setattr(edwp_fast, "dp_sweep", oracle.dp_sweep_rowmajor)
+        assert getattr(edwp_fast, kernel)(*args) == new
+
+    @SETTINGS
+    @given(batch=skewed_batches())
+    def test_pack_equals_rowwise(self, batch):
+        points = [edwp_fast.trajectory_complex(t) for t in batch
+                  if t.num_segments > 0]
+        Z, segs = edwp_fast._pack(points)
+        Z_old, segs_old = oracle.pack_rowwise(points)
+        assert Z.dtype == Z_old.dtype and segs.dtype == segs_old.dtype
+        assert np.array_equal(Z, Z_old) and np.array_equal(segs, segs_old)
 
 
 @pytest.mark.parametrize("backend", MATRIX_BACKENDS)
