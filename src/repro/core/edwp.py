@@ -56,6 +56,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .backend import (
     BACKENDS,
     KNOWN_BACKENDS,
@@ -70,7 +72,7 @@ from .backend import (
     use_backend,
 )
 from .geometry import Point, point_distance, project_point_on_segment
-from .trajectory import Trajectory
+from .trajectory import Trajectory, TrajectoryBatch
 
 __all__ = [
     "EditOp",
@@ -340,15 +342,17 @@ def edwp_many(
     base-case semantics as :func:`edwp` / :func:`edwp_avg` per pair.
     """
     kernel = tier_kernel("edwp_many", backend)
-    trajectories = list(trajectories)
-    if kernel is not None and query.num_segments > 0 and trajectories:
-        raw = kernel(query, trajectories)
+    batch = TrajectoryBatch.of(trajectories)
+    if kernel is not None and query.num_segments > 0 and len(batch):
+        raw = kernel(query, batch)
     else:
-        raw = [edwp(query, t, backend=backend) for t in trajectories]
+        raw = [edwp(query, t, backend=backend) for t in batch]
     if not normalized:
         return raw
-    q_len = query.length
-    return [_normalize(r, q_len + t.length) for r, t in zip(raw, trajectories)]
+    denom = query.length + batch.lengths        # _normalize, vectorized
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom <= 0.0, np.where(np.equal(raw, 0.0), 0.0,
+                        math.inf), np.divide(raw, denom)).tolist()
 
 
 def edwp_alignment(t1: Trajectory, t2: Trajectory) -> EdwpResult:

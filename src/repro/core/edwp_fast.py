@@ -59,7 +59,7 @@ Spatial points are packed as complex numbers (``x + yj``): ``np.abs`` of a
 complex difference is the point distance, and one complex array halves the
 number of numpy operations versus separate x/y arrays.
 
-This module is self-contained (numpy only); :data:`KERNELS` declares what
+It needs numpy and ``TrajectoryBatch`` only; :data:`KERNELS` declares what
 :func:`repro.core.edwp.edwp` and friends run when the ``"numpy"`` backend
 is active, and the pure-Python DP remains the reference oracle.
 """
@@ -71,6 +71,8 @@ from functools import partial
 from typing import List, Sequence
 
 import numpy as np
+
+from .trajectory import TrajectoryBatch
 
 __all__ = [
     "trajectory_complex",
@@ -313,14 +315,17 @@ def _stacked(buffer: np.ndarray, start: int, step: int) -> np.ndarray:
     return view
 
 
+def _gather(points: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Packed rows as a padded ``(B, m)`` matrix plus segment counts: one
+    gather whose column index stops at each row's final point."""
+    cols = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return points[starts[:, None] + cols], counts - 1
+
+
 def _pack(points: Sequence[np.ndarray]):
-    """Pack complex point arrays into a padded ``(B, m)`` matrix, with the
-    true segment count of every row: one concatenation and one gather
-    whose column index stops at each row's final point."""
+    """:func:`_gather` over separate complex point arrays."""
     lens = np.array([z.shape[0] for z in points])
-    starts = np.cumsum(lens) - lens
-    cols = np.minimum(np.arange(lens.max()), lens[:, None] - 1)
-    return np.concatenate(points)[starts[:, None] + cols], lens - 1
+    return _gather(np.concatenate(points), np.cumsum(lens) - lens, lens)
 
 
 def _last_rows(z1, Z2, segs2, free_every: int = 0) -> np.ndarray:
@@ -359,25 +364,26 @@ def _lockstep_batches(
 ) -> List[float]:
     """Shared driver for the one-vs-many entry points.
 
+    ``trajectories`` is packed on entry unless it is a ``TrajectoryBatch``.
     Items without segments keep ``fill`` (the caller's base case) and
     never enter a kernel; survivors are sorted by length (the order
-    :func:`dp_sweep` drops finished rows in), packed with
+    :func:`dp_sweep` drops finished rows in), gathered with
     repeated-final-point padding, and per-pair answers scattered back in
     input order.  ``kernel(Z, segs)`` returns one value per row.  A batch
     is cut only where a diagonal buffer — ``copies`` rows per item, over
     the ``points`` of the trajectories on the DP's first side — would pass
     :data:`SWEEP_CELLS`.
     """
-    out = [fill] * len(trajectories)
-    live = [i for i, t in enumerate(trajectories) if t.num_segments > 0]
-    live.sort(key=lambda i: len(trajectories[i]))
+    batch = TrajectoryBatch.of(trajectories)
+    out = np.full(len(batch), fill)
+    live = np.flatnonzero(batch.counts > 1)
+    live = live[np.argsort(batch.counts[live], kind="stable")]
     rows = max(1, SWEEP_CELLS // ((points + 2) * copies))
     for start in range(0, len(live), rows):
         chunk = live[start:start + rows]
-        Z, segs = _pack([trajectory_complex(trajectories[i]) for i in chunk])
-        for i, value in zip(chunk, kernel(Z, segs)):
-            out[i] = float(value)
-    return out
+        out[chunk] = kernel(*_gather(batch.points, batch.starts[chunk],
+                                     batch.counts[chunk]))
+    return out.tolist()
 
 
 def edwp_many_numpy(query, trajectories: Sequence) -> List[float]:

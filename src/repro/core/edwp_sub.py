@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from .backend import tier_kernel
 from .edwp import EdwpResult, _backtrack, _edwp_dp, _spatial_points
-from .trajectory import Trajectory
+from .trajectory import Trajectory, TrajectoryBatch
 
 __all__ = [
     "edwp_sub",
@@ -89,7 +89,7 @@ def edwp_sub_many(
     semantics as :func:`edwp_sub` per pair.
     """
     kernel = tier_kernel("edwp_sub_many", backend)
-    trajectories = list(trajectories)
+    trajectories = TrajectoryBatch.of(trajectories)
     if t.num_segments <= 0:
         return [0.0] * len(trajectories)
     if kernel is not None and trajectories:

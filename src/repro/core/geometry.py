@@ -33,6 +33,7 @@ __all__ = [
     "project_rect_on_segment",
     "polyline_rect_distance",
     "polyline_rects_distance",
+    "polyline_rects_distance_bounds",
     "segment_rect_distance",
     "segment_length",
     "polyline_length",
@@ -289,6 +290,35 @@ def polyline_rects_distance(points, rects) -> "object":
     ddx = np.maximum(np.maximum(xmin - px, px - xmax), 0.0)
     ddy = np.maximum(np.maximum(ymin - py, py - ymax), 0.0)
     return np.sqrt(ddx * ddx + ddy * ddy).min(axis=(1, 2))
+
+
+def polyline_rects_distance_bounds(points, rects):
+    """``(lower, upper)`` around :func:`polyline_rects_distance`'s *computed*
+    value per rectangle, for a polyline of >= 2 vertices (DESIGN.md,
+    "Batched leaf refinement").  ``upper`` is the nearest vertex, in the
+    ten-candidate pass's own expressions at ``t = 0, 1``; ``lower`` is the
+    gap between bounding rectangles less a band for rounded candidates,
+    NaN (no bound) past 1e150, where the candidates can overflow to NaN.
+    """
+    import numpy as np
+
+    pts = np.asarray(points, dtype=np.float64)
+    R = np.asarray(rects, dtype=np.float64)
+    a = pts[:-1]
+    d = pts[1:] - a
+    ends = np.concatenate([a + 0.0 * d, a + 1.0 * d])      # (c, 2) vertices
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = np.maximum(np.maximum(R[:, None, :2] - ends,
+                                   ends - R[:, None, 2:]), 0.0)
+        sq = dd * dd
+        upper = np.sqrt(sq[..., 0] + sq[..., 1]).min(axis=1)
+    scale = np.maximum(np.abs(R).max(axis=1), np.abs(pts).max())
+    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
+    g = np.maximum(np.maximum(R[:, :2] - pts.max(axis=0),
+                              pts.min(axis=0) - R[:, 2:]) - band[:, None], 0.0)
+    lower = np.where(scale <= 1e150, np.sqrt(g[:, 0] * g[:, 0]
+                                             + g[:, 1] * g[:, 1]), np.nan)
+    return lower, upper
 
 
 def segment_length(a: Sequence[float], b: Sequence[float]) -> float:

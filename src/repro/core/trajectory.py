@@ -13,13 +13,15 @@ distance DPs read plain floats out of it.
 from __future__ import annotations
 
 import math
+from collections import abc
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import interpolate
 
-__all__ = ["STPoint", "Segment", "Trajectory", "assign_ids"]
+__all__ = ["STPoint", "Segment", "Trajectory", "TrajectoryBatch",
+           "assign_ids"]
 
 
 class STPoint:
@@ -406,6 +408,57 @@ class Trajectory:
             return 0.0
         lengths = self.segment_lengths()
         return float(lengths[:index].sum())
+
+
+class TrajectoryBatch(abc.Sequence):
+    """A read-only list of trajectories that also carries them packed: row
+    ``i`` is ``counts[i]`` complex points (``x + yj``) from
+    ``points[starts[i]]``, of Eq. 1 length ``lengths[i]``.  The numpy
+    kernels read the arrays, the other tiers iterate the list."""
+
+    __slots__ = ("items", "points", "starts", "counts", "lengths")
+    _ROWS = ("items", "starts", "counts", "lengths")    # one entry per row
+
+    def __init__(self, trajectories: Iterable[Trajectory] = ()):
+        self.items = items = np.fromiter(trajectories, dtype=object)
+        self.counts = np.fromiter(map(len, items), np.int64, len(items))
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.points = np.concatenate(
+            [t.coords() for t in items] + [np.empty((0, 2))]
+        ).view(np.complex128)[:, 0]
+        self.lengths = np.fromiter((t.length for t in items), np.float64,
+                                   len(items))
+
+    @classmethod
+    def of(cls, trajectories: Iterable[Trajectory]) -> "TrajectoryBatch":
+        """``trajectories`` itself when already a batch, else packed."""
+        return (trajectories if isinstance(trajectories, TrajectoryBatch)
+                else cls(trajectories))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index: int) -> Trajectory:
+        return self.items[index]
+
+    def take(self, rows: np.ndarray) -> "TrajectoryBatch":
+        """The rows at index array ``rows``, sharing ``points``."""
+        out = type(self).__new__(type(self))
+        out.points = self.points
+        for name in self._ROWS:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
+    @staticmethod
+    def concat(batches: Sequence["TrajectoryBatch"]) -> "TrajectoryBatch":
+        """The rows of every batch, in order, as one batch."""
+        out = type(batches[0]).__new__(type(batches[0]))
+        for name in ("points",) + out._ROWS:
+            setattr(out, name,
+                    np.concatenate([getattr(b, name) for b in batches]))
+        shifts = np.cumsum([0] + [len(b.points) for b in batches[:-1]])
+        out.starts += np.repeat(shifts, [len(b) for b in batches])
+        return out
 
 
 def assign_ids(trajectories: Sequence[Trajectory]) -> List[int]:

@@ -35,8 +35,9 @@ import numpy as np
 
 from ..core.edwp import edwp_many, resolve_backend
 from ..core.edwp_sub import edwp_sub_fast_queries, edwp_sub_many
-from ..core.geometry import polyline_rects_distance
-from ..core.trajectory import Trajectory, assign_ids
+from ..core.geometry import (polyline_rects_distance,
+                             polyline_rects_distance_bounds)
+from ..core.trajectory import Trajectory, TrajectoryBatch, assign_ids
 from .budget import AnytimeResult, as_tracker, bound_factor_for
 from .partition import partition
 from .tboxseq import (DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box_many,
@@ -101,9 +102,24 @@ class TrajTreeStats:
     vp_rankings: int = 0
 
 
+class MemberBlock(TrajectoryBatch):
+    """A node's members packed, plus their ids and ``(m, 4)`` bounding
+    rectangles row for row: what Rule 2 and the refinement flush read."""
+
+    __slots__ = ("ids", "rects")
+    _ROWS = TrajectoryBatch._ROWS + ("ids", "rects")
+
+    def __init__(self, ids: Sequence[int], trajs: Sequence[Trajectory]):
+        super().__init__(trajs)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.rects = np.array([t.bounding_rect() for t in trajs],
+                              dtype=np.float64).reshape(-1, 4)
+
+
 class TopK:
     """Answer state of one top-k search: Alg. 2's ``ans`` and ``processed``
-    plus the deferred-refinement buffer.
+    plus the deferred-refinement buffer: chunks of member-block rows
+    (``block.take(rows)``), flushed by how many members they hold.
 
     A search given a plain ``k`` creates its own and drains it before
     returning.  A caller that walks several trees with disjoint ids for one
@@ -121,7 +137,7 @@ class TopK:
         # trajectory id so results match the sequential-scan oracle.
         self.ans: List[Tuple[float, int]] = []
         self.processed: set = set()
-        self.pending: List[Tuple[int, Trajectory]] = []
+        self.pending: List[MemberBlock] = []
         # Set by the search in progress (``trajectories -> distances`` for
         # its query; its counters): the owner's final flush uses the last.
         self.refine: Optional[Callable] = None
@@ -132,23 +148,30 @@ class TopK:
         the deferred members, so it upper-bounds the true k-th distance."""
         return -self.ans[0][0] if len(self.ans) >= self.k else math.inf
 
-    def defer(self, tid: int, traj: Trajectory) -> None:
-        self.processed.add(tid)
-        self.pending.append((tid, traj))
+    def defer(self, chunk: MemberBlock) -> None:
+        if len(chunk):
+            self.processed.update(chunk.ids.tolist())
+            self.pending.append(chunk)
 
     def flush(self) -> None:
-        """Refine every deferred member in one batched kernel call."""
+        """Refine every deferred member in one batched kernel call; merged in
+        ``(distance, id)`` order, at most k heap operations leave the same k
+        pairs as pushing each in turn (only kth() and pairs() read it)."""
         if not self.pending:
             return
-        ids, trajs = zip(*self.pending)
-        self.pending.clear()
-        self.stats.exact_computations += len(ids)
+        batch = TrajectoryBatch.concat(self.pending)
+        self.pending = []
+        self.stats.exact_computations += len(batch)
+        ids, ds = batch.ids, np.asarray(self.refine(batch))
         k, ans = self.k, self.ans
-        for tid, d in zip(ids, self.refine(list(trajs))):
+        for i in np.lexsort((ids, ds))[:k].tolist():
+            d, tid = float(ds[i]), int(ids[i])
             if len(ans) < k:
                 heapq.heappush(ans, (-d, -tid))
             elif (d, tid) < (-ans[0][0], -ans[0][1]):
                 heapq.heapreplace(ans, (-d, -tid))
+            else:
+                break
 
     def pairs(self) -> List[Tuple[int, float]]:
         """The answers so far, ascending ``(distance, traj_id)``."""
@@ -205,7 +228,7 @@ class _Node:
     """One TrajTree node: tBoxSeq summary + VP descriptors + children."""
 
     __slots__ = ("boxseq", "vantage", "children", "member_ids", "max_length",
-                 "subtree_ids", "depth", "union_rect")
+                 "subtree_ids", "depth", "union_rect", "block")
 
     def __init__(
         self,
@@ -224,7 +247,17 @@ class _Node:
         self.max_length = max_length      # max trajectory length in subtree
         self.subtree_ids = subtree_ids    # all ids under this node
         self.depth = depth                # root = 0
+        self.block: Optional[MemberBlock] = None    # see TrajTree._block
         self.refresh_union_rect()
+
+    def __getstate__(self):
+        # Pickle's default state for every slot but the derived block.
+        return None, {name: getattr(self, name)
+                      for name in self.__slots__[:-1]}
+
+    def __setstate__(self, state) -> None:
+        for name, value in [*state[1].items(), ("block", None)]:
+            setattr(self, name, value)
 
     def refresh_union_rect(self) -> None:
         """Union rectangle over all boxes: feeds the cheap pre-filter bound.
@@ -540,36 +573,57 @@ class TrajTree:
         q_len = query.length
         return [2.0 * dmin * q_len for dmin in dmins]
 
+    def _block(self, node: _Node) -> MemberBlock:
+        """``node``'s members, built on first use by an idempotent
+        read-compute-assign (DESIGN.md, "Geometry cache invalidation
+        rules")."""
+        block = node.block
+        if block is None:
+            block = MemberBlock(node.subtree_ids,
+                                [self._db[tid] for tid in node.subtree_ids])
+            node.block = block
+        return block
+
     def _members_within(
         self,
         query: Trajectory,
-        members: List[Tuple[int, Trajectory]],
-        raws: Sequence[float],
+        block: MemberBlock,
+        raw: float,
         limit: float,
         normalized: bool,
         stats: TrajTreeStats,
-    ) -> List[Tuple[int, Trajectory]]:
-        """The members whose own lower bound does not pass ``limit``.
+    ) -> np.ndarray:
+        """The rows of ``block`` whose own lower bound does not pass
+        ``limit`` (Rule 2); the rest count in ``stats.members_pruned``.
 
-        Per-member bound: the larger of ``raws[i]`` (the raw bound of the
-        node the member came from) and the member's own rectangle's, over
-        its own length.  The rest count in ``stats.members_pruned``.
+        A member's bound is ``max(raw, 2 · d · len(Q))``, over ``len(Q) +
+        len(T)`` when ``normalized``: ``raw`` the node's bound, ``d`` the
+        query's distance to the member's rectangle.  It is monotone in
+        ``d``, so two bounds on the *computed* ``d`` decide the block at
+        once, as evaluating ``d`` per row would; only the rows they leave
+        open pay the ten-candidate ``polyline_rects_distance``.
         """
-        if not members:
-            return members
-        quick_raws = (
-            self._quick_bounds_many_raw(
-                query, [t.bounding_rect() for _, t in members])
-            if self.use_quick_bound else [0.0] * len(members)
-        )
-        kept = [
-            member
-            for member, raw, qraw in zip(members, raws, quick_raws)
-            if self._normalize_bound(
-                query, member[1].length, max(raw, qraw), normalized) <= limit
-        ]
-        stats.members_pruned += len(members) - len(kept)
-        return kept
+        denom = query.length + block.lengths
+
+        def within(d: np.ndarray, sel=slice(None)) -> np.ndarray:
+            qraw = 2.0 * d * query.length   # a NaN loses, as in max(raw, nan)
+            lb = np.where(qraw > raw, qraw, raw)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (np.where(denom[sel] <= 0.0, 0.0, lb / denom[sel])
+                        if normalized else lb) <= limit
+
+        if not self.use_quick_bound:
+            keep = within(np.zeros(len(block)))
+        else:
+            lower, upper = polyline_rects_distance_bounds(query.coords(),
+                                                          block.rects)
+            keep = within(lower)
+            open_ = np.flatnonzero(keep & ~within(upper))
+            if len(open_):
+                keep[open_] = within(polyline_rects_distance(
+                    query.spatial(), block.rects[open_]), open_)
+        stats.members_pruned += len(block) - int(np.count_nonzero(keep))
+        return np.flatnonzero(keep)
 
     # ------------------------------------------------------------------ #
     # querying (Alg. 2)
@@ -693,25 +747,26 @@ class TrajTree:
                     and len(node.vantage) > 0):
                 stats.vp_rankings += 1
                 qdesc = node.vantage.describe(query)
-                for tid, _vd in node.vantage.top_k(qdesc, answer.k,
-                                                   exclude=processed):
-                    answer.defer(tid, self._db[tid])
+                offered = [tid for tid, _vd in node.vantage.top_k(
+                    qdesc, answer.k, exclude=processed)]
+                answer.defer(MemberBlock(offered,
+                                         [self._db[tid] for tid in offered]))
                 flush()
 
             if whole:
                 # Members are deferred, so consecutive pops (of one tree or
                 # of a forest's shards) share one kernel call; deferral only
                 # delays kth() updates: decisions in between are conservative.
-                members = [(tid, self._db[tid]) for tid in node.subtree_ids
-                           if tid not in processed]
+                block = self._block(node)
+                if not processed.isdisjoint(node.subtree_ids):
+                    block = block.take(np.flatnonzero(
+                        [tid not in processed for tid in node.subtree_ids]))
                 limit = kth()
                 if limit < math.inf:
-                    members = self._members_within(
-                        query, members, [raw] * len(members), limit,
-                        normalized, stats)
-                for tid, traj in members:
-                    answer.defer(tid, traj)
-                if len(answer.pending) >= REFINE_FLUSH:
+                    block = block.take(self._members_within(
+                        query, block, raw, limit, normalized, stats))
+                answer.defer(block)
+                if sum(map(len, answer.pending)) >= REFINE_FLUSH:
                     flush()
                 continue
 
@@ -828,8 +883,8 @@ class TrajTree:
         Reentrancy contract: the call never mutates tree state — each
         query gets a fresh stats object, traversal state is local, and
         the only shared writes are the idempotent lazy cache fills of
-        :meth:`Trajectory.coords` / :meth:`TBoxSeq.geometry` (see
-        :meth:`warm_caches`) — so concurrent calls from multiple threads
+        :meth:`Trajectory.coords` / :meth:`TBoxSeq.geometry` and the member
+        blocks (see :meth:`warm_caches`) — so concurrent calls from multiple threads
         are safe on a tree that is not being updated.
         """
         return dispatch_query_many(self, requests)
@@ -837,8 +892,9 @@ class TrajTree:
     def warm_caches(self) -> None:
         """Populate every lazy derived cache the query path reads.
 
-        Touches each stored trajectory's coordinate/length caches and each
-        node's tBoxSeq geometry cache.  The fills themselves are idempotent
+        Touches each stored trajectory's coordinate/length caches, each
+        node's tBoxSeq geometry cache and the :meth:`_block` of every node a
+        query refines whole.  The fills are idempotent
         (concurrent first calls each compute an equivalent value and the
         last assignment wins), so this is an optimization, not a
         correctness requirement — but a server warming once before
@@ -851,12 +907,15 @@ class TrajTree:
             traj.length  # noqa: B018 — property access populates the cache
             traj.bounding_rect()
 
-        def walk(node: _Node) -> None:
+        def walk(node: _Node, inside_whole: bool) -> None:
             node.boxseq.geometry()
+            whole = node.is_leaf or node.count() <= REFINE_FLUSH
+            if whole and not inside_whole:
+                self._block(node)
             for child in node.children:
-                walk(child)
+                walk(child, inside_whole or whole)
 
-        walk(self.root)
+        walk(self.root, False)
 
     def knn_scan(self, query: Trajectory, k: int) -> List[Tuple[int, float]]:
         """Brute-force sequential scan (the paper's baseline and the oracle
@@ -953,19 +1012,15 @@ class TrajTree:
                         refined.append((node, max(quick, lb)))
                     else:
                         next_frontier.extend(node.children)
-            members = self._members_within(
-                query,
-                [(tid, self._db[tid])
-                 for node, _ in refined for tid in node.subtree_ids],
-                [raw for node, raw in refined for _ in node.subtree_ids],
-                radius, self.normalized, stats)
-            if members:
-                ds = self._exact_many(query, [traj for _, traj in members])
-                stats.exact_computations += len(members)
-                out.extend(
-                    (tid, d) for (tid, _), d in zip(members, ds)
-                    if d <= radius
-                )
+            chunks = [block.take(self._members_within(
+                query, block, raw, radius, self.normalized, stats))
+                for block, raw in ((self._block(n), r) for n, r in refined)]
+            batch = TrajectoryBatch.concat(chunks) if chunks else ()
+            if len(batch):
+                ds = self._exact_many(query, batch)
+                stats.exact_computations += len(batch)
+                out.extend((tid, d) for tid, d in zip(batch.ids.tolist(), ds)
+                           if d <= radius)
             frontier = next_frontier
         out.sort(key=lambda x: (x[1], x[0]))
         if tracker is None:
@@ -1053,6 +1108,7 @@ class TrajTree:
             node.refresh_union_rect()
             node.max_length = max(node.max_length, traj.length)
             node.subtree_ids.append(traj_id)
+            node.block = None
             if node.vantage is not None:
                 node.vantage.keys.append(traj_id)
                 row = node.vantage.describe(traj).reshape(1, -1)
@@ -1082,6 +1138,7 @@ class TrajTree:
         if traj_id not in node.subtree_ids:
             return False
         node.subtree_ids.remove(traj_id)
+        node.block = None
         if node.vantage is not None and traj_id in node.vantage.keys:
             idx = node.vantage.keys.index(traj_id)
             node.vantage.keys.pop(idx)
