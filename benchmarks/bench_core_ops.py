@@ -8,9 +8,7 @@ The backend-comparison tests measure the vectorized numpy kernel against
 the pure-Python reference on the same 100-point trajectory pairs and
 *assert* the headline contract of the dual-backend design: >= 5x faster in
 its batched (lockstep) form with max abs deviation < 1e-9 (DESIGN.md,
-"Dual-backend EDwP kernels").  When numba is installed the native rows
-run too, and the ISSUE-9 gate asserts the compiled single-pair kernel is
->= 5x faster than the numpy one (DESIGN.md, "Native kernel tier").
+"Dual-backend EDwP kernels").
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_core_ops.py -q
 """
@@ -21,32 +19,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import emit
-
-from repro import _native
 from repro.core import Trajectory, edwp, edwp_avg, edwp_many
 from repro.core.edwp_sub import edwp_sub
 from repro.datasets import generate_beijing
 from repro.index import TBoxSeq, TrajTree, edwp_sub_box
-
-NUMBA_INSTALLED = _native.numba_available()
-
-#: "native" benchmark rows exist only where the compiled tier exists —
-#: timing the un-jitted fallback would gate nothing meaningful.
-NATIVE_ROW = pytest.param(
-    "native",
-    marks=pytest.mark.skipif(not NUMBA_INSTALLED,
-                             reason="numba not installed"),
-)
-
-NATIVE_GATE_MIN_SPEEDUP = 5.0
-
-
-def _warm(backend):
-    """JIT-compile (or load the on-disk cache) outside the timed region."""
-    if backend == "native":
-        _native.warmup()
-
 
 def _pair(n1, n2, seed=0):
     rng = np.random.default_rng(seed)
@@ -62,22 +38,20 @@ def test_bench_edwp(benchmark, size):
     benchmark(edwp, a, b)
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy", NATIVE_ROW])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_bench_edwp_backend(benchmark, backend):
     """Single-pair EDwP at 100 points, per backend."""
     a, b = _pair(100, 100)
-    _warm(backend)
     benchmark(edwp, a, b, backend=backend)
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy", NATIVE_ROW])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_bench_edwp_many_backend(benchmark, backend):
     """Batched EDwP (one query vs 32 targets) at 100 points, per backend."""
     rng = np.random.default_rng(3)
     mk = lambda: Trajectory.from_xy(rng.normal(0, 1, (100, 2)).cumsum(axis=0))
     query = mk()
     targets = [mk() for _ in range(32)]
-    _warm(backend)
     edwp_many(query, targets, backend=backend)     # warm coordinate caches
     benchmark(edwp_many, query, targets, backend=backend)
 
@@ -117,62 +91,6 @@ def test_backend_speedup_and_accuracy_100pt():
     assert deviation < 1e-9
     assert speedup >= 5.0, (
         f"vectorized kernel only {speedup:.1f}x faster than pure Python"
-    )
-
-
-@pytest.mark.skipif(not NUMBA_INSTALLED, reason="numba not installed")
-def test_native_speedup_and_accuracy_100pt(results_dir):
-    """ISSUE-9 acceptance gate: the compiled single-pair EDwP kernel vs
-    the numpy kernel on 100-point pairs — >= 5x faster, and within 1e-9
-    relative of the pure-Python reference.  ``warmup()`` runs first so
-    JIT compilation (or loading numba's on-disk cache) is never inside
-    the timed region; timings are min-of-3 in one process, so the ratio
-    is robust to noisy-neighbor CI runners."""
-    _native.warmup()
-    rng = np.random.default_rng(7)
-    mk = lambda: Trajectory.from_xy(rng.normal(0, 1, (100, 2)).cumsum(axis=0))
-    pairs = [(mk(), mk()) for _ in range(8)]
-    for a, b in pairs:
-        a.coords(), b.coords()                     # warm coordinate caches
-
-    def best_of(fn, repeats=3):
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    native_secs, native_vals = best_of(
-        lambda: [edwp(a, b, backend="native") for a, b in pairs])
-    numpy_secs, _ = best_of(
-        lambda: [edwp(a, b, backend="numpy") for a, b in pairs])
-    reference = [edwp(a, b, backend="python") for a, b in pairs]
-
-    deviation = max(
-        abs(n - r) / max(abs(r), 1.0)
-        for n, r in zip(native_vals, reference)
-    )
-    speedup = numpy_secs / native_secs
-    per_pair_np = numpy_secs / len(pairs) * 1000
-    per_pair_nat = native_secs / len(pairs) * 1000
-
-    body = (
-        f"100-point single pairs      {len(pairs)}\n"
-        f"edwp numpy backend          {per_pair_np:.3f} ms/pair\n"
-        f"edwp native backend         {per_pair_nat:.3f} ms/pair\n"
-        f"speedup                     {speedup:.1f}x (gate: >= "
-        f"{NATIVE_GATE_MIN_SPEEDUP:.1f}x)\n"
-        f"max relative deviation      {deviation:.2e} vs python reference\n"
-    )
-    emit(results_dir, "core_ops_native_gate",
-         "ISSUE-9 gate: native EDwP kernel vs numpy, single pair",
-         body)
-
-    assert deviation <= 1e-9
-    assert speedup >= NATIVE_GATE_MIN_SPEEDUP, (
-        f"native kernel only {speedup:.1f}x faster than numpy "
-        f"(gate requires >= {NATIVE_GATE_MIN_SPEEDUP:.1f}x)"
     )
 
 

@@ -3,9 +3,7 @@
 Also hosts the ISSUE-5 acceptance gate for the vectorized index bound
 engine: TrajTree ``knn`` with the numpy bound backend must return
 identical neighbor sets to the reference backend and be >= 4x faster on
-a >= 500-trajectory index (see DESIGN.md, "Index bound kernels") — and,
-when numba is installed, the ISSUE-9 gate: the native backend must answer
-the same queries >= 1.5x faster than the numpy backend end-to-end.
+a >= 500-trajectory index (see DESIGN.md, "Index bound kernels").
 """
 
 import math
@@ -15,7 +13,6 @@ import pytest
 
 from conftest import emit
 
-from repro import _native
 from repro.datasets import generate_beijing
 from repro.eval.timing import format_series_table
 from repro.experiments import run_scaling
@@ -29,7 +26,6 @@ GATE_DB_SIZE = 500
 GATE_QUERIES = 5
 GATE_K = 10
 GATE_MIN_SPEEDUP = 4.0
-NATIVE_GATE_MIN_SPEEDUP = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -131,69 +127,3 @@ def test_batched_bound_knn_speedup_and_equivalence(results_dir):
         f"(gate requires >= {GATE_MIN_SPEEDUP:.1f}x)"
     )
 
-
-@pytest.mark.skipif(not _native.numba_available(),
-                    reason="numba not installed")
-def test_native_knn_speedup_and_equivalence(results_dir):
-    """ISSUE-9 acceptance gate: native-backend ``knn`` vs the numpy path.
-
-    Same tree, same queries, the backend flipped between runs: neighbor
-    id lists must be identical, distances within 1e-9, and the compiled
-    tier >= ``NATIVE_GATE_MIN_SPEEDUP``x faster end-to-end.  The bar is
-    deliberately lower than the raw-kernel gate: index queries spend
-    much of their time in tree traversal and bound bookkeeping that no
-    kernel tier touches (Amdahl), so 1.5x end-to-end is a real kernel
-    win.  ``warmup()`` runs before any timing so JIT compilation stays
-    outside the measured region.
-    """
-    _native.warmup()
-    db = generate_beijing(GATE_DB_SIZE, seed=7)
-    queries = generate_beijing(GATE_QUERIES, seed=1007)
-
-    tree = TrajTree(db, theta=0.8, num_vps=8, normalized=True, seed=7,
-                    backend="numpy")
-
-    def run_all():
-        return [tree.knn(q, GATE_K) for q in queries]
-
-    timings = {}
-    answers = {}
-    for backend in ("numpy", "native"):
-        tree.backend = backend
-        run_all()                          # warm caches, page in the tree
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            answers[backend] = run_all()
-            best = min(best, time.perf_counter() - start)
-        timings[backend] = best
-
-    ids_native = [[tid for tid, _ in a] for a in answers["native"]]
-    ids_numpy = [[tid for tid, _ in a] for a in answers["numpy"]]
-    deviation = max(
-        abs(da - db_)
-        for a, b in zip(answers["native"], answers["numpy"])
-        for (_, da), (_, db_) in zip(a, b)
-    )
-    speedup = timings["numpy"] / timings["native"]
-
-    body = (
-        f"index size          {GATE_DB_SIZE} trajectories\n"
-        f"queries x k         {GATE_QUERIES} x {GATE_K}\n"
-        f"knn numpy backend   {timings['numpy']:.3f} s\n"
-        f"knn native backend  {timings['native']:.3f} s\n"
-        f"speedup             {speedup:.2f}x (gate: >= "
-        f"{NATIVE_GATE_MIN_SPEEDUP:.1f}x)\n"
-        f"neighbor sets       {'identical' if ids_native == ids_numpy else 'DIFFER'}\n"
-        f"max abs deviation   {deviation:.2e}\n"
-    )
-    emit(results_dir, "fig6a_native_gate",
-         "ISSUE-9 gate: native TrajTree queries vs numpy bounds",
-         body)
-
-    assert ids_native == ids_numpy, "neighbor sets differ across backends"
-    assert deviation < 1e-9
-    assert speedup >= NATIVE_GATE_MIN_SPEEDUP, (
-        f"native tier only {speedup:.2f}x faster "
-        f"(gate requires >= {NATIVE_GATE_MIN_SPEEDUP:.1f}x)"
-    )

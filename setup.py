@@ -4,12 +4,6 @@ The execution environment has no ``wheel`` package and no network access, so
 PEP 660 editable installs (which must build a wheel) fail.  This shim lets
 ``pip install -e . --no-use-pep517 --no-build-isolation`` fall back to the
 classic ``setup.py develop`` code path.
-
-``pip install .[native]`` pulls in numba and enables the compiled kernel
-tier (``set_backend("native")``; DESIGN.md, "Native kernel tier").  The
-base install is numpy-only: without the extra, the native backend reports
-itself unavailable through a typed error and everything else works
-unchanged.
 """
 
 from setuptools import find_packages, setup
@@ -20,7 +14,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy"],
-    extras_require={
-        "native": ["numba>=0.57"],
-    },
 )

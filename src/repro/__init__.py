@@ -25,16 +25,11 @@ The package provides:
   harnesses regenerating every table and figure (see the benchmark matrix
   in README.md).
 
-Every distance runs on one of up to three interchangeable backends — the
-pure-Python reference DPs, the vectorized numpy kernels
-(``set_backend("numpy")``), and the optional numba-compiled native tier
-(``set_backend("native")``, ``pip install .[native]``: the EDwP family and
-the index's box bound; everything else falls back to numpy).
-:mod:`repro.core.backend` holds the switch and the one kernel table;
-DESIGN.md documents the contract between the tiers ("Dual-backend EDwP
-kernels", "Baseline kernels" and "Native kernel tier").  numba is never
-imported eagerly: without it the package works unchanged and ``"native"``
-raises a typed :class:`~repro.core.backend.NativeBackendUnavailableError`.
+Every distance runs on one of two interchangeable backends — the
+pure-Python reference DPs and the vectorized numpy kernels
+(``set_backend("numpy")``).  :mod:`repro.core.backend` holds the switch
+and the one kernel table; DESIGN.md documents the contract between the
+tiers ("Dual-backend EDwP kernels" and "Baseline kernels").
 
 Quickstart::
 
@@ -52,16 +47,13 @@ Quickstart::
 
 from .core import (
     BACKENDS,
-    KNOWN_BACKENDS,
     BackendError,
     EditOp,
     EdwpResult,
-    NativeBackendUnavailableError,
     STPoint,
     Segment,
     Trajectory,
     UnknownBackendError,
-    available_backends,
     edwp,
     edwp_alignment,
     edwp_avg,
@@ -91,11 +83,8 @@ __all__ = [
     "set_backend",
     "use_backend",
     "BACKENDS",
-    "KNOWN_BACKENDS",
-    "available_backends",
     "BackendError",
     "UnknownBackendError",
-    "NativeBackendUnavailableError",
     "edwp_sub",
     "edwp_sub_alignment",
     "prefix_dist",

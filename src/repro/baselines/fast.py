@@ -512,8 +512,7 @@ def dissim_numpy(t1, t2, refine: int = 1) -> float:
 
 #: The numpy tier's kernel per op (:func:`repro.core.backend.tier_kernel`);
 #: each takes what its dispatching function in :mod:`repro.baselines` takes
-#: once the empty-trajectory base cases are peeled.  The compiled tier has
-#: no comparator kernels, so ``backend="native"`` runs these too.
+#: once the empty-trajectory base cases are peeled.
 KERNELS = {
     "dtw": dtw_numpy,
     "dtw_many": dtw_many_numpy,

@@ -58,7 +58,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .core import BackendError, set_backend
+from .core import BACKENDS, set_backend
 from .eval.timing import format_series_table
 from .experiments import (
     PAPER_PROTOCOL_FIGURES,
@@ -89,12 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "paper (ICDE 2015) at laptop scale.",
     )
     parser.add_argument(
-        "--backend", choices=["python", "numpy", "native"], default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="distance backend for every metric (EDwP and all baseline "
-             "comparators): the pure-Python reference DPs (default), the "
-             "vectorized numpy kernels, or the numba-compiled native tier "
-             "(requires the optional numba dependency; same results, "
-             "faster sweeps)",
+             "comparators): the pure-Python reference DPs (default) or the "
+             "vectorized numpy kernels (same results, faster sweeps)",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
@@ -462,13 +460,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.backend is not None:
-        try:
-            set_backend(args.backend)
-        except BackendError as exc:
-            # e.g. --backend native without numba installed: argparse
-            # accepts the name, selection rejects it with the typed error
-            print(str(exc), file=sys.stderr)
-            return 2
+        set_backend(args.backend)
     name = args.experiment
 
     if name == "serve":

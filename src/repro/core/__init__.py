@@ -13,22 +13,18 @@ Public surface:
 * :func:`~repro.core.backend.set_backend` /
   :func:`~repro.core.backend.get_backend` /
   :func:`~repro.core.backend.use_backend` — switch between the pure-Python
-  reference DPs, the vectorized numpy kernels and the optional
-  numba-compiled native tier; :mod:`repro.core.backend` holds the switch
-  and the one kernel table behind it (DESIGN.md, "Dual-backend EDwP
-  kernels" and "Native kernel tier").
+  reference DPs and the vectorized numpy kernels; :mod:`repro.core.backend`
+  holds the switch and the one kernel table behind it (DESIGN.md,
+  "Dual-backend EDwP kernels").
 """
 
 from .trajectory import STPoint, Segment, Trajectory
 from .edwp import (
     BACKENDS,
-    KNOWN_BACKENDS,
     BackendError,
     EditOp,
     EdwpResult,
-    NativeBackendUnavailableError,
     UnknownBackendError,
-    available_backends,
     edwp,
     edwp_alignment,
     edwp_avg,
@@ -49,11 +45,8 @@ __all__ = [
     "edwp_avg",
     "edwp_many",
     "BACKENDS",
-    "KNOWN_BACKENDS",
-    "available_backends",
     "BackendError",
     "UnknownBackendError",
-    "NativeBackendUnavailableError",
     "get_backend",
     "set_backend",
     "use_backend",

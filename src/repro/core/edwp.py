@@ -36,12 +36,12 @@ Reference tier
 --------------
 The cell-by-cell loop in this module is the ``"python"`` backend — plain
 floats, easy to audit against the paper's equations, the default and the
-oracle the test-suite compares against.  The faster tiers (the
-anti-diagonal numpy sweep of :mod:`repro.core.edwp_fast`, the optional
-compiled kernels) are looked up per call through
-:func:`repro.core.backend.tier_kernel`, which also owns the backend switch
-(:func:`set_backend` and friends, re-exported here); both match this
-reference to float tolerance (DESIGN.md, "Dual-backend EDwP kernels").
+oracle the test-suite compares against.  The ``"numpy"`` tier (the
+anti-diagonal sweep of :mod:`repro.core.edwp_fast`) is looked up per call
+through :func:`repro.core.backend.tier_kernel`, which also owns the
+backend switch (:func:`set_backend` and friends, re-exported here); it
+matches this reference to float tolerance (DESIGN.md, "Dual-backend EDwP
+kernels").
 :func:`edwp_many` is the batched entry point; TrajTree routes leaf
 refinement and scan oracles through it.
 
@@ -60,11 +60,8 @@ import numpy as np
 
 from .backend import (
     BACKENDS,
-    KNOWN_BACKENDS,
     BackendError,
-    NativeBackendUnavailableError,
     UnknownBackendError,
-    available_backends,
     get_backend,
     resolve_backend,
     set_backend,
@@ -87,12 +84,9 @@ __all__ = [
     "set_backend",
     "use_backend",
     "resolve_backend",
-    "available_backends",
     "BACKENDS",
-    "KNOWN_BACKENDS",
     "BackendError",
     "UnknownBackendError",
-    "NativeBackendUnavailableError",
 ]
 
 _REP = 0

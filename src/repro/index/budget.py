@@ -28,7 +28,7 @@ Three pieces realize that contract:
   ``bound_factor``, per-shard ``shard_exact``).  Because list equality
   ignores the extra attributes, an exact budgeted answer compares equal
   to the plain list the unbudgeted call returns — the bit-identity
-  contract ``tests/test_anytime.py`` pins across all three backends.
+  contract ``tests/test_budget.py`` pins on both backends.
 
 Soundness of the reported factor (the argument DESIGN.md walks through):
 at truncation the search returns the refined top-k with k-th distance

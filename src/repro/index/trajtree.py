@@ -319,9 +319,10 @@ class TrajTree:
         paper's literal behaviour.
     backend:
         EDwP backend for exact distances and build-time pivot selection
-        (``"python"`` / ``"numpy"`` / ``"native"`` when numba is
-        installed — validated here, so a bad name fails at construction
-        rather than at first query); ``None`` (default) follows the global
+        (``"python"`` / ``"numpy"`` — validated here, so a bad name fails
+        at construction rather than at first query; a snapshot naming
+        another backend raises :class:`~repro.core.backend.UnknownBackendError`
+        at its first query); ``None`` (default) follows the global
         :func:`repro.core.set_backend` choice.  Leaf refinement and the
         scan oracles batch their exact distances through
         :func:`repro.core.edwp_many`, so the numpy backend's lockstep

@@ -1,10 +1,10 @@
-"""Three-backend differential harness (ISSUE 9).
+"""Two-backend differential harness.
 
 One parameterized oracle matrix runs shared hypothesis strategies over
 every dual-backend kernel — the EDwP family, the five baseline DPs and
-the Theorem-2 box bound — and checks each non-reference backend
-(``"numpy"``, ``"native"``) against the pure-Python reference to ``1e-9``
-relative (exact for the integer edit/match counts and for ``inf``).
+the Theorem-2 box bound — and checks the ``"numpy"`` backend against the
+pure-Python reference to ``1e-9`` relative (exact for the integer
+edit/match counts and for ``inf``).
 
 The strategies deliberately cover the shapes that break DP kernels:
 ragged length pairs, length-1 trajectories (zero segments), duplicate
@@ -12,36 +12,18 @@ points (zero-length segments, degenerate projections), collinear runs
 (projection clamps at ``t = 0``/``t = 1``), and quarter-grid coordinates
 with matched epsilons so EDR's inclusive ``<= eps`` and LCSS's strict
 ``< eps`` are probed exactly *at* the boundary.
-
-The ``"native"`` column runs everywhere: on machines without numba the
-kernels execute un-jitted (the ``njit`` shim is an identity decorator),
-which pins the kernel *logic* bit-for-bit; on machines with numba the
-same tests exercise the actual compiled code (``TestNativeCompiled``
-additionally asserts, skipif-numba-absent, that the kernels really are
-jitted).  Availability is forced through the memoized probe
-(``repro._native._AVAILABLE``) so backend *dispatch* — resolution, the
-typed selection errors, every ``resolved == "native"`` branch — is
-covered on every machine too (see ``TestBackendSelection`` and
-``TestNativeFallback``).
 """
 
 import math
-import subprocess
-import sys
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro._native as native
 from repro import Trajectory, edwp, edwp_avg, edwp_many, set_backend, use_backend
 from repro.core.edwp import (
     BACKENDS,
-    KNOWN_BACKENDS,
     BackendError,
-    NativeBackendUnavailableError,
     UnknownBackendError,
-    available_backends,
     resolve_backend,
 )
 from repro.core.edwp_sub import (
@@ -59,30 +41,8 @@ from repro.baselines.lcss import lcss_distance_many, lcss_length
 from repro.baselines.registry import get_distance
 from repro.index.tboxseq import TBoxSeq, edwp_sub_box, edwp_sub_box_many
 
-NUMBA_INSTALLED = native.numba_available()
-
 #: The non-reference columns of the matrix, each checked against python.
-MATRIX_BACKENDS = ["numpy", "native"]
-
-
-@contextmanager
-def backend_available(backend):
-    """Make ``backend`` selectable for the duration of a test.
-
-    For ``"native"`` this forces the memoized availability probe, which
-    is exactly how a numba-install looks to the dispatch layer; without
-    numba the kernels then run un-jitted, which is the point — the logic
-    and every dispatch branch get covered on any machine.
-    """
-    if backend == "native":
-        prev = native._AVAILABLE
-        native._AVAILABLE = True
-        try:
-            yield
-        finally:
-            native._AVAILABLE = prev
-    else:
-        yield
+MATRIX_BACKENDS = ["numpy"]
 
 
 def assert_matches(ref, got):
@@ -175,99 +135,89 @@ SUBNORMAL_DELTA_QUERY = Trajectory([(0.0, 0.0), (5e-324, 5.0), (3.0, 5.0)])
 
 @pytest.mark.parametrize("backend", MATRIX_BACKENDS)
 class TestBackendMatrix:
-    """python × numpy × native over every kernel, python as ground truth."""
+    """numpy over every kernel, python as ground truth."""
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(), t2=trajectories())
     def test_edwp_and_avg(self, backend, t1, t2):
-        with backend_available(backend):
-            assert_matches(edwp(t1, t2, backend="python"),
-                           edwp(t1, t2, backend=backend))
-            assert_matches(edwp_avg(t1, t2, backend="python"),
-                           edwp_avg(t1, t2, backend=backend))
+        assert_matches(edwp(t1, t2, backend="python"),
+                       edwp(t1, t2, backend=backend))
+        assert_matches(edwp_avg(t1, t2, backend="python"),
+                       edwp_avg(t1, t2, backend=backend))
 
     @MATRIX_SETTINGS
     @given(q=trajectories(), targets=batches())
     def test_edwp_many(self, backend, q, targets):
-        with backend_available(backend):
-            assert_lists_match(
-                edwp_many(q, targets, backend="python"),
-                edwp_many(q, targets, backend=backend),
-            )
-            assert_lists_match(
-                edwp_many(q, targets, normalized=True, backend="python"),
-                edwp_many(q, targets, normalized=True, backend=backend),
-            )
+        assert_lists_match(
+            edwp_many(q, targets, backend="python"),
+            edwp_many(q, targets, backend=backend),
+        )
+        assert_lists_match(
+            edwp_many(q, targets, normalized=True, backend="python"),
+            edwp_many(q, targets, normalized=True, backend=backend),
+        )
 
     @MATRIX_SETTINGS
     @given(t=trajectories(), s=trajectories())
     def test_edwp_sub_family(self, backend, t, s):
-        with backend_available(backend):
-            assert_matches(edwp_sub(t, s, backend="python"),
-                           edwp_sub(t, s, backend=backend))
-            assert_matches(edwp_sub_fast(t, s, backend="python"),
-                           edwp_sub_fast(t, s, backend=backend))
-            assert_matches(prefix_dist(t, s, backend="python"),
-                           prefix_dist(t, s, backend=backend))
+        assert_matches(edwp_sub(t, s, backend="python"),
+                       edwp_sub(t, s, backend=backend))
+        assert_matches(edwp_sub_fast(t, s, backend="python"),
+                       edwp_sub_fast(t, s, backend=backend))
+        assert_matches(prefix_dist(t, s, backend="python"),
+                       prefix_dist(t, s, backend=backend))
 
     @MATRIX_SETTINGS
     @given(t=trajectories(), targets=batches())
     def test_edwp_sub_many(self, backend, t, targets):
-        with backend_available(backend):
-            assert_lists_match(
-                edwp_sub_many(t, targets, backend="python"),
-                edwp_sub_many(t, targets, backend=backend),
-            )
+        assert_lists_match(
+            edwp_sub_many(t, targets, backend="python"),
+            edwp_sub_many(t, targets, backend=backend),
+        )
 
     @MATRIX_SETTINGS
     @given(queries=batches(), s=trajectories())
     def test_edwp_sub_fast_queries(self, backend, queries, s):
-        with backend_available(backend):
-            assert_lists_match(
-                edwp_sub_fast_queries(queries, s, backend="python"),
-                edwp_sub_fast_queries(queries, s, backend=backend),
-            )
+        assert_lists_match(
+            edwp_sub_fast_queries(queries, s, backend="python"),
+            edwp_sub_fast_queries(queries, s, backend=backend),
+        )
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(min_len=0), t2=trajectories(min_len=0),
            window=st.sampled_from([0, 2]))
     def test_dtw(self, backend, t1, t2, window):
-        with backend_available(backend):
-            assert_matches(dtw(t1, t2, window=window, backend="python"),
-                           dtw(t1, t2, window=window, backend=backend))
+        assert_matches(dtw(t1, t2, window=window, backend="python"),
+                       dtw(t1, t2, window=window, backend=backend))
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(coord=grid_coord),
            t2=trajectories(coord=grid_coord), eps=eps_grid)
     def test_edr_near_eps(self, backend, t1, t2, eps):
-        with backend_available(backend):
-            assert_matches(edr(t1, t2, eps, backend="python"),
-                           edr(t1, t2, eps, backend=backend))
+        assert_matches(edr(t1, t2, eps, backend="python"),
+                       edr(t1, t2, eps, backend=backend))
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(), t2=trajectories(),
            gap=st.tuples(free_coord, free_coord))
     def test_erp(self, backend, t1, t2, gap):
-        with backend_available(backend):
-            assert_matches(erp(t1, t2, backend="python"),
-                           erp(t1, t2, backend=backend))
-            assert_matches(erp(t1, t2, gap=gap, backend="python"),
-                           erp(t1, t2, gap=gap, backend=backend))
+        assert_matches(erp(t1, t2, backend="python"),
+                       erp(t1, t2, backend=backend))
+        assert_matches(erp(t1, t2, gap=gap, backend="python"),
+                       erp(t1, t2, gap=gap, backend=backend))
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(coord=grid_coord),
            t2=trajectories(coord=grid_coord), eps=eps_grid)
     def test_lcss_near_eps(self, backend, t1, t2, eps):
-        with backend_available(backend):
-            assert_matches(lcss_length(t1, t2, eps, backend="python"),
-                           lcss_length(t1, t2, eps, backend=backend))
+        assert_matches(lcss_length(t1, t2, eps, backend="python"),
+                       lcss_length(t1, t2, eps, backend=backend))
 
     @MATRIX_SETTINGS
     @given(t1=trajectories(), t2=trajectories())
     def test_frechet(self, backend, t1, t2):
-        with backend_available(backend):
-            assert_matches(discrete_frechet(t1, t2, backend="python"),
-                           discrete_frechet(t1, t2, backend=backend))
+        assert_matches(discrete_frechet(t1, t2, backend="python"),
+                       discrete_frechet(t1, t2, backend=backend))
 
     @MATRIX_SETTINGS
     @given(base=trajectories(min_len=2), q=trajectories(),
@@ -279,11 +229,10 @@ class TestBackendMatrix:
              thorough=True)
     def test_box_bound(self, backend, base, q, max_boxes, thorough):
         seq = TBoxSeq.from_trajectory(base, max_boxes=max_boxes)
-        with backend_available(backend):
-            assert_matches(
-                edwp_sub_box(q, seq, thorough=thorough, backend="python"),
-                edwp_sub_box(q, seq, thorough=thorough, backend=backend),
-            )
+        assert_matches(
+            edwp_sub_box(q, seq, thorough=thorough, backend="python"),
+            edwp_sub_box(q, seq, thorough=thorough, backend=backend),
+        )
 
     @MATRIX_SETTINGS
     @given(bases=st.lists(trajectories(min_len=2), min_size=0, max_size=4),
@@ -292,30 +241,26 @@ class TestBackendMatrix:
     @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DELTA_QUERY, thorough=True)
     def test_box_bound_many(self, backend, bases, q, thorough):
         seqs = [TBoxSeq.from_trajectory(b, max_boxes=4) for b in bases]
-        with backend_available(backend):
-            assert_lists_match(
-                edwp_sub_box_many(q, seqs, thorough=thorough,
-                                  backend="python"),
-                edwp_sub_box_many(q, seqs, thorough=thorough,
-                                  backend=backend),
-            )
+        assert_lists_match(
+            edwp_sub_box_many(q, seqs, thorough=thorough, backend="python"),
+            edwp_sub_box_many(q, seqs, thorough=thorough, backend=backend),
+        )
 
     @MATRIX_SETTINGS
     @given(q=trajectories(min_len=0), targets=batches(min_len=0))
     def test_batched_baselines(self, backend, q, targets):
-        with backend_available(backend):
-            assert_lists_match(dtw_many(q, targets, backend="python"),
-                               dtw_many(q, targets, backend=backend))
-            assert_lists_match(edr_many(q, targets, 0.5, backend="python"),
-                               edr_many(q, targets, 0.5, backend=backend))
-            assert_lists_match(erp_many(q, targets, backend="python"),
-                               erp_many(q, targets, backend=backend))
-            assert_lists_match(
-                lcss_distance_many(q, targets, 0.5, backend="python"),
-                lcss_distance_many(q, targets, 0.5, backend=backend),
-            )
-            assert_lists_match(frechet_many(q, targets, backend="python"),
-                               frechet_many(q, targets, backend=backend))
+        assert_lists_match(dtw_many(q, targets, backend="python"),
+                           dtw_many(q, targets, backend=backend))
+        assert_lists_match(edr_many(q, targets, 0.5, backend="python"),
+                           edr_many(q, targets, 0.5, backend=backend))
+        assert_lists_match(erp_many(q, targets, backend="python"),
+                           erp_many(q, targets, backend=backend))
+        assert_lists_match(
+            lcss_distance_many(q, targets, 0.5, backend="python"),
+            lcss_distance_many(q, targets, 0.5, backend=backend),
+        )
+        assert_lists_match(frechet_many(q, targets, backend="python"),
+                           frechet_many(q, targets, backend=backend))
 
     def test_global_switch_routes_this_backend(self, backend):
         """set_backend/use_backend (no per-call override) reach the same
@@ -323,10 +268,9 @@ class TestBackendMatrix:
         t1 = Trajectory([(0, 0, 0), (3, 4, 1), (6, 0, 2)])
         t2 = Trajectory([(1, 1, 0), (4, 5, 1), (7, 1, 2), (8, 2, 3)])
         seq = TBoxSeq.from_trajectory(t2, max_boxes=3)
-        with backend_available(backend):
-            with use_backend(backend):
-                got = (edwp(t1, t2), edwp_sub(t1, t2), dtw(t1, t2),
-                       edr(t1, t2, 0.5), edwp_sub_box(t1, seq))
+        with use_backend(backend):
+            got = (edwp(t1, t2), edwp_sub(t1, t2), dtw(t1, t2),
+                   edr(t1, t2, 0.5), edwp_sub_box(t1, seq))
         with use_backend("python"):
             ref = (edwp(t1, t2), edwp_sub(t1, t2), dtw(t1, t2),
                    edr(t1, t2, 0.5), edwp_sub_box(t1, seq))
@@ -341,11 +285,7 @@ class TestBackendMatrix:
 
 class TestBackendSelection:
     def test_known_and_available_names(self):
-        assert KNOWN_BACKENDS == ("python", "numpy", "native")
-        avail = available_backends()
-        assert avail[:2] == ("python", "numpy")
-        assert ("native" in avail) == NUMBA_INSTALLED
-        assert BACKENDS == avail
+        assert BACKENDS == ("python", "numpy")
 
     @pytest.mark.parametrize("name", ["cuda", "", "NumPy", 42])
     def test_unknown_name_is_typed_and_descriptive(self, name):
@@ -354,7 +294,7 @@ class TestBackendSelection:
         with pytest.raises(BackendError) as excinfo:
             resolve_backend(name)
         # the message names every selectable backend
-        for valid in available_backends():
+        for valid in BACKENDS:
             assert valid in str(excinfo.value)
         assert isinstance(excinfo.value, ValueError)   # compat contract
 
@@ -380,88 +320,23 @@ class TestBackendSelection:
         with pytest.raises(UnknownBackendError, match="unknown backend"):
             TrajTree(db, backend="cuda")
 
-    def test_cli_reports_backend_error_cleanly(self, capsys):
-        from repro.cli import main
-        prev = native._AVAILABLE
-        native._AVAILABLE = False
-        try:
-            code = main(["--backend", "native", "table1"])
-        finally:
-            native._AVAILABLE = prev
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "numba" in err and "native" in err
-
-
-# --------------------------------------------------------------------- #
-# fallback behavior (satellite: simulate numba absent)
-# --------------------------------------------------------------------- #
-
 
 class TestNativeFallback:
-    def test_native_unavailable_is_typed_error(self, monkeypatch):
-        monkeypatch.setattr(native, "_AVAILABLE", False)
-        with pytest.raises(NativeBackendUnavailableError) as excinfo:
-            set_backend("native")
-        assert isinstance(excinfo.value, ValueError)
-        assert "numba" in str(excinfo.value)
-        assert "pip install .[native]" in str(excinfo.value)
-        with pytest.raises(NativeBackendUnavailableError):
-            resolve_backend("native")
-        with pytest.raises(NativeBackendUnavailableError):
-            edwp(Trajectory([(0, 0, 0), (1, 1, 1)]),
-                 Trajectory([(0, 1, 0), (1, 2, 1)]), backend="native")
-
-    def test_numpy_paths_untouched_without_numba(self, monkeypatch):
-        monkeypatch.setattr(native, "_AVAILABLE", False)
-        assert available_backends() == ("python", "numpy")
-        t1 = Trajectory([(0, 0, 0), (3, 4, 1)])
-        t2 = Trajectory([(1, 1, 0), (4, 5, 1), (7, 1, 2)])
-        previous = set_backend("numpy")
-        try:
-            assert_matches(edwp(t1, t2, backend="python"), edwp(t1, t2))
-        finally:
-            set_backend(previous)
-
-    def test_importing_repro_never_imports_numba(self):
-        """The package must stay importable — and numba-free — by default;
-        run in a fresh interpreter so this session's state can't mask an
-        eager import."""
-        code = (
-            "import sys; import repro; import repro.baselines.registry; "
-            "import repro.index; import repro.service; "
-            "assert 'numba' not in sys.modules, 'numba imported eagerly'; "
-            "print('ok')"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_probe_is_memoized_and_monkeypatchable(self, monkeypatch):
-        monkeypatch.setattr(native, "_AVAILABLE", None)
-        first = native.numba_available()
-        assert native._AVAILABLE is first is NUMBA_INSTALLED
-
-
-# --------------------------------------------------------------------- #
-# compiled-tier sanity (skipif numba absent)
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.skipif(not NUMBA_INSTALLED, reason="numba not installed")
-class TestNativeCompiled:
-    def test_kernels_are_actually_jitted(self):
-        from repro._native import kernels
-        assert kernels.NUMBA
-        # a numba dispatcher, not a plain function
-        assert hasattr(kernels.edwp_value, "signatures")
-
-    def test_warmup_compiles_and_values_agree(self):
-        native.warmup()
-        t1 = Trajectory([(0, 0, 0), (3, 4, 1), (6, 0, 2)])
-        t2 = Trajectory([(1, 1, 0), (4, 5, 1), (7, 1, 2)])
-        assert_matches(edwp(t1, t2, backend="python"),
-                       edwp(t1, t2, backend="native"))
+    def test_native_unavailable_is_typed_error(self):
+        """``"native"`` names the deleted numba tier: every selection
+        point raises the typed error listing what is selectable, and
+        nothing falls back to numpy behind the caller's back."""
+        from repro.core.backend import get_backend
+        from repro.index import TrajTree
+        db = [Trajectory([(0, 0, 0), (1, 1, 1)]),
+              Trajectory([(2, 2, 0), (3, 3, 1)])]
+        before = get_backend()
+        for select in (set_backend, resolve_backend,
+                       lambda b: edwp(db[0], db[1], backend=b),
+                       lambda b: TrajTree(db, backend=b),
+                       lambda b: get_distance("edwp", backend=b)):
+            with pytest.raises(UnknownBackendError) as excinfo:
+                select("native")
+            assert isinstance(excinfo.value, ValueError)
+            assert "('python', 'numpy')" in str(excinfo.value)
+        assert get_backend() == before

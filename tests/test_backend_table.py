@@ -2,13 +2,11 @@
 wired to its op, and the deleted options staying deleted."""
 
 import inspect
-import re
 from pathlib import Path
 
 import pytest
 
 import repro
-import repro._native as native
 from repro import Trajectory, TrajTree, cross_matrix, edwp, edwp_many
 from repro import pairwise_matrix
 from repro.baselines import (
@@ -33,11 +31,6 @@ T2 = Trajectory([(1, 1, 0), (4, 5, 1), (7, 1, 2), (8, 2, 3)])
 SEQ = TBoxSeq.from_trajectory(T2, max_boxes=3)
 
 
-@pytest.fixture
-def native_available(monkeypatch):
-    monkeypatch.setattr(native, "_AVAILABLE", True)
-
-
 class TestFallbackOrder:
     def test_python_runs_the_callers_reference_loop(self):
         for op in ("edwp", "dtw", "edwp_sub_box", "no_such_op"):
@@ -50,37 +43,14 @@ class TestFallbackOrder:
             is fast_bounds.edwp_sub_box_many_numpy
         assert tier_kernel("no_such_op", "numpy") is None
 
-    def test_native_falls_back_to_numpy_then_none(self, native_available):
-        from repro._native import api
-
-        assert tier_kernel("edwp", "native") is api.edwp_native
-        assert tier_kernel("edwp_sub_box", "native") \
-            is api.edwp_sub_box_native
-        # no compiled comparator: the numpy kernel, through the table
-        assert tier_kernel("dtw", "native") is fast.dtw_numpy
-        assert tier_kernel("dissim", "native") is fast.dissim_numpy
-        assert tier_kernel("no_such_op", "native") is None
-
-    def test_native_compiles_only_what_the_index_runs(self):
-        from repro._native import api, kernels
-
-        assert set(api.KERNELS) == set(edwp_fast.KERNELS) \
-            | set(fast_bounds.KERNELS)
-        assert not set(api.KERNELS) & set(fast.KERNELS)
-        for name in kernels.__all__:
-            assert not re.match(r"(dtw|edr|erp|lcss|frechet)_", name), name
-
     def test_none_follows_the_global_switch(self):
         assert tier_kernel("edwp", None) is None      # default: python
         with repro.use_backend("numpy"):
             assert tier_kernel("edwp", None) is edwp_fast.edwp_numpy
 
-    def test_selection_errors_are_the_typed_ones(self, monkeypatch):
+    def test_selection_errors_are_the_typed_ones(self):
         with pytest.raises(repro.UnknownBackendError):
             tier_kernel("edwp", "cuda")
-        monkeypatch.setattr(native, "_AVAILABLE", False)
-        with pytest.raises(repro.NativeBackendUnavailableError):
-            tier_kernel("edwp", "native")
 
     def test_banded_lcss_has_no_kernel_on_any_tier(self, monkeypatch):
         """``delta > 0`` is reference-only: the numpy tier's unbanded
@@ -126,9 +96,8 @@ def test_every_table_op_has_a_dispatcher():
 
 
 @pytest.mark.parametrize("op", sorted(DISPATCHERS))
-@pytest.mark.parametrize("backend", ["numpy", "native"])
-def test_dispatcher_runs_its_tier_kernel(op, backend, monkeypatch,
-                                         native_available):
+@pytest.mark.parametrize("backend", ["numpy"])
+def test_dispatcher_runs_its_tier_kernel(op, backend, monkeypatch):
     """A misspelt op would silently run the reference loop — and still
     pass every differential test.  Swap the table entry for a sentinel."""
     class Reached(Exception):
@@ -164,17 +133,21 @@ class TestDeletedOptionsStayDeleted:
             assert "backend" not in inspect.signature(fn).parameters, fn
 
     def test_only_the_backend_module_knows_the_native_package(self):
+        """Once ``core/backend.py`` alone imported ``repro._native``; the
+        package and its numba kernels are deleted, so no module names
+        either.  ``TestNativeFallback`` in ``test_backend_matrix`` pins
+        that ``"native"`` is an unknown backend at every selection
+        point."""
         offenders = [
             str(path.relative_to(SRC))
             for path in SRC.rglob("*.py")
-            if "_native" in path.read_text(encoding="utf-8")
-            and path.parent.name != "_native"
+            if any(word in path.read_text(encoding="utf-8")
+                   for word in ("numba", "_native"))
         ]
-        assert offenders == ["core/backend.py"]
+        assert offenders == []
 
     def test_no_thread_pools_or_hand_written_tier_chains(self):
         for path in SRC.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
             assert "ThreadPoolExecutor" not in text, path
             assert 'resolved == "' not in text, path
-            assert '("numpy", "native")' not in text, path

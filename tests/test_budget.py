@@ -7,24 +7,22 @@ The anytime contract, tested at every layer it crosses:
   (with an injectable fake clock, so deadline behavior is deterministic),
   ``combine_budgets`` tightening, ``bound_factor_for`` edge cases.
 * **Bit-identity**: an *unlimited* budget returns an ``AnytimeResult``
-  that compares equal to the plain no-budget answer — on all three
-  distance backends (native forced through the memoized probe, so the
-  logic is pinned even without numba).
+  that compares equal to the plain no-budget answer — on both distance
+  backends.
 * **Soundness**: for any finite budget that actually truncates, every
   returned distance is ≤ ``bound_factor`` × the true k-th distance
   (measured against the linear-scan oracle via
-  :func:`repro.eval.ubfactor.anytime_factor`), on all three backends.
+  :func:`repro.eval.ubfactor.anytime_factor`), on both backends.
 * **Hard ceiling**: ``max_bounds`` is never exceeded by
   ``stats.bound_computations``.
-* **Forest census**: per-shard exactness matches per-shard truth when an
-  injected ``delay`` fault blows one shard's deadline.
+* **Forest census**: per-shard exactness matches per-shard truth when a
+  fake clock passes the deadline at one shard's injected fault point.
 """
 
 import math
 
 import pytest
 
-import repro._native as native
 from repro import edwp, edwp_avg
 from repro.core.edwp_sub import edwp_sub
 from repro.datasets import generate_beijing
@@ -41,7 +39,7 @@ from repro.index.budget import as_tracker, bound_factor_for
 from repro.index.trajtree import TrajTreeStats
 from repro.testing.faults import FaultPlan, injected
 
-BACKENDS = ("python", "numpy", "native")
+BACKENDS = ("python", "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +59,7 @@ def tree(db):
 
 @pytest.fixture(scope="module")
 def tree_for(db):
-    """Trees keyed ``(backend, normalized)``, each built once per module
-    (call inside :func:`_forced` for the native column)."""
+    """Trees keyed ``(backend, normalized)``, each built once per module."""
     built = {}
 
     def get(backend, normalized):
@@ -84,25 +81,6 @@ def _truth(kind, normalized):
     if kind == "subtrajectory_knn":
         return edwp_sub              # raw EDwPsub, never normalized
     return edwp_avg if normalized else edwp
-
-
-def _forced(backend):
-    """Context forcing native availability (see test_backend_matrix)."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def ctx():
-        if backend == "native":
-            prev = native._AVAILABLE
-            native._AVAILABLE = True
-            try:
-                yield
-            finally:
-                native._AVAILABLE = prev
-        else:
-            yield
-
-    return ctx()
 
 
 class FakeClock:
@@ -225,69 +203,65 @@ class TestBoundFactor:
 
 
 # ---------------------------------------------------------------------- #
-# tree-level contract, all three backends
+# tree-level contract, both backends
 # ---------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestAnytimeContract:
     def test_unlimited_budget_is_bit_identical(self, db, queries, backend):
-        with _forced(backend):
-            t = TrajTree(db, normalized=True, num_vps=6, seed=7,
-                         backend=backend)
-            for q in queries:
-                plain = t.knn(q, 5)
-                budgeted = t.knn(q, 5, budget=QueryBudget())
-                assert isinstance(budgeted, AnytimeResult)
-                assert budgeted.exact and budgeted.reason is None
-                assert budgeted == plain
-                sub = t.subtrajectory_knn(q, 3, budget=QueryBudget())
-                assert sub.exact and sub == t.subtrajectory_knn(q, 3)
-                radius = plain[-1][1] * 1.1
-                rng = t.range_query(q, radius, budget=QueryBudget())
-                assert rng.exact and rng == t.range_query(q, radius)
+        t = TrajTree(db, normalized=True, num_vps=6, seed=7, backend=backend)
+        for q in queries:
+            plain = t.knn(q, 5)
+            budgeted = t.knn(q, 5, budget=QueryBudget())
+            assert isinstance(budgeted, AnytimeResult)
+            assert budgeted.exact and budgeted.reason is None
+            assert budgeted == plain
+            sub = t.subtrajectory_knn(q, 3, budget=QueryBudget())
+            assert sub.exact and sub == t.subtrajectory_knn(q, 3)
+            radius = plain[-1][1] * 1.1
+            rng = t.range_query(q, radius, budget=QueryBudget())
+            assert rng.exact and rng == t.range_query(q, radius)
 
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
     def test_truncated_answers_are_sound(self, db, queries, tree_for,
                                          backend, kind, normalized):
-        with _forced(backend):
-            search = getattr(tree_for(backend, normalized), kind)
-            truncated = 0
-            for q in queries:
-                for max_bounds in (0, 1, 3, 8):
-                    r = search(q, 5, budget=QueryBudget(max_bounds=max_bounds))
-                    if r.exact:
-                        assert r == search(q, 5)
-                        continue
-                    truncated += 1
-                    assert r.reason == "bounds"
-                    if math.isfinite(r.bound_factor):
-                        realized = anytime_factor(
-                            r, q, db, 5, distance=_truth(kind, normalized))
-                        assert realized <= r.bound_factor + 1e-9
-            assert truncated > 0      # the budgets above do truncate
+        search = getattr(tree_for(backend, normalized), kind)
+        truncated = 0
+        for q in queries:
+            for max_bounds in (0, 1, 3, 8):
+                r = search(q, 5, budget=QueryBudget(max_bounds=max_bounds))
+                if r.exact:
+                    assert r == search(q, 5)
+                    continue
+                truncated += 1
+                assert r.reason == "bounds"
+                if math.isfinite(r.bound_factor):
+                    realized = anytime_factor(
+                        r, q, db, 5, distance=_truth(kind, normalized))
+                    assert realized <= r.bound_factor + 1e-9
+        assert truncated > 0      # the budgets above do truncate
 
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
     def test_epsilon_bounds_the_error(self, db, queries, tree_for, backend,
                                       kind, normalized):
-        with _forced(backend):
-            search = getattr(tree_for(backend, normalized), kind)
-            eps = 0.5
-            saw_epsilon_stop = False
-            for q in queries:
-                r = search(q, 5, budget=QueryBudget(epsilon=eps))
-                realized = anytime_factor(
-                    r, q, db, 5, distance=_truth(kind, normalized))
-                assert realized <= 1.0 + eps + 1e-9
-                if not r.exact:
-                    saw_epsilon_stop = True
-                    assert r.reason == "epsilon"
-                    assert r.bound_factor <= 1.0 + eps + 1e-12
-            # epsilon may or may not trigger per query; the soundness
-            # bound above holds either way.
-            del saw_epsilon_stop
+        search = getattr(tree_for(backend, normalized), kind)
+        eps = 0.5
+        saw_epsilon_stop = False
+        for q in queries:
+            r = search(q, 5, budget=QueryBudget(epsilon=eps))
+            realized = anytime_factor(
+                r, q, db, 5, distance=_truth(kind, normalized))
+            assert realized <= 1.0 + eps + 1e-9
+            if not r.exact:
+                saw_epsilon_stop = True
+                assert r.reason == "epsilon"
+                assert r.bound_factor <= 1.0 + eps + 1e-12
+        # epsilon may or may not trigger per query; the soundness
+        # bound above holds either way.
+        del saw_epsilon_stop
 
 
 class TestBudgetMechanics:
@@ -376,12 +350,14 @@ class TestForestBudgets:
 
     def test_census_matches_injected_shard_delay(self, forest, queries):
         q = queries[0]
-        # shard 2's fault point sleeps past the whole deadline, so shards
-        # 0 and 1 (queried before the delay fires) answer exactly and
-        # shard 2 comes back deadline-truncated.
-        plan = FaultPlan().on("forest.query_shard:2", "delay", 0.25)
+        # The clock passes the deadline exactly when shard 2's fault point
+        # fires, so shards 0 and 1 (queried before it) answer exactly and
+        # shard 2 comes back deadline-truncated, however long they take.
+        plan = FaultPlan().on("forest.query_shard:2", "delay", 0.0)
+        budget = QueryBudget(deadline=0.1).tracker(
+            clock=lambda: 100.0 + plan.fired())
         with injected(plan):
-            r = forest.knn(q, 5, budget=QueryBudget(deadline=0.1))
+            r = forest.knn(q, 5, budget=budget)
         assert plan.fired() == 1
         assert r.shard_exact == [True, True, False]
         assert not r.exact and r.reason == "deadline"

@@ -62,6 +62,18 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_backend_choices_come_from_the_table(self, capsys):
+        from repro.core.edwp import get_backend, use_backend
+
+        with use_backend("numpy"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--backend", "native", "table1"])
+            assert get_backend() == "numpy"
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "native" in err
+        assert "python" in err and "numpy" in err
+
 
 class TestStorePipeline:
     """The build-store → build-forest → serve --forest pipeline."""

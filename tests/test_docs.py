@@ -36,7 +36,7 @@ def test_design_md_keeps_promised_sections():
         "## Query service",
         "## Columnar store and sharded forest",
         "## Fault model and degraded serving",
-        "## Native kernel tier",
+        "## Compiled tier: deleted",
         "## Overload control and anytime queries",
     ):
         assert heading in text, f"DESIGN.md lost section {heading!r}"
@@ -78,12 +78,10 @@ def test_design_md_keeps_promised_sections():
                     "retry_after", "RetryExhausted", "combine_budgets",
                     "p99 / SLO", "overload_gate"):
         assert keyword in text, f"DESIGN.md lost {keyword!r}"
-    # the native-kernel-tier section must keep its sub-contracts
-    for keyword in ("@njit(cache=True)", "pip install .[native]",
-                    "NativeBackendUnavailableError", "UnknownBackendError",
-                    "warmup()", "NUMBA_CACHE_DIR", "_AVAILABLE",
-                    "core_ops_native_gate", "fig6a_native_gate",
-                    "un-jitted", "never imports"):
+    # the compiled-tier decision record must keep its sub-contracts
+    for keyword in ("UnknownBackendError", "not re-measured", "×5", "×1.5",
+                    "BENCHMARK.json", "--backend", "on_shard_error=\"skip\"",
+                    "tree.backend = None"):
         assert keyword in text, f"DESIGN.md lost {keyword!r}"
     # in-page anchors that README/docstrings point at must resolve to a
     # heading (GitHub slug rule: lowercase, spaces -> dashes)
@@ -98,7 +96,7 @@ def test_design_md_keeps_promised_sections():
                    "batched-leaf-refinement", "query-service",
                    "columnar-store-and-sharded-forest",
                    "fault-model-and-degraded-serving",
-                   "native-kernel-tier",
+                   "compiled-tier-deleted",
                    "overload-control-and-anytime-queries"):
         assert anchor in slugs, f"DESIGN.md anchor #{anchor} no longer resolves"
 
@@ -156,12 +154,9 @@ def test_readme_covers_the_promised_ground():
         "retry_after",
         "DESIGN.md#overload-control-and-anytime-queries",
         "bench_service_overload.py",
-        # the native-tier backend guide, gates and differential matrix
-        "pip install .[native]",
-        "set_backend(\"native\")",
-        "NativeBackendUnavailableError",
+        # the two-backend guide and differential matrix
         "UnknownBackendError",
-        "DESIGN.md#native-kernel-tier",
+        "DESIGN.md#compiled-tier-deleted",
         "test_backend_matrix.py",
     ):
         assert needle in text, f"README.md lost {needle!r}"

@@ -375,30 +375,3 @@ def test_service_set_tree_swaps_tree_for_forest(tree, forests, queries):
     assert before.results == after.results == tree.knn(queries[0], 5)
     assert after.meta["snapshot_id"] == 1
     assert service.tree is forests[2]
-
-
-def test_native_backend_forest_matches_python_tree(db, queries):
-    """Cross-backend forest oracle (ISSUE 9): a forest whose shards run
-    the native kernels answers bit-identically to a python-backend
-    single tree.  Native availability is forced through the memoized
-    probe, so without numba the kernels run un-jitted — an
-    operation-for-operation replay of the reference DP, hence *exact*
-    equality, ties included."""
-    import repro._native as native
-
-    prev = native._AVAILABLE
-    native._AVAILABLE = True
-    try:
-        forest = TrajForest(db, num_shards=3, normalized=True, num_vps=6,
-                            seed=7, backend="native")
-        oracle = TrajTree(db, normalized=True, num_vps=6, seed=7,
-                          backend="python")
-        for q in queries[:3]:
-            assert forest.knn(q, 5) == oracle.knn(q, 5)
-            assert forest.subtrajectory_knn(q, 3) == \
-                oracle.subtrajectory_knn(q, 3)
-            radius = oracle.knn(q, 4)[-1][1] * 1.1
-            assert forest.range_query(q, radius) == \
-                oracle.range_query(q, radius)
-    finally:
-        native._AVAILABLE = prev

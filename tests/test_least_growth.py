@@ -307,9 +307,9 @@ def test_trees_identical_to_exhaustive_assignment(shape, seed, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_tree_identity_on_every_backend(backend, monkeypatch):
-    """The pivot columns come from the backend's own kernels (compiled on
-    the numba CI leg); the assignment must agree with its oracle on
-    whatever pivots they select."""
+    """The pivot columns come from the backend's own kernels; the
+    assignment must agree with its oracle on whatever pivots they
+    select."""
     assert_tree_identity("beijing-40", 1, 10, monkeypatch, backend)
 
 

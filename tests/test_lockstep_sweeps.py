@@ -24,8 +24,7 @@ from repro.index.trajtree import TrajTree, TrajTreeStats
 
 import lockstep_oracle as oracle
 from test_backend_matrix import (MATRIX_BACKENDS, assert_lists_match,
-                                 assert_matches, backend_available,
-                                 free_coord, trajectories)
+                                 assert_matches, free_coord, trajectories)
 from test_least_growth import FOREST_KWARGS, tiny_walks
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -237,18 +236,16 @@ class TestAgainstReference:
     @SETTINGS
     @given(query=trajectories(), batch=skewed_batches())
     def test_many(self, backend, query, batch):
-        with backend_available(backend):
-            assert_lists_match(edwp_many(query, batch, backend="python"),
-                               edwp_many(query, batch, backend=backend))
-            assert_lists_match(edwp_sub_many(query, batch, backend="python"),
-                               edwp_sub_many(query, batch, backend=backend))
+        assert_lists_match(edwp_many(query, batch, backend="python"),
+                           edwp_many(query, batch, backend=backend))
+        assert_lists_match(edwp_sub_many(query, batch, backend="python"),
+                           edwp_sub_many(query, batch, backend=backend))
 
     @SETTINGS
     @given(t=trajectories(), s=trajectories(max_len=40))
     def test_sub_pair(self, backend, t, s):
-        with backend_available(backend):
-            assert_matches(edwp_sub(t, s, backend="python"),
-                           edwp_sub(t, s, backend=backend))
+        assert_matches(edwp_sub(t, s, backend="python"),
+                       edwp_sub(t, s, backend=backend))
 
 
 # --------------------------------------------------------------------- #

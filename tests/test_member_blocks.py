@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Trajectory, available_backends, edwp
+from repro.core import BACKENDS, Trajectory, edwp
 from repro.datasets import generate_beijing
 from repro.index import TrajForest, TrajTree, save_tree
 from repro.index import trajtree
@@ -333,7 +333,7 @@ FOREST_PINNED = (5516, 4084)
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Theorem-2 box "
                    "bound exceeds EDwP on a re-sampled copy of the query")
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_theorem2_counterexample(backend):
     """Q = (0,-2) -> (0,0) against T, the same path with a vertex added at
     (0,-1): EDwP is 0, yet the box bound over T's own tBoxSeq reads 0.889.

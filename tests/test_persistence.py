@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import Trajectory
+from repro.core import Trajectory, UnknownBackendError, use_backend
 from repro.index import TrajForest, TrajTree
 from repro.index.persistence import (
     ShardLoadError,
@@ -206,124 +206,103 @@ class TestForestRoundTrip:
 
 
 class TestCrossBackendRoundTrip:
-    """Snapshots are backend-portable (ISSUE 9): a tree built under one
-    backend loads and answers bit-identically under another, and a
-    native-built snapshot still loads on a machine without numba — the
-    typed unavailable error surfaces at first *query*, and flipping the
-    loaded tree's ``backend`` recovers it without a rebuild.
-
-    Bit-identity across built-under/queried-under pairs is exact, not
-    toleranced: the un-jitted native kernels replay the reference DP
-    operation-for-operation, so build structure and query distances agree
-    to the last bit.
+    """Snapshots are backend-portable: a tree built under one backend loads
+    and answers under another exactly as a tree built there does (the
+    backend a query runs under fixes its bits, not the one that built the
+    tree).  A snapshot naming a backend this package no longer has (the
+    ``"native"`` tier of earlier versions) still loads: the typed
+    :class:`~repro.core.backend.UnknownBackendError` surfaces at first
+    *query*, and re-pointing the loaded tree's ``backend`` recovers it
+    without a rebuild.
     """
-
-    @staticmethod
-    def _force_native(available):
-        import repro._native as native
-        prev = native._AVAILABLE
-        native._AVAILABLE = available
-        return lambda: setattr(native, "_AVAILABLE", prev)
 
     def _probes(self, n=4):
         rng = np.random.default_rng(17)
         return [random_walk_trajectory(rng, 7) for _ in range(n)]
 
-    def test_native_built_tree_answers_under_python(self, database,
-                                                    tmp_path):
-        restore = self._force_native(True)
-        try:
-            built = TrajTree(database, num_vps=8, min_node_size=6, seed=4,
-                             backend="native")
-            save_tree(built, tmp_path / "native.pkl")
-        finally:
-            restore()
-        loaded = load_tree(tmp_path / "native.pkl")
-        assert loaded.backend == "native"
+    @staticmethod
+    def _assert_unknown_at_first_query(index, q):
+        with pytest.raises(UnknownBackendError) as excinfo:
+            index.knn(q, 5)
+        assert isinstance(excinfo.value, ValueError)
+        assert "('python', 'numpy')" in str(excinfo.value)
+
+    def test_numpy_built_tree_answers_under_python(self, database, tree,
+                                                   tmp_path):
+        built = TrajTree(database, num_vps=8, min_node_size=6, seed=4,
+                         backend="numpy")
+        save_tree(built, tmp_path / "numpy.pkl")
+        loaded = load_tree(tmp_path / "numpy.pkl")
+        assert loaded.backend == "numpy"
         loaded.backend = "python"
+        for q in self._probes():
+            assert loaded.knn(q, 5) == tree.knn(q, 5)
+            assert loaded.subtrajectory_knn(q, 3) == \
+                tree.subtrajectory_knn(q, 3)
+
+    def test_python_built_tree_answers_under_numpy(self, database, tree,
+                                                   tmp_path):
+        save_tree(tree, tmp_path / "python.pkl")
+        loaded = load_tree(tmp_path / "python.pkl")
+        loaded.backend = "numpy"
         oracle = TrajTree(database, num_vps=8, min_node_size=6, seed=4,
-                          backend="python")
+                          backend="numpy")
         for q in self._probes():
             assert loaded.knn(q, 5) == oracle.knn(q, 5)
             assert loaded.subtrajectory_knn(q, 3) == \
                 oracle.subtrajectory_knn(q, 3)
 
-    def test_python_built_tree_answers_under_native(self, tree, tmp_path):
-        save_tree(tree, tmp_path / "python.pkl")
-        loaded = load_tree(tmp_path / "python.pkl")
-        restore = self._force_native(True)
-        try:
-            loaded.backend = "native"
-            for q in self._probes():
-                assert loaded.knn(q, 5) == tree.knn(q, 5)
-                assert loaded.subtrajectory_knn(q, 3) == \
-                    tree.subtrajectory_knn(q, 3)
-        finally:
-            restore()
-
     def test_native_snapshot_loads_without_numba(self, database, tmp_path):
-        restore = self._force_native(True)
-        try:
-            built = TrajTree(database, num_vps=8, min_node_size=6, seed=4,
-                             backend="native")
-            save_tree(built, tmp_path / "native.pkl")
-        finally:
-            restore()
-        restore = self._force_native(False)
-        try:
-            # loading must not need numba (pickle restores state, it does
-            # not re-run constructor validation)...
-            loaded = load_tree(tmp_path / "native.pkl")
-            assert loaded.backend == "native"
-            # ...the typed error surfaces at first query...
-            from repro.core import NativeBackendUnavailableError
-            q = self._probes(1)[0]
-            with pytest.raises(NativeBackendUnavailableError):
-                loaded.knn(q, 5)
-            # ...and re-pointing the backend recovers without a rebuild
-            loaded.backend = "python"
-            oracle = TrajTree(database, num_vps=8, min_node_size=6, seed=4)
+        built = TrajTree(database, num_vps=8, min_node_size=6, seed=4,
+                         backend="numpy")
+        built.backend = "native"    # what an earlier native build saved
+        save_tree(built, tmp_path / "native.pkl")
+        built.backend = "numpy"
+        # loading does not validate the name (pickle restores state, it
+        # does not re-run the constructor)...
+        loaded = load_tree(tmp_path / "native.pkl")
+        assert loaded.backend == "native"
+        # ...the typed error surfaces at first query...
+        self._assert_unknown_at_first_query(loaded, self._probes(1)[0])
+        # ...and following the global switch recovers without a rebuild
+        loaded.backend = None
+        with use_backend("numpy"):
             for q in self._probes():
-                assert loaded.knn(q, 5) == oracle.knn(q, 5)
-        finally:
-            restore()
+                assert loaded.knn(q, 5) == built.knn(q, 5)
+                assert loaded.subtrajectory_knn(q, 3) == \
+                    built.subtrajectory_knn(q, 3)
 
     def test_forest_cross_backend_incl_degraded(self, database, tmp_path):
-        restore = self._force_native(True)
-        try:
-            built = TrajForest(database, num_shards=3, num_vps=4,
-                               min_node_size=6, seed=4, backend="native")
-            save_forest(built, tmp_path / "forest")
-        finally:
-            restore()
+        built = TrajForest(database, num_shards=3, num_vps=4,
+                           min_node_size=6, seed=4, backend="numpy")
+        for shard in built.shards:
+            shard.backend = "native"
+        save_forest(built, tmp_path / "forest")
         oracle = TrajForest(database, num_shards=3, num_vps=4,
                             min_node_size=6, seed=4, backend="python")
-        # healthy load, queried under python
+        # healthy load: the typed error at first query, then queried
+        # under python it answers as the python-built forest
         loaded = load_forest(tmp_path / "forest")
+        self._assert_unknown_at_first_query(loaded, self._probes(1)[0])
         for shard in loaded.shards:
             assert shard.backend == "native"
             shard.backend = "python"
         for q in self._probes():
             assert loaded.knn(q, 5) == oracle.knn(q, 5)
-        # degraded load (one shard gone) on a numba-less machine: the
-        # forest assembles, and after the backend flip it matches the
-        # same-shards python oracle exactly
+        # degraded load (one shard gone): the forest assembles, and after
+        # the backend flip it matches the same-shards python oracle exactly
         (tmp_path / "forest" / "shard_0001.pkl").unlink()
-        restore = self._force_native(False)
-        try:
-            degraded = load_forest(tmp_path / "forest",
-                                   on_shard_error="skip")
-            assert degraded.degraded
-            for shard in degraded.shards:
-                shard.backend = "python"
-            sub_oracle = TrajForest.from_shards(
-                [oracle.shards[0], oracle.shards[2]],
-                scheme=oracle.scheme, seed=oracle.seed,
-            )
-            for q in self._probes():
-                assert degraded.knn(q, 5) == sub_oracle.knn(q, 5)
-        finally:
-            restore()
+        degraded = load_forest(tmp_path / "forest", on_shard_error="skip")
+        assert degraded.degraded
+        self._assert_unknown_at_first_query(degraded, self._probes(1)[0])
+        for shard in degraded.shards:
+            shard.backend = None
+        sub_oracle = TrajForest.from_shards(
+            [oracle.shards[0], oracle.shards[2]],
+            scheme=oracle.scheme, seed=oracle.seed,
+        )
+        for q in self._probes():
+            assert degraded.knn(q, 5) == sub_oracle.knn(q, 5)
 
 
 class TestForestValidation:

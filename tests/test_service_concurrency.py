@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core import BACKENDS
 from repro.datasets import generate_beijing
 from repro.index import TrajTree
 from repro.service import (
@@ -31,29 +32,12 @@ POOL = 10
 # The service contract must hold over every kernel tier, so the whole
 # module runs once per backend (ISSUE 9).  The comparison is always
 # service-vs-serial on the *same* tree, so no cross-backend tolerance is
-# involved; backend equivalence has its own oracle tests.  "native" is
-# forced through the memoized availability probe for the lifetime of the
-# fixture: with numba the service runs over compiled kernels, without it
-# the same dispatch path runs the kernels un-jitted.
-BACKENDS_UNDER_TEST = ["python", "numpy", "native"]
-
-
-@pytest.fixture(scope="module", params=BACKENDS_UNDER_TEST)
+# involved; backend equivalence has its own oracle tests.
+@pytest.fixture(scope="module", params=BACKENDS)
 def tree(request):
     db = generate_beijing(DB_SIZE, seed=7)
-    if request.param == "native":
-        import repro._native as native
-
-        prev = native._AVAILABLE
-        native._AVAILABLE = True
-        try:
-            yield TrajTree(db, normalized=True, num_vps=6, seed=7,
-                           backend="native")
-        finally:
-            native._AVAILABLE = prev
-    else:
-        yield TrajTree(db, normalized=True, num_vps=6, seed=7,
-                       backend=request.param)
+    return TrajTree(db, normalized=True, num_vps=6, seed=7,
+                    backend=request.param)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +84,7 @@ class TestInProcessConcurrency:
         library call, and at least some requests actually shared a batch."""
         if tree.backend != "numpy" and seed != 0:
             pytest.skip("full seed sweep runs on the numpy tier only; the "
-                        "python/native tiers cover the dispatch path with "
-                        "one seed (un-jitted native is the slow worst case)")
+                        "python tier covers the dispatch path with one seed")
         rng = random.Random(seed)
         clients = 12
         per_client = 4
