@@ -76,7 +76,10 @@ def test_ablation_pruning_mechanisms(benchmark, results_dir, db, queries):
 
 
 def test_ablation_box_budget(benchmark, results_dir, db, queries):
-    """Box budget: pruning power vs bound cost."""
+    """Box budget: pruning power vs bound cost.  The node bound costs one
+    rectangle-to-segment distance per (box, query segment), and
+    construction aligns against every box; more boxes hug the members
+    more tightly."""
 
     def run():
         rows = {}

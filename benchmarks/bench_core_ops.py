@@ -1,8 +1,9 @@
 """Microbenchmarks of the core operations (complexity sanity checks).
 
 Not a paper figure: these keep the building blocks honest — EDwP and
-EDwPsub are quadratic DPs, the box bound is linear in the box budget, and
-a TrajTree query should cost a fraction of a sequential scan.
+EDwPsub are quadratic DPs, the box bound is linear in boxes × query
+segments, and a TrajTree query should cost a fraction of a sequential
+scan.
 
 The backend-comparison tests measure the vectorized numpy kernel against
 the pure-Python reference on the same 100-point trajectory pairs and
@@ -22,7 +23,7 @@ import pytest
 from repro.core import Trajectory, edwp, edwp_avg, edwp_many
 from repro.core.edwp_sub import edwp_sub
 from repro.datasets import generate_beijing
-from repro.index import TBoxSeq, TrajTree, edwp_sub_box
+from repro.index import TBoxSeq, TrajTree, edwp_sub_box_many
 
 def _pair(n1, n2, seed=0):
     rng = np.random.default_rng(seed)
@@ -105,14 +106,18 @@ def test_bench_edwp_sub(benchmark):
 
 
 def test_bench_box_lower_bound(benchmark):
+    """The node bound as the search calls it: one query against the box
+    sequences of a node's children (8 here) in one pass."""
     rng = np.random.default_rng(1)
-    group = [
-        Trajectory.from_xy(rng.normal(0, 1, (12, 2)).cumsum(axis=0))
-        for _ in range(5)
+    seqs = [
+        TBoxSeq.from_trajectories([
+            Trajectory.from_xy(rng.normal(0, 1, (12, 2)).cumsum(axis=0))
+            for _ in range(5)
+        ])
+        for _ in range(8)
     ]
-    seq = TBoxSeq.from_trajectories(group)
     q, _ = _pair(20, 2, seed=2)
-    benchmark(edwp_sub_box, q, seq)
+    benchmark(edwp_sub_box_many, q, seqs)
 
 
 @pytest.fixture(scope="module")

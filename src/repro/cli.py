@@ -45,10 +45,10 @@ the pure-Python reference DPs, and the harnesses batch each
 query-vs-database sweep through the lockstep kernels: same numbers, an
 order of magnitude less waiting on the larger sweeps (see DESIGN.md,
 "Baseline kernels").  The index experiments (fig5j, fig6a-f) additionally
-route TrajTree's Theorem-2 box bounds, frontier pruning and build-time
-pivot selection through the batched bound engine (DESIGN.md, "Index bound
-kernels") — identical trees and neighbor sets, several times faster
-queries and builds.
+run TrajTree's exact refinement and build-time pivot selection through
+the lockstep kernels (the node bound is one vectorized pass on every
+backend; DESIGN.md, "Index bound kernels") — identical trees and neighbor
+sets, several times faster queries and builds.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every distance in the package is a reference loop — the ``"python"`` tier:
 the readable cell-by-cell DP beside its docstring, and the oracle the
 test-suite compares against — that the ``"numpy"`` tier may replace with
 the anti-diagonal / lockstep-batched kernels of
-:mod:`repro.core.edwp_fast`, :mod:`repro.baselines.fast` and
-:mod:`repro.index.fast_bounds` (every dual-backend distance has one).
+:mod:`repro.core.edwp_fast` and :mod:`repro.baselines.fast` (every
+dual-backend distance has one).
 There is no compiled tier (DESIGN.md, "Compiled tier: deleted").
 
 The numpy tier declares its kernels once, next to them, as a module-level
@@ -111,12 +111,11 @@ def resolve_backend(backend: Optional[str]) -> str:
 
 
 #: The modules in which the numpy tier declares its ``KERNELS``.  They are
-#: imported on first use, not here: ``repro.baselines.fast`` and
-#: ``repro.index.fast_bounds`` load through their packages' ``__init__``,
-#: which imports the dispatchers (``baselines/dtw.py``, ``index/tboxseq.py``,
-#: ...), which import :func:`tier_kernel` from this still-initialising module.
-_NUMPY_MODULES = ("repro.core.edwp_fast", "repro.baselines.fast",
-                  "repro.index.fast_bounds")
+#: imported on first use, not here: ``repro.baselines.fast`` loads through
+#: its package's ``__init__``, which imports the dispatchers
+#: (``baselines/dtw.py``, ...), which import :func:`tier_kernel` from this
+#: still-initialising module.
+_NUMPY_MODULES = ("repro.core.edwp_fast", "repro.baselines.fast")
 
 #: ``backend -> {op: kernel}``.  The reference tier has no kernels.
 _tables: Dict[str, Dict[str, Callable]] = {"python": {}}

@@ -9,9 +9,8 @@ axis: row 0 is all zeros and the answer is the minimum of the last row.
 
 EDwPsub is asymmetric: the first argument must be fully matched.  It is the
 workhorse of TrajTree — pivot selection (Alg. 1) measures trajectory
-diversity with it, and tBoxSeq construction and query-time lower bounds
-(Theorem 2) use the generalized box-sequence form in
-:mod:`repro.index.tboxseq`.
+diversity with it, and tBoxSeq construction aligns trajectories against
+box sequences with the generalized box form in :mod:`repro.index.tboxseq`.
 """
 
 from __future__ import annotations

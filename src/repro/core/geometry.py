@@ -34,6 +34,7 @@ __all__ = [
     "polyline_rect_distance",
     "polyline_rects_distance",
     "polyline_rects_distance_bounds",
+    "segments_rects_distance",
     "segment_rect_distance",
     "segment_length",
     "polyline_length",
@@ -209,15 +210,9 @@ def polyline_rect_distance(
 ) -> float:
     """Exact minimum distance from a polyline to a rectangle, vectorized.
 
-    ``points`` is an ``(n, 2)`` array of polyline vertices.  Uses the same
-    candidate-point argument as :func:`project_rect_on_segment` — per
-    segment the minimum is attained at an endpoint, a crossing of one of
-    the rectangle's four supporting lines, or a corner projection — with
-    all candidates evaluated in one numpy pass.  This is the cheap
-    pre-filter TrajTree applies before running the full box-sequence DP,
-    in its batch-of-one form (:func:`polyline_rects_distance` is the
-    implementation; frontier batching calls it with all children's
-    rectangles at once).
+    ``points`` is an ``(n, 2)`` array of polyline vertices.  The
+    batch-of-one form of :func:`polyline_rects_distance`, which TrajTree's
+    frontier batching calls with all children's rectangles at once.
     """
     return float(
         polyline_rects_distance(points, [[xmin, ymin, xmax, ymax]])[0]
@@ -229,11 +224,11 @@ def polyline_rects_distance(points, rects) -> "object":
 
     ``points`` is an ``(n, 2)`` array of polyline vertices and ``rects`` an
     ``(r, 4)`` array of ``(xmin, ymin, xmax, ymax)`` rows.  Returns an
-    ``(r,)`` float64 array where entry ``i`` equals
-    :func:`polyline_rect_distance` against rectangle ``i`` — the same
-    ten-candidate argument, evaluated for every rectangle in one numpy
-    pass.  This is how TrajTree's frontier batching computes the cheap
-    quick-bound pre-filter for all children of a dequeued node at once.
+    ``(r,)`` float64 array: per rectangle, the minimum over the polyline's
+    segments of :func:`segments_rects_distance` (a single vertex is its
+    own point-to-rectangle distance).  This is TrajTree's quick-bound
+    pre-filter and Rule 2's exact pass; the box bound reads the same
+    per-segment matrix before taking the minimum.
     """
     import numpy as np
 
@@ -243,16 +238,35 @@ def polyline_rects_distance(points, rects) -> "object":
         raise ValueError(f"rects must be an (r, 4) array, got shape {R.shape}")
     if pts.shape[0] == 0:
         raise ValueError("empty polyline has no distance")
+    if pts.shape[0] == 1:
+        px = pts[0, 0]
+        py = pts[0, 1]
+        dx = np.maximum(np.maximum(R[:, 0] - px, px - R[:, 2]), 0.0)
+        dy = np.maximum(np.maximum(R[:, 1] - py, py - R[:, 3]), 0.0)
+        return np.hypot(dx, dy)
+    return segments_rects_distance(pts, R).min(axis=1)
+
+
+def segments_rects_distance(points, rects) -> "object":
+    """Per-segment distances: an ``(r, n)`` matrix whose entry ``[i, s]``
+    is the distance from segment ``s`` of the polyline ``points`` (``n +
+    1 >= 2`` vertices) to rectangle ``i`` of the ``(r, 4)`` array
+    ``rects``.
+
+    Per segment the minimum is attained at one of the ten candidates of
+    :func:`project_rect_on_segment` — an endpoint, a crossing of one of
+    the rectangle's four supporting lines, or a corner projection — and
+    all candidates for every (rectangle, segment) pair are evaluated in
+    one numpy pass.
+    """
+    import numpy as np
+
+    pts = np.asarray(points, dtype=np.float64)
+    R = np.asarray(rects, dtype=np.float64)
     xmin = R[:, 0][:, None, None]
     ymin = R[:, 1][:, None, None]
     xmax = R[:, 2][:, None, None]
     ymax = R[:, 3][:, None, None]
-    if pts.shape[0] == 1:
-        px = pts[0, 0]
-        py = pts[0, 1]
-        dx = np.maximum(np.maximum(xmin - px, px - xmax), 0.0)
-        dy = np.maximum(np.maximum(ymin - py, py - ymax), 0.0)
-        return np.hypot(dx, dy)[:, 0, 0]
 
     a = pts[:-1]                          # (n, 2)
     d = pts[1:] - a                       # (n, 2)
@@ -289,7 +303,7 @@ def polyline_rects_distance(points, rects) -> "object":
     py = ay + ts * dy
     ddx = np.maximum(np.maximum(xmin - px, px - xmax), 0.0)
     ddy = np.maximum(np.maximum(ymin - py, py - ymax), 0.0)
-    return np.sqrt(ddx * ddx + ddy * ddy).min(axis=(1, 2))
+    return np.sqrt(ddx * ddx + ddy * ddy).min(axis=2)
 
 
 def polyline_rects_distance_bounds(points, rects):

@@ -6,9 +6,9 @@ Public surface:
 * :class:`~repro.index.tboxseq.TBoxSeq`,
   :func:`~repro.index.tboxseq.edwp_sub_box` and
   :func:`~repro.index.tboxseq.edwp_sub_box_many` — box sequences and the
-  Theorem-2 lower bound (single and batched forms).
-* :mod:`~repro.index.fast_bounds` — the vectorized ``"numpy"`` realization
-  of the bound kernels (see DESIGN.md, "Index bound kernels").
+  Theorem-2 node bound ``2 · Σ_s |s| · dist(s, ∪B)``, one vectorized pass
+  on every backend (single and batched forms; DESIGN.md, "Index bound
+  kernels").
 * :func:`~repro.index.partition.partition` — pivot partitioning (Alg. 1).
 * :class:`~repro.index.vantage.VantageIndex` — Lipschitz-style vantage
   descriptors and the VP-based upper bound (Sec. IV-E).

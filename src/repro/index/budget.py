@@ -12,7 +12,7 @@ VP bound (Eq. 15, Figs. 6c/d; measured by :mod:`repro.eval.ubfactor`).
 Three pieces realize that contract:
 
 * :class:`QueryBudget` — an immutable, hashable budget declaration: a
-  wall-clock ``deadline`` (seconds), a ``max_bounds`` cap on box-DP
+  wall-clock ``deadline`` (seconds), a ``max_bounds`` cap on box
   bound evaluations, and an early-termination factor ``epsilon``
   (stop once the frontier cannot improve the k-th distance by more
   than ``1 + epsilon``).  Hashability makes budgets usable in
@@ -71,7 +71,7 @@ class QueryBudget:
         kernel call can overshoot by its own duration — the budget
         bounds *search effort*, it is not a hard preemption.
     max_bounds:
-        Cap on box-DP bound evaluations (the ``bound_computations``
+        Cap on box bound evaluations (the ``bound_computations``
         counter of :class:`~repro.index.trajtree.TrajTreeStats`);
         ``None`` = unlimited.  This one *is* a hard ceiling: the search
         clamps its batched bound calls to the remaining allowance.
@@ -202,7 +202,7 @@ class BudgetTracker:
         self._reason: Optional[str] = None
 
     def charge_bounds(self, n: int) -> None:
-        """Record ``n`` box-DP bound evaluations."""
+        """Record ``n`` box bound evaluations."""
         self.bounds_charged += n
 
     def remaining_bounds(self) -> Optional[int]:

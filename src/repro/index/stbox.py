@@ -10,12 +10,10 @@ shortest thing inside it.
 Boxes only ever *grow* (inserting trajectories into a TrajTree node expands
 boxes), so the class is immutable and expansion returns new instances.
 
-The scalar geometry here (``dist_point``, ``project_on_segment``) is the
-reference formulation consumed by the pure-Python bound DP; the vectorized
-``"numpy"`` bound backend consumes whole box sequences as aligned arrays
-instead (``TBoxSeq.geometry()`` / :mod:`repro.index.fast_bounds` — see
-DESIGN.md, "Index bound kernels") and mirrors these operations
-element-wise.
+The scalar geometry here (``dist_point``, ``project_on_segment``) is what
+the construction alignment (``repro.index.tboxseq._box_dp``) consumes; the
+node bound reads whole box sequences as arrays instead
+(``TBoxSeq.geometry()`` — see DESIGN.md, "Index bound kernels").
 """
 
 from __future__ import annotations

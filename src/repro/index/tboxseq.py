@@ -1,4 +1,4 @@
-"""Trajectory box sequences and the box-generalized EDwPsub (Sec. IV-A/B/C).
+"""Trajectory box sequences and the Theorem-2 node bound (Sec. IV-A/B/C).
 
 A tBoxSeq summarizes a *set* of trajectories as an ordered sequence of
 st-boxes.  Two operations matter:
@@ -6,31 +6,19 @@ st-boxes.  Two operations matter:
 * **Construction** (Sec. IV-B): a tBoxSeq starts from a single trajectory
   (one box per segment, compacted) and absorbs further trajectories by
   aligning them against the existing boxes with the box-generalized EDwPsub
-  and growing every box by the pieces matched to it.
-* **Lower bounding** (Sec. IV-C, Theorem 2): ``edwp_sub_box(Q, B)`` runs the
-  same EDwPsub dynamic program with the generalized primitives — point-to-box
-  distances, projections of boxes onto segments, and Coverage using the box's
-  ``minL`` — yielding a cheap underestimate of ``EDwP(Q, T)`` for the
-  trajectories ``T`` summarized by ``B``.
-
-The DP mirrors :func:`repro.core.edwp._edwp_dp` with the second axis ranging
-over boxes, with one crucial change to the cost model.  A true EDwP
-alignment may split a query segment at arbitrary interior points; costing a
-consumed piece as ``(d(start) + d(end)) * len`` (the chord/trapezoid form)
-can then *overestimate* what the finely-split true alignment pays, because
-the distance-to-box profile along a segment is convex — the chord lies
-above the curve.  Every true edit with query piece ``P`` and trajectory
-piece ``P_T`` costs at least ``2 * integral of d_box over P`` (trapezoid >=
-integral for convex profiles) plus ``2 * min_P(d_box) * |P_T|``; both terms
-are additive over arbitrary splits, so the DP uses them directly:
-
-* consuming a piece costs ``2 * ∫ d_box`` (midpoint rule, which
-  *under*-estimates convex integrals — soundness is preserved);
-* consuming a *box* additionally costs ``2 * d_min * minL`` with ``d_min``
-  the exact minimum distance from the piece to the box (the projection).
-
-This makes the bound robust to how the true alignment subdivides segments;
-the Theorem-2 property tests exercise it on adversarial inputs.
+  DP (:func:`edwp_sub_box_alignment`) and growing every box by the pieces
+  matched to it.  The pieces tile the trajectory, so every point of every
+  summarized trajectory lies inside the union of the boxes.
+* **Lower bounding** (Sec. IV-C, Theorem 2): ``edwp_sub_box(Q, B)`` is
+  ``2 · Σ_s |s| · dist(s, ∪B)`` over the query's segments ``s``.  Every
+  piece of an EDwP or EDwPsub alignment lies inside one query segment and
+  costs ``(d(start) + d(end)) · (|piece| + |T piece|)`` with both
+  trajectory positions on a member, hence inside ``∪B`` — at least
+  ``2 · |piece| · dist(s, ∪B)``; the pieces of ``s`` sum to ``|s|``.  So
+  the value never exceeds ``EDwPsub(Q, T) <= EDwP(Q, T)`` for any member
+  ``T``.  This deviates from the paper, which runs the box-generalized
+  DP here: that DP is not a lower bound (DESIGN.md, "Index bound
+  kernels").
 """
 
 from __future__ import annotations
@@ -41,11 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.backend import tier_kernel
 from ..core.edwp import _spatial_points
-from ..core.geometry import Point, point_distance
+from ..core.geometry import Point, point_distance, segments_rects_distance
 from ..core.trajectory import Trajectory
-from . import fast_bounds
 from .stbox import STBox
 
 __all__ = [
@@ -64,10 +50,49 @@ _SKIP = 3
 _OP_NAMES = {_REP: "rep", _INS_T: "ins_t", _INS_B: "ins_b"}
 
 #: Default cap on the number of boxes per tBoxSeq.  Box count multiplies the
-#: cost of every query-time lower bound, so node summaries stay coarse; 12
-#: was tuned on the synthetic Beijing workload (pruning power saturates
-#: while bound cost keeps rising with more boxes).
+#: cost of every node bound (one rectangle-to-segment distance per box and
+#: query segment) and of every construction alignment, so node summaries
+#: stay coarse; 12 was tuned on the synthetic Beijing workload (pruning
+#: power saturates while bound cost keeps rising with more boxes).
 DEFAULT_MAX_BOXES = 12
+
+
+class BoxGeometry:
+    """A box sequence as arrays: ``rects``, ``(m, 4)`` rows of ``(xmin,
+    ymin, xmax, ymax)``, and the per-box ``minL`` as ``min_len``.
+
+    Built once per ``TBoxSeq`` by :meth:`TBoxSeq.geometry`, never pickled,
+    and treated as read-only.
+    """
+
+    __slots__ = ("rects", "min_len")
+
+    def __init__(self, rects: np.ndarray, min_len: np.ndarray):
+        self.rects = rects
+        self.min_len = min_len
+
+    def __len__(self) -> int:
+        return self.rects.shape[0]
+
+    xmin = property(lambda self: self.rects[:, 0])
+    ymin = property(lambda self: self.rects[:, 1])
+    xmax = property(lambda self: self.rects[:, 2])
+    ymax = property(lambda self: self.rects[:, 3])
+
+    @property
+    def areas(self) -> np.ndarray:
+        """Per-box spatial areas (the Definition-5 volume summands)."""
+        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
+
+
+def box_geometry(boxes: Sequence[STBox]) -> BoxGeometry:
+    """Pack a sequence of :class:`~repro.index.stbox.STBox` into arrays."""
+    arr = np.array(
+        [(b.xmin, b.ymin, b.xmax, b.ymax, b.min_len) for b in boxes],
+        dtype=np.float64,
+    ).reshape(len(boxes), 5)
+    return BoxGeometry(np.ascontiguousarray(arr[:, :4]),
+                       np.ascontiguousarray(arr[:, 4]))
 
 
 @dataclass(frozen=True)
@@ -96,7 +121,7 @@ class TBoxSeq:
         if not boxes:
             raise ValueError("a tBoxSeq needs at least one box")
         self.boxes = list(boxes)
-        self._geom: Optional[fast_bounds.BoxGeometry] = None
+        self._geom: Optional[BoxGeometry] = None
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -116,8 +141,8 @@ class TBoxSeq:
         (self.boxes,) = state
         self._geom = None
 
-    def geometry(self) -> fast_bounds.BoxGeometry:
-        """Cached array form of the boxes (see ``repro.index.fast_bounds``).
+    def geometry(self) -> BoxGeometry:
+        """Cached array form of the boxes (:class:`BoxGeometry`).
 
         Built on first use and reused for every subsequent bound against
         this sequence.  Construction never mutates a sequence in place —
@@ -133,7 +158,7 @@ class TBoxSeq:
         """
         geom = self._geom
         if geom is None:
-            geom = fast_bounds.box_geometry(self.boxes)
+            geom = box_geometry(self.boxes)
             self._geom = geom
         return geom
 
@@ -362,27 +387,76 @@ def least_growth(
 
 
 # ---------------------------------------------------------------------- #
-# the box-generalized EDwPsub dynamic program
+# the Theorem-2 node bound
+# ---------------------------------------------------------------------- #
+
+
+#: Relative rounding margin of :func:`edwp_sub_box_many`: covers the
+#: summation error of the bound and of the distance it is compared with
+#: while query and member together have fewer than ~4 million points
+#: (DESIGN.md, "Index bound kernels").
+_BOUND_SHRINK = 1.0 - 2.0 ** -30
+
+
+def edwp_sub_box(traj: Trajectory, seq: TBoxSeq) -> float:
+    """The Theorem-2 lower bound of ``traj`` against one box sequence
+    (a batch of one of :func:`edwp_sub_box_many`)."""
+    return edwp_sub_box_many(traj, [seq])[0]
+
+
+def edwp_sub_box_many(
+    traj: Trajectory, seqs: Sequence[TBoxSeq]
+) -> List[float]:
+    """Theorem-2 bounds of one trajectory against many box sequences.
+
+    Per sequence ``2 · Σ_s |s| · dist(s, ∪B)`` over the query segments
+    ``s`` (module docstring): one ten-candidate pass computes the
+    ``(boxes × segments)`` distance matrix of all sequences at once, a
+    per-sequence minimum turns it into ``dist(s, ∪B)``, and a product
+    with the segment lengths sums it.  Each per-segment distance is
+    shrunk by a band of ``32 ε`` times the largest coordinate and the sum
+    by :data:`_BOUND_SHRINK`, so the *computed* bound stays below the
+    *computed* EDwP and EDwPsub; past ``1e150``, where the pass's squares
+    can overflow, the bound is 0.  A trajectory with no segments gets 0.
+    """
+    seqs = list(seqs)
+    if traj.num_segments == 0 or not seqs:
+        return [0.0] * len(seqs)
+    geoms = [seq.geometry() for seq in seqs]
+    sizes = np.array([len(g) for g in geoms])
+    starts = np.cumsum(sizes) - sizes
+    rects = np.concatenate([g.rects for g in geoms])
+    pts = traj.coords()
+    dmin = np.minimum.reduceat(segments_rects_distance(pts, rects), starts,
+                               axis=0)
+    scale = np.maximum(np.maximum.reduceat(np.abs(rects).max(axis=1),
+                                           starts), np.abs(pts).max())
+    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
+    dmin = np.fmax(dmin - band[:, None], 0.0)      # a NaN distance -> 0
+    # A row-wise sum, not a matrix product: BLAS may associate differently
+    # per batch shape, and a node's bound must not depend on its batch.
+    bounds = 2.0 * (dmin * traj.segment_lengths()).sum(axis=1) * _BOUND_SHRINK
+    bounds[~(scale <= 1e150)] = 0.0
+    return bounds.tolist()
+
+
+# ---------------------------------------------------------------------- #
+# the construction alignment: box-generalized EDwPsub DP
 # ---------------------------------------------------------------------- #
 
 
 def _box_dp(
-    pts: Sequence[Point],
-    boxes: Sequence[STBox],
-    keep_parents: bool,
-    free_start_row: bool = True,
-) -> Tuple[
-    List[List[float]],
-    Optional[List[List[int]]],
-    List[List[Point]],
-]:
+    pts: Sequence[Point], boxes: Sequence[STBox]
+) -> Tuple[List[List[float]], List[List[int]], List[List[Point]]]:
     """Free-start / free-end DP of a trajectory against a box sequence.
 
     State ``(i, j)``: ``i`` trajectory segments and ``j`` boxes consumed.
     Cell payload is the current position on the trajectory (boxes have no
-    interior position).  Row 0 is free (prefix skip) unless
-    ``free_start_row`` is off (the PrefixDist-style anchored pass); the
-    caller minimizes over the last row (suffix skip).
+    interior position).  Row 0 is free (prefix skip); the caller
+    minimizes over the last row (suffix skip).  Consuming a piece costs
+    ``2 * ∫ d_box`` (3-point midpoint rule) and consuming a box adds
+    ``2 * d_min * minL``.  Only construction reads it, for the alignment;
+    it is not a lower bound (DESIGN.md, "Index bound kernels").
     """
     n = len(pts) - 1
     m = len(boxes)
@@ -391,31 +465,18 @@ def _box_dp(
 
     cost = [[inf] * cols for _ in range(rows)]
     pos: List[List[Point]] = [[(0.0, 0.0)] * cols for _ in range(rows)]
-    parents: Optional[List[List[int]]] = (
-        [[-1] * cols for _ in range(rows)] if keep_parents else None
-    )
+    parents = [[-1] * cols for _ in range(rows)]
 
     start = pts[0]
-    if free_start_row:
-        for j in range(cols):
-            cost[0][j] = 0.0
-            pos[0][j] = start
-            if parents is not None:
-                parents[0][j] = _SKIP
-    else:
-        cost[0][0] = 0.0
-        pos[0][0] = start
-        if parents is not None:
-            parents[0][0] = _SKIP
+    for j in range(cols):
+        cost[0][j] = 0.0
+        pos[0][j] = start
+        parents[0][j] = _SKIP
 
     dist = point_distance
 
     def piece_cost(cur: Point, end: Point, box: STBox) -> float:
-        """``2 * ∫ d_box`` over the piece, by the 3-point midpoint rule.
-
-        Midpoint sums under-estimate integrals of convex profiles, so the
-        value never exceeds what any true alignment pays for this piece.
-        """
+        """``2 * ∫ d_box`` over the piece, by the 3-point midpoint rule."""
         length = dist(cur, end)
         if length == 0.0:
             return 0.0
@@ -427,18 +488,16 @@ def _box_dp(
             acc += box.dist_point((cx + dx * f, cy + dy * f))
         return 2.0 * length * (acc / 3.0)
 
-    for i in range(rows):
+    for i in range(1, rows):
         row_cost = cost[i]
         row_pos = pos[i]
         for j in range(cols):
-            if i == 0 and (free_start_row or j == 0):
-                continue
             best = inf
             best_pos = (0.0, 0.0)
             best_op = -1
 
             # rep: consume segment piece [cur, pts[i]] and box j-1.
-            if i > 0 and j > 0:
+            if j > 0:
                 c = cost[i - 1][j - 1]
                 if c < inf:
                     cur = pos[i - 1][j - 1]
@@ -476,9 +535,8 @@ def _box_dp(
                         best_op = _INS_T
 
             # ins on B: consume the segment piece against the *current*
-            # (still unconsumed) box.  Zero box-length coverage keeps the
-            # bound an underestimate when several segments share one box.
-            c = cost[i - 1][j] if i > 0 else inf
+            # (still unconsumed) box.
+            c = cost[i - 1][j]
             if c < inf:
                 cur = pos[i - 1][j]
                 box = boxes[j] if j < m else boxes[m - 1]
@@ -492,88 +550,18 @@ def _box_dp(
 
             row_cost[j] = best
             row_pos[j] = best_pos
-            if parents is not None:
-                parents[i][j] = best_op
+            parents[i][j] = best_op
 
     return cost, parents, pos
-
-
-def edwp_sub_box(
-    traj: Trajectory,
-    seq: TBoxSeq,
-    thorough: bool = False,
-    backend: Optional[str] = None,
-) -> float:
-    """``EDwPsub(T, B)`` for a box sequence — the Theorem-2 lower bound.
-
-    Returns 0 for a trajectory with no segments (nothing to align).
-
-    With ``thorough`` the value is the minimum of the free-start and the
-    anchored (PrefixDist-style) DP passes, mirroring
-    :func:`repro.core.edwp_sub.edwp_sub`; the default single free-start
-    pass is what query-time pruning uses — half the cost, and still an
-    empirical underestimate of ``EDwP(Q, T)`` (validated by the Theorem-2
-    property tests).
-
-    ``backend`` overrides the global backend (see
-    :func:`repro.core.set_backend`): ``"python"`` runs the reference DP in
-    this module, ``"numpy"`` the vectorized kernel of
-    :mod:`repro.index.fast_bounds` (same value to float tolerance).  For
-    bounding one query against *many* sequences use
-    :func:`edwp_sub_box_many`, which is where the numpy backend's lockstep
-    batching pays off.
-    """
-    if traj.num_segments == 0:
-        return 0.0
-    kernel = tier_kernel("edwp_sub_box", backend)
-    if kernel is not None:
-        return kernel(traj, seq.geometry(), thorough=thorough)
-    pts = _spatial_points(traj)
-    n = len(pts) - 1
-    free, _, _ = _box_dp(pts, seq.boxes, keep_parents=False)
-    value = min(free[n])
-    if thorough:
-        anchored, _, _ = _box_dp(pts, seq.boxes, keep_parents=False,
-                                 free_start_row=False)
-        value = min(value, min(anchored[n]))
-    return value
-
-
-def edwp_sub_box_many(
-    traj: Trajectory,
-    seqs: Sequence[TBoxSeq],
-    thorough: bool = False,
-    backend: Optional[str] = None,
-) -> List[float]:
-    """Theorem-2 bounds of one trajectory against many box sequences.
-
-    The batched entry point of the index bound: on the ``"numpy"`` backend
-    all sequences run through the lockstep kernel
-    (:func:`repro.index.fast_bounds.edwp_sub_box_many_numpy`) in padded
-    chunks, reusing each sequence's cached geometry arrays; on
-    ``"python"`` it is a plain loop over the reference DP.  TrajTree's
-    frontier batching routes every child-bound computation through this.
-    """
-    seqs = list(seqs)
-    if traj.num_segments == 0:
-        return [0.0] * len(seqs)
-    kernel = tier_kernel("edwp_sub_box_many", backend)
-    if kernel is not None:
-        return kernel(traj, [seq.geometry() for seq in seqs],
-                      thorough=thorough)
-    return [
-        edwp_sub_box(traj, seq, thorough=thorough, backend=backend)
-        for seq in seqs
-    ]
 
 
 def edwp_sub_box_alignment(
     traj: Trajectory, seq: TBoxSeq
 ) -> Tuple[float, List[BoxEdit]]:
-    """Free-start lower-bound value plus the per-edit alignment.
-
-    Construction (``with_trajectory``) consumes the alignment; the
-    single-pass value matches the default :func:`edwp_sub_box`.
+    """The construction alignment of ``traj`` against the boxes: the DP's
+    value plus its per-edit backtrack, whose pieces tile ``traj`` from its
+    first to its last sample.  ``with_trajectory`` grows each box by the
+    pieces matched to it.
     """
     if traj.num_segments == 0:
         return 0.0, []
@@ -581,9 +569,8 @@ def edwp_sub_box_alignment(
     boxes = seq.boxes
     n = len(pts) - 1
     m = len(boxes)
-    cost, parents, pos = _box_dp(pts, boxes, keep_parents=True)
+    cost, parents, pos = _box_dp(pts, boxes)
     j = min(range(m + 1), key=cost[n].__getitem__)
-    assert parents is not None
     value = cost[n][j]
     i = n
     edits: List[BoxEdit] = []

@@ -1,9 +1,11 @@
 """TrajTree — hierarchical index for exact k-NN retrieval under EDwP.
 
 Paper Sec. IV-D..G.  Every node summarizes the trajectories of its subtree
-with (a) a tBoxSeq, whose box-generalized EDwPsub gives a *lower bound* on
-the distance from a query to anything below the node (Theorem 2), and (b) a
-set of vantage points with descriptors for the whole subtree, whose
+with (a) a tBoxSeq, whose boxes cover every member and so give a *lower
+bound* on the distance from a query to anything below the node (Theorem 2,
+in the per-segment form of :func:`~repro.index.tboxseq.edwp_sub_box_many`;
+DESIGN.md, "Index bound kernels"), and (b) a set of vantage points with
+descriptors for the whole subtree, whose
 descriptor-space top-k gives a cheap *upper bound* on the k-NN distance
 (Eq. 14).  Querying (Alg. 2) is a best-first search: nodes are dequeued in
 lower-bound order, each dequeued node refines the upper bound through its
@@ -70,10 +72,10 @@ class TrajTreeStats:
       (discarded — by the quick bound, by the box bound, or in bulk when
       the best-first frontier's minimum bound passes the k-th distance).
     * ``quick_bound_computations`` counts union-rectangle pre-filter
-      evaluations and ``bound_computations`` counts box-DP bound
-      evaluations — a batched kernel call over ``c`` nodes adds ``c``.
-      Quick-bound prunes therefore do *not* touch ``bound_computations``
-      (no DP ran for them).
+      evaluations and ``bound_computations`` counts box bound
+      evaluations (``edwp_sub_box_many``) — a batched call over ``c``
+      nodes adds ``c``.  Quick-bound prunes therefore do *not* touch
+      ``bound_computations`` (no box bound ran for them).
     * ``exact_computations`` counts exact distances actually evaluated
       (VP-offered candidates and refined leaf members).
       ``members_pruned`` counts members skipped by the per-member bound
@@ -542,15 +544,9 @@ class TrajTree:
     def _bounds_many_raw(
         self, query: Trajectory, nodes: Sequence[_Node]
     ) -> List[float]:
-        """Raw (unnormalized) box-DP bounds, one batched kernel call.
-
-        On the ``"numpy"`` backend all nodes run through the lockstep
-        kernel of :mod:`repro.index.fast_bounds`; on ``"python"`` the
-        reference DP runs per node.
-        """
-        return edwp_sub_box_many(
-            query, [node.boxseq for node in nodes], backend=self.backend
-        )
+        """Raw (unnormalized) Theorem-2 box bounds of many nodes in one
+        vectorized pass (the same on every backend)."""
+        return edwp_sub_box_many(query, [node.boxseq for node in nodes])
 
     @staticmethod
     def _quick_bounds_many_raw(
@@ -645,7 +641,7 @@ class TrajTree:
         ``budget`` (optional — a :class:`~repro.index.budget.QueryBudget`
         or a ticking :class:`~repro.index.budget.BudgetTracker`) makes the
         search *anytime*: the budget is checked at every frontier pop, the
-        bound allowance clamps the batched box-DP calls, and on exhaustion
+        bound allowance clamps the batched box bound calls, and on exhaustion
         the search drains its deferred refinements in one batched call and
         returns an :class:`~repro.index.budget.AnytimeResult` carrying
         ``exact``, the frontier's residual lower bound and the implied
@@ -735,7 +731,7 @@ class TrajTree:
             stats.nodes_visited += 1
 
             # A leaf, or an internal node one flush can hold, is refined
-            # whole: descending would pay a quick-bound and a box-DP call
+            # whole: descending would pay a quick-bound and a box-bound call
             # per level to save part of one lockstep call.
             whole = node.is_leaf or node.count() <= REFINE_FLUSH
 
@@ -796,7 +792,7 @@ class TrajTree:
             stats.nodes_pruned += len(children) - len(survivors)
             if not survivors:
                 continue
-            # The bound allowance is a hard ceiling: the batched box-DP
+            # The bound allowance is a hard ceiling: the batched box-bound
             # call is clamped to what the budget still allows, and any
             # survivors past the allowance enqueue keyed by their quick
             # bound instead (still a valid lower bound, so the residual
@@ -1052,16 +1048,17 @@ class TrajTree:
         """k trajectories containing the sub-trajectory most similar to
         ``query`` under ``EDwPsub`` (Eq. 6).
 
-        The box-sequence bound underestimates ``EDwPsub(Q, T)`` for the
-        same reason it underestimates ``EDwP(Q, T)`` (sub-alignment only
-        removes cost), so the best-first search carries over — including
-        the quick union-rectangle pre-filter, which only relies on the
-        query being fully consumed (see :meth:`_quick_bounds_many_raw`).
+        The box bound and the quick union-rectangle pre-filter rely only
+        on the query being fully consumed (see
+        :func:`~repro.index.tboxseq.edwp_sub_box_many` and
+        :meth:`_quick_bounds_many_raw`), so both underestimate
+        ``EDwPsub(Q, T)`` as they do ``EDwP(Q, T)`` and the best-first
+        search carries over.
         Distances are raw ``EDwPsub`` values (length normalization is not
         meaningful when only part of the target is matched); leaf
         refinement batches them through
         :func:`repro.core.edwp_sub.edwp_sub_many`, and child bounds run
-        through the same batched box kernel as :meth:`knn`.  ``stats``
+        through the same batched box bound as :meth:`knn`.  ``stats``
         (optional) accumulates the same counters as :meth:`knn`;
         ``budget`` (optional) follows :meth:`knn`'s anytime contract.
         """

@@ -16,8 +16,8 @@ documents the layout and the offsets contract.
 The slice *is* the trajectory: :meth:`ColumnarStore.trajectory` wraps it
 in a :class:`~repro.core.trajectory.Trajectory` without copying, so a
 store loaded with ``mmap_mode="r"`` serves trajectory data straight off
-the page cache and the batched kernels (``edwp_many``,
-``repro.index.fast_bounds``) consume store-backed trajectories unchanged
+the page cache and the batched kernels (``edwp_many``, the node bound
+``edwp_sub_box_many``) consume store-backed trajectories unchanged
 — their first :meth:`~repro.core.trajectory.Trajectory.coords` call makes
 the same contiguous spatial copy it makes for object-backed trajectories,
 and every distance is bit-identical

@@ -1,10 +1,12 @@
 """Two-backend differential harness.
 
 One parameterized oracle matrix runs shared hypothesis strategies over
-every dual-backend kernel — the EDwP family, the five baseline DPs and
-the Theorem-2 box bound — and checks the ``"numpy"`` backend against the
-pure-Python reference to ``1e-9`` relative (exact for the integer
-edit/match counts and for ``inf``).
+every dual-backend kernel — the EDwP family and the five baseline DPs —
+and checks the ``"numpy"`` backend against the pure-Python reference to
+``1e-9`` relative (exact for the integer edit/match counts and for
+``inf``).  The Theorem-2 box bound is one pass on every backend; the
+matrix checks that the switch leaves it unmoved and that it matches its
+scalar definition.
 
 The strategies deliberately cover the shapes that break DP kernels:
 ragged length pairs, length-1 trajectories (zero segments), duplicate
@@ -40,6 +42,8 @@ from repro.baselines.frechet import discrete_frechet, frechet_many
 from repro.baselines.lcss import lcss_distance_many, lcss_length
 from repro.baselines.registry import get_distance
 from repro.index.tboxseq import TBoxSeq, edwp_sub_box, edwp_sub_box_many
+
+from helpers import assert_bound_matches
 
 #: The non-reference columns of the matrix, each checked against python.
 MATRIX_BACKENDS = ["numpy"]
@@ -114,10 +118,8 @@ eps_grid = st.sampled_from([0.25, 0.5, 1.0])
 MATRIX_SETTINGS = settings(max_examples=25, deadline=None)
 
 # Pinned box-bound inputs from the subnormal range, which the free-coordinate
-# strategy only reaches by luck: distances whose square underflows to 0 (the
-# numpy kernel's squared-distance selection used to tie them with touching
-# candidates), and a segment delta small enough to overflow the projection
-# quotients to inf.
+# strategy only reaches by luck: distances whose square underflows to 0, and
+# a segment delta small enough to overflow the projection quotients to inf.
 SUBNORMAL_BASE = Trajectory([
     (32.53741809216267, 50.0), (1e-200, 2.2e-308),
     (-50.0, -9.734766108902889), (8.100079331535227, 45.172126886951744),
@@ -221,30 +223,29 @@ class TestBackendMatrix:
 
     @MATRIX_SETTINGS
     @given(base=trajectories(min_len=2), q=trajectories(),
-           max_boxes=st.sampled_from([2, 4, 8]),
-           thorough=st.booleans())
-    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DIST_QUERY, max_boxes=4,
-             thorough=True)
-    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DELTA_QUERY, max_boxes=4,
-             thorough=True)
-    def test_box_bound(self, backend, base, q, max_boxes, thorough):
+           max_boxes=st.sampled_from([2, 4, 8]))
+    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DIST_QUERY, max_boxes=4)
+    @example(base=SUBNORMAL_BASE, q=SUBNORMAL_DELTA_QUERY, max_boxes=4)
+    def test_box_bound(self, backend, base, q, max_boxes):
         seq = TBoxSeq.from_trajectory(base, max_boxes=max_boxes)
-        assert_matches(
-            edwp_sub_box(q, seq, thorough=thorough, backend="python"),
-            edwp_sub_box(q, seq, thorough=thorough, backend=backend),
-        )
+        with use_backend(backend):
+            got = edwp_sub_box(q, seq)
+        with use_backend("python"):
+            assert edwp_sub_box(q, seq) == got
+        assert_bound_matches(q, [seq])
 
     @MATRIX_SETTINGS
     @given(bases=st.lists(trajectories(min_len=2), min_size=0, max_size=4),
-           q=trajectories(), thorough=st.booleans())
-    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DIST_QUERY, thorough=True)
-    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DELTA_QUERY, thorough=True)
-    def test_box_bound_many(self, backend, bases, q, thorough):
+           q=trajectories())
+    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DIST_QUERY)
+    @example(bases=[SUBNORMAL_BASE], q=SUBNORMAL_DELTA_QUERY)
+    def test_box_bound_many(self, backend, bases, q):
         seqs = [TBoxSeq.from_trajectory(b, max_boxes=4) for b in bases]
-        assert_lists_match(
-            edwp_sub_box_many(q, seqs, thorough=thorough, backend="python"),
-            edwp_sub_box_many(q, seqs, thorough=thorough, backend=backend),
-        )
+        with use_backend(backend):
+            got = edwp_sub_box_many(q, seqs)
+        with use_backend("python"):
+            assert edwp_sub_box_many(q, seqs) == got
+        assert_bound_matches(q, seqs)
 
     @MATRIX_SETTINGS
     @given(q=trajectories(min_len=0), targets=batches(min_len=0))

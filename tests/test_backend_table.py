@@ -21,14 +21,11 @@ from repro.core.edwp_sub import (
     edwp_sub, edwp_sub_fast, edwp_sub_fast_queries, edwp_sub_many,
     prefix_dist,
 )
-from repro.index import fast_bounds
-from repro.index.tboxseq import TBoxSeq, edwp_sub_box, edwp_sub_box_many
 
 SRC = Path(repro.__file__).resolve().parent
 
 T1 = Trajectory([(0, 0, 0), (3, 4, 1), (6, 0, 2)])
 T2 = Trajectory([(1, 1, 0), (4, 5, 1), (7, 1, 2), (8, 2, 3)])
-SEQ = TBoxSeq.from_trajectory(T2, max_boxes=3)
 
 
 class TestFallbackOrder:
@@ -39,9 +36,13 @@ class TestFallbackOrder:
     def test_numpy_has_a_kernel_or_none(self):
         assert tier_kernel("edwp", "numpy") is edwp_fast.edwp_numpy
         assert tier_kernel("dtw", "numpy") is fast.dtw_numpy
-        assert tier_kernel("edwp_sub_box_many", "numpy") \
-            is fast_bounds.edwp_sub_box_many_numpy
         assert tier_kernel("no_such_op", "numpy") is None
+
+    def test_the_box_bound_has_no_tier(self):
+        """The node bound is one vectorized pass on every backend."""
+        for backend in ("python", "numpy"):
+            assert not [op for op in backend_mod._table(backend)
+                        if op.startswith("edwp_sub_box")]
 
     def test_none_follows_the_global_switch(self):
         assert tier_kernel("edwp", None) is None      # default: python
@@ -86,8 +87,6 @@ DISPATCHERS = {
     "frechet_many": lambda b: frechet_many(T1, [T2], backend=b),
     "dissim": lambda b: dissim(T1, T2, backend=b),
     "directed_hausdorff": lambda b: directed_hausdorff(T1, T2, backend=b),
-    "edwp_sub_box": lambda b: edwp_sub_box(T1, SEQ, backend=b),
-    "edwp_sub_box_many": lambda b: edwp_sub_box_many(T1, [SEQ], backend=b),
 }
 
 

@@ -50,7 +50,7 @@ def test_design_md_keeps_promised_sections():
                     "<= eps", "delta > 0", "DistanceSpec.symmetric"):
         assert keyword in text, f"DESIGN.md lost {keyword!r}"
     # the index-bound-kernels section must keep its sub-contracts
-    for keyword in ("repeating their final box", "geometry()",
+    for keyword in ("dist(s, ∪B)", "Rounding margin", "geometry()",
                     "distance_rows", "REFINE_FLUSH", "members_pruned",
                     "fig6a_bound_gate"):
         assert keyword in text, f"DESIGN.md lost {keyword!r}"

@@ -1,11 +1,12 @@
-"""The vectorized index bound engine (``repro.index.fast_bounds``).
+"""The index's array paths: box geometry, the node bound, the pivot kernel.
 
-Covers the ISSUE-5 contract: the batched/padded box-DP matches the
-reference ``_box_dp`` on random, single-segment, duplicate-point and
-empty-ish inputs; the Theorem-2 invariant ``bound <= exact`` holds under
-every backend; TrajTree ``knn``/``knn_scan`` results are identical
-across backends; and the batch-first pivot-selection kernel matches its
-per-pair form bit-for-bit.
+Covers the per-``TBoxSeq`` geometry cache and array compaction; the node
+bound ``edwp_sub_box``/``edwp_sub_box_many`` against its scalar
+definition ``2 · Σ_s |s| · min_b segment_rect_distance(s, b)`` on random,
+single-segment, duplicate-point and empty-ish inputs; the Theorem-2
+invariant ``bound <= exact`` under every distance backend; TrajTree
+``knn``/``knn_scan`` results identical across backends; and the
+batch-first pivot-selection kernel bit-for-bit against its per-pair form.
 """
 
 import numpy as np
@@ -15,10 +16,9 @@ from repro.core import Trajectory, edwp, use_backend
 from repro.core.edwp import BACKENDS
 from repro.core.edwp_sub import edwp_sub, edwp_sub_fast, edwp_sub_fast_queries
 from repro.index import TBoxSeq, TrajTree, edwp_sub_box, edwp_sub_box_many
-from repro.index import fast_bounds
 from repro.index.stbox import STBox
 
-from helpers import random_walk_trajectory
+from helpers import assert_bound_matches, random_walk_trajectory
 
 
 def _random_seq(rng, num_trajs=3, points=8):
@@ -117,24 +117,11 @@ class TestCompactionEquivalence:
 
 
 class TestBoxDpEquivalence:
-    """numpy box-DP == reference ``_box_dp`` on every input shape."""
+    """The vectorized node bound == its scalar definition on every input
+    shape."""
 
-    def _assert_matches(self, traj, seqs, thorough=False):
-        ref = [
-            edwp_sub_box(traj, s, thorough=thorough, backend="python")
-            for s in seqs
-        ]
-        single = [
-            edwp_sub_box(traj, s, thorough=thorough, backend="numpy")
-            for s in seqs
-        ]
-        batched = edwp_sub_box_many(
-            traj, seqs, thorough=thorough, backend="numpy"
-        )
-        for r, s, b in zip(ref, single, batched):
-            scale = max(1.0, abs(r))
-            assert abs(s - r) < 1e-9 * scale
-            assert abs(b - r) < 1e-9 * scale
+    def _assert_matches(self, traj, seqs):
+        assert_bound_matches(traj, seqs)
 
     def test_random(self, rng):
         for _ in range(8):
@@ -145,7 +132,6 @@ class TestBoxDpEquivalence:
                 for _ in range(5)
             ]
             self._assert_matches(q, seqs)
-            self._assert_matches(q, seqs, thorough=True)
 
     def test_single_segment_query(self, rng):
         q = Trajectory.from_xy([(0.0, 0.0), (1.0, 2.0)])
@@ -174,8 +160,8 @@ class TestBoxDpEquivalence:
         self._assert_matches(q, seqs)
 
     def test_subnormal_distances_do_not_tie(self):
-        """Candidates 1e-200 from a box square to 0 and used to tie with a
-        touching one (wrong split point, bound off by 5x, not ulps)."""
+        """Candidates 1e-200 from a box square to 0: the bound must still
+        match the scalar hypot-based definition."""
         q = Trajectory.from_xy([(46.814642891768614, 1.0),
                                 (-38.77353271420918, 0.0)])
         seq = TBoxSeq.from_trajectory(
@@ -187,20 +173,18 @@ class TestBoxDpEquivalence:
             ]),
             max_boxes=4,
         )
-        self._assert_matches(q, [seq], thorough=True)
+        self._assert_matches(q, [seq])
 
     def test_empty_query_and_empty_batch(self, rng):
         empty = Trajectory([(1.0, 2.0, 0.0)])
         seq = _random_seq(rng)[0]
-        for backend in BACKENDS:
-            assert edwp_sub_box(empty, seq, backend=backend) == 0.0
-            assert edwp_sub_box_many(empty, [seq], backend=backend) == [0.0]
-            assert edwp_sub_box_many(
-                random_walk_trajectory(rng, 5), [], backend=backend
-            ) == []
+        assert edwp_sub_box(empty, seq) == 0.0
+        assert edwp_sub_box_many(empty, [seq]) == [0.0]
+        assert edwp_sub_box_many(random_walk_trajectory(rng, 5), []) == []
 
     def test_variable_length_padding_exact(self, rng):
-        """Mixed box counts in one batch: padding must not leak."""
+        """Mixed box counts in one batch: no box leaks into a neighbour's
+        per-sequence minimum."""
         q = random_walk_trajectory(rng, 10)
         seqs = [
             TBoxSeq.from_trajectory(
@@ -216,17 +200,14 @@ class TestBoxDpEquivalence:
         q = random_walk_trajectory(rng, 9)
         seqs = [_random_seq(rng, points=int(rng.integers(2, 12)))[0]
                 for _ in range(7)]
-        singles = [
-            fast_bounds.edwp_sub_box_numpy(q, s.geometry()) for s in seqs
-        ]
-        batched = fast_bounds.edwp_sub_box_many_numpy(
-            q, [s.geometry() for s in seqs]
-        )
-        assert batched == singles
+        singles = [edwp_sub_box(q, s) for s in seqs]
+        assert edwp_sub_box_many(q, seqs) == singles
+        assert edwp_sub_box_many(q, seqs[::-1]) == singles[::-1]
 
 
 class TestTheorem2Invariant:
-    """``bound <= exact`` under every backend (the soundness contract)."""
+    """``bound <= exact`` under every distance backend (the soundness
+    contract; the bound itself is one pass on every backend)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bound_below_edwp_and_edwp_sub(self, rng, backend):
@@ -237,7 +218,7 @@ class TestTheorem2Invariant:
             ]
             seq = TBoxSeq.from_trajectories(members)
             q = random_walk_trajectory(rng, int(rng.integers(3, 14)))
-            lb = edwp_sub_box(q, seq, backend=backend)
+            lb = edwp_sub_box(q, seq)
             for t in members:
                 assert lb <= edwp_sub(q, t, backend=backend) + 1e-6
                 assert lb <= edwp(q, t, backend=backend) + 1e-6

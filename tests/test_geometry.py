@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.geometry import (
     clamp,
@@ -12,13 +13,19 @@ from repro.core.geometry import (
     point_rect_distance,
     point_segment_distance,
     polyline_length,
+    polyline_rects_distance,
     project_point_on_rect,
     project_point_on_segment,
     project_rect_on_segment,
     segment_length,
     segment_rect_distance,
+    segments_rects_distance,
     squared_point_distance,
 )
+from repro.index.tboxseq import TBoxSeq
+
+from test_backend_matrix import (SUBNORMAL_BASE, SUBNORMAL_DELTA_QUERY,
+                                 SUBNORMAL_DIST_QUERY, trajectories)
 
 
 class TestPointDistance:
@@ -160,3 +167,31 @@ class TestPolylineLength:
 
     def test_segment_length(self):
         assert segment_length((0, 0), (0, 7)) == 7.0
+
+
+class TestSegmentsRectsDistance:
+    """The ten-candidate pass behind the quick bound, Rule 2 and the box
+    bound, entry by entry against the scalar ``segment_rect_distance``."""
+
+    @staticmethod
+    def _check(points, rects):
+        got = segments_rects_distance(points, rects)
+        assert got.shape == (len(rects), len(points) - 1)
+        pts = points.tolist()
+        for i, r in enumerate(rects.tolist()):
+            for j in range(len(pts) - 1):
+                want = segment_rect_distance(pts[j], pts[j + 1], *r)
+                # sqrt(dx*dx + dy*dy) against the scalar hypot: a few ulps,
+                # plus what squaring loses below ~1e-154
+                assert abs(got[i, j] - want) <= 8e-16 * want + 1e-160
+        assert np.array_equal(polyline_rects_distance(points, rects),
+                              got.min(axis=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=trajectories(min_len=2), base=trajectories(min_len=2),
+           scale=st.sampled_from([1.0, 1e-300, 1e-150, 1e150]))
+    @example(q=SUBNORMAL_DIST_QUERY, base=SUBNORMAL_BASE, scale=1.0)
+    @example(q=SUBNORMAL_DELTA_QUERY, base=SUBNORMAL_BASE, scale=1.0)
+    def test_matches_scalar_loop(self, q, base, scale):
+        rects = TBoxSeq.from_trajectory(base, max_boxes=4).geometry().rects
+        self._check(q.coords() * scale, rects * scale)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BACKENDS, Trajectory, edwp
+from repro.core import BACKENDS, Trajectory, edwp, use_backend
 from repro.datasets import generate_beijing
 from repro.index import TrajForest, TrajTree, save_tree
 from repro.index import trajtree
@@ -331,16 +331,14 @@ def test_forest_flush_counts_members_not_chunks():
 FOREST_PINNED = (5516, 4084)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the Theorem-2 box "
-                   "bound exceeds EDwP on a re-sampled copy of the query")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_theorem2_counterexample(backend):
     """Q = (0,-2) -> (0,0) against T, the same path with a vertex added at
-    (0,-1): EDwP is 0, yet the box bound over T's own tBoxSeq reads 0.889.
-    Pinned so the bug is deterministic in tier-1; this xfail flips when
-    the box-DP recurrence is repaired."""
+    (0,-1): EDwP is 0, so the bound over T's own tBoxSeq must be 0 too —
+    the pair on which a box-DP bound read 0.889 (DESIGN.md, "Index bound
+    kernels")."""
     query = Trajectory.from_xy([(0, -2), (0, 0)])
     target = Trajectory.from_xy([(0, -2), (0, -1), (0, 0)])
-    bound = edwp_sub_box(query, TBoxSeq.from_trajectories([target]),
-                         backend=backend)
-    assert bound <= edwp(query, target, backend=backend) + 1e-9
+    with use_backend(backend):
+        bound = edwp_sub_box(query, TBoxSeq.from_trajectories([target]))
+    assert bound <= edwp(query, target, backend=backend)

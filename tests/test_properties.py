@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Trajectory, edwp, edwp_alignment, edwp_avg
 from repro.core.edwp_sub import edwp_sub
 from repro.eval.spearman import spearman, rank
-from repro.index import TBoxSeq, edwp_sub_box
+from repro.index import TBoxSeq, TrajTree, edwp_sub_box
 from repro.index.vantage import vantage_distance, vp_distance
 
 
@@ -104,12 +104,62 @@ def test_edwp_densification_invariance(t):
     st.lists(trajectory(2, 6), min_size=1, max_size=4),
     trajectory(2, 6),
 )
+@example(  # the query re-sampled with a vertex at (0, -1): EDwP is exactly 0
+    [Trajectory.from_xy([(0, -2), (0, -1), (0, 0)])],
+    Trajectory.from_xy([(0, -2), (0, 0)]),
+)
 def test_theorem2_lower_bound(group, query):
     """EDwPsub(Q, tBoxSeq(T)) <= EDwP(Q, T) for all T in the set."""
     seq = TBoxSeq.from_trajectories(group)
     lb = edwp_sub_box(query, seq)
     for t in group:
         assert lb <= edwp(query, t) + 1e-6
+
+
+@st.composite
+def resampled(draw, xy):
+    """``xy`` sampled at another rate: vertices inserted along segments,
+    interior vertices dropped, and every vertex jittered by one of a few
+    magnitudes (0 included) — the same path, as the paper's inconsistent
+    sampling rates produce it."""
+    out = [xy[0]]
+    for a, b in zip(xy, xy[1:]):
+        fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=2))
+        out += [(a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+                for f in sorted(fracs)]
+        out.append(b)
+    keep = [out[0]] + [p for p in out[1:-1] if draw(st.booleans())]
+    keep.append(out[-1])
+    jitter = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
+    unit = st.floats(-1.0, 1.0)
+    return Trajectory.from_xy([
+        (x + jitter * draw(unit), y + jitter * draw(unit)) for x, y in keep
+    ])
+
+
+@st.composite
+def resampled_groups(draw):
+    xy = draw(coords(2, 6))
+    copies = draw(st.lists(resampled(xy), min_size=1, max_size=3))
+    others = draw(st.lists(trajectory(2, 6), max_size=2))
+    return Trajectory.from_xy(xy), copies + others
+
+
+@settings(max_examples=60, deadline=None)
+@given(resampled_groups(), st.sampled_from([2, 4, 12]))
+def test_theorem2_lower_bound_resampled(case, max_boxes):
+    """The bound of a node summarizing re-sampled copies of the query stays
+    below EDwP and EDwPsub to every member, raw and normalized as the
+    tree normalizes it (over the subtree's longest member)."""
+    query, group = case
+    seq = TBoxSeq.from_trajectories(group, max_boxes=max_boxes)
+    lb = edwp_sub_box(query, seq)
+    longest = max(t.length for t in group)
+    normalized = TrajTree._normalize_bound(query, longest, lb, True)
+    for t in group:
+        assert lb <= edwp(query, t)
+        assert lb <= edwp_sub(query, t)
+        assert normalized <= edwp_avg(query, t)
 
 
 @settings(max_examples=40, deadline=None)

@@ -122,8 +122,7 @@ class TestAlignment:
             seq = TBoxSeq.from_trajectories(group)
             q = random_walk_trajectory(rng, 6)
             value, edits = edwp_sub_box_alignment(q, seq)
-            assert value == pytest.approx(edwp_sub_box(q, seq))
-            assert sum(e.cost for e in edits) <= value + 1e-6
+            assert sum(e.cost for e in edits) == pytest.approx(value)
 
     def test_alignment_box_indices_valid(self, rng):
         group = [random_walk_trajectory(rng, 7) for _ in range(2)]

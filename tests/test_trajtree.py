@@ -234,3 +234,58 @@ class TestPruningTraversing(TestPruning):
 @pytest.mark.usefixtures("small_refine_flush")
 class TestUpdatesTraversing(TestUpdates):
     pass
+
+
+def resampled_copy(rng, traj):
+    """``traj``'s path at another sampling rate: a vertex inserted on every
+    segment, then every vertex jittered by 1e-3."""
+    xy = traj.coords()
+    mids = xy[:-1] + rng.uniform(0, 1, (len(xy) - 1, 1)) * np.diff(xy, axis=0)
+    dense = np.empty((2 * len(xy) - 1, 2))
+    dense[0::2] = xy
+    dense[1::2] = mids
+    return Trajectory.from_xy(dense + rng.normal(0, 1e-3, dense.shape))
+
+
+@pytest.mark.usefixtures("small_refine_flush")
+def test_node_bound_census():
+    """Every (query, node) box bound is at most the true minimum over the
+    node's subtree — EDwP raw and normalized, EDwPsub raw — on a database
+    holding re-sampled copies of the queries; and the traversing searches
+    still equal their scans there."""
+    from repro.core import use_backend
+    from repro.core.edwp import edwp_many
+    from repro.core.edwp_sub import edwp_sub_many
+    from repro.index.tboxseq import edwp_sub_box_many
+
+    rng = np.random.default_rng(29)
+    queries = [random_walk_trajectory(rng, int(rng.integers(3, 8)))
+               for _ in range(10)]
+    db = [resampled_copy(rng, q) for q in queries for _ in range(2)]
+    db += [random_walk_trajectory(rng, int(rng.integers(3, 10)))
+           for _ in range(60)]
+    tree = TrajTree(db, normalized=True, num_vps=4, min_node_size=4,
+                    seed=0, backend="numpy")
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    with use_backend("numpy"):
+        for q in queries:
+            full = np.array(edwp_many(q, db))
+            sub = np.array(edwp_sub_many(q, db))
+            avg = np.array(edwp_many(q, db, normalized=True))
+            bounds = edwp_sub_box_many(q, [n.boxseq for n in nodes])
+            for node, lb in zip(nodes, bounds):
+                ids = list(node.subtree_ids)
+                assert lb <= full[ids].min()
+                assert lb <= sub[ids].min()
+                assert TrajTree._normalize_bound(
+                    q, node.max_length, lb, True) <= avg[ids].min()
+            assert tree.knn(q, 3) == tree.knn_scan(q, 3)
+            assert tree.subtrajectory_knn(q, 3) == \
+                tree.subtrajectory_knn_scan(q, 3)
+            radius = tree.knn_scan(q, 5)[-1][1]
+            assert tree.range_query(q, radius) == \
+                tree.range_query_scan(q, radius)
