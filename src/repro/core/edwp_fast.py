@@ -46,11 +46,16 @@ Numerical contract
 The kernel mirrors the reference DP operation-for-operation — the same
 additions in the same order (up to ``|x - y| == |y - x|`` and the two
 addends of one addition swapped, both exact), ``np.abs`` on complex128
-(which is ``hypot(dx, dy)``) for ``math.hypot``, exact clamp-to-endpoint
-projection rules, and the same strict-``<`` candidate priority (``rep``,
-then ``ins`` on T1, then ``ins`` on T2) — so results match the
-pure-Python backend to float tolerance everywhere, including degenerate
-zero-length segments (see DESIGN.md, "Dual-backend EDwP kernels").
+for ``math.hypot``, exact clamp-to-endpoint projection rules, and the
+same strict-``<`` candidate priority (``rep``, then ``ins`` on T1, then
+``ins`` on T2) — so results match the pure-Python backend to float
+tolerance everywhere, including degenerate zero-length segments (see
+DESIGN.md, "Dual-backend EDwP kernels").  Tolerance, not bits: ``np.abs``
+on complex128 is not ``hypot`` bit for bit (it differed from
+``math.hypot`` by up to 2 ulp in about a third of random inputs with
+numpy 2.4.6 on AVX-512), and the complex dot product ``(s.conj() *
+t).real`` is not always ``sr * tr + si * ti``; which bits this tier
+produces can depend on the SIMD code numpy dispatches to.
 ``tests/test_edwp_fast.py`` enforces this property, and
 ``tests/test_lockstep_sweeps.py`` holds the kernel byte-identical to the
 ones it replaced.

@@ -34,6 +34,8 @@ __all__ = [
     "polyline_rect_distance",
     "polyline_rects_distance",
     "polyline_rects_distance_bounds",
+    "BOUND_SHRINK",
+    "margined_distances",
     "segments_rects_distance",
     "segment_rect_distance",
     "segment_length",
@@ -306,13 +308,37 @@ def segments_rects_distance(points, rects) -> "object":
     return np.sqrt(ddx * ddx + ddy * ddy).min(axis=2)
 
 
+#: Relative rounding margin of every lower bound the index builds from
+#: computed distances: covers the summation error of the bound and of the
+#: distance it is compared with while query and member together have fewer
+#: than ~4 million points (DESIGN.md, "Index bound kernels").
+BOUND_SHRINK = 1.0 - 2.0 ** -30
+
+
+def margined_distances(d, scale):
+    """What computed point-to-rectangle distances ``d`` may contribute to
+    a lower bound: each less the rounding band ``32 ε · scale + 1e-300``
+    and floored at 0 (a NaN too), or 0 where ``scale`` — the largest
+    coordinate magnitude involved, broadcast against ``d`` — passes 1e150,
+    where the ten-candidate pass's squares can overflow (DESIGN.md, "Index
+    bound kernels").  Monotone in ``d``: applied alike to two bounds on a
+    computed distance and to the distance, it keeps their order.
+    """
+    import numpy as np
+
+    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
+    with np.errstate(invalid="ignore"):
+        return np.where(scale <= 1e150, np.fmax(d - band, 0.0), 0.0)
+
+
 def polyline_rects_distance_bounds(points, rects):
     """``(lower, upper)`` around :func:`polyline_rects_distance`'s *computed*
     value per rectangle, for a polyline of >= 2 vertices (DESIGN.md,
     "Batched leaf refinement").  ``upper`` is the nearest vertex, in the
     ten-candidate pass's own expressions at ``t = 0, 1``; ``lower`` is the
-    gap between bounding rectangles less a band for rounded candidates,
-    NaN (no bound) past 1e150, where the candidates can overflow to NaN.
+    gap between bounding rectangles, each axis passed through
+    :func:`margined_distances` for rounded candidates (so 0 past 1e150,
+    where the candidates can overflow to NaN).
     """
     import numpy as np
 
@@ -327,11 +353,10 @@ def polyline_rects_distance_bounds(points, rects):
         sq = dd * dd
         upper = np.sqrt(sq[..., 0] + sq[..., 1]).min(axis=1)
     scale = np.maximum(np.abs(R).max(axis=1), np.abs(pts).max())
-    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
-    g = np.maximum(np.maximum(R[:, :2] - pts.max(axis=0),
-                              pts.min(axis=0) - R[:, 2:]) - band[:, None], 0.0)
-    lower = np.where(scale <= 1e150, np.sqrt(g[:, 0] * g[:, 0]
-                                             + g[:, 1] * g[:, 1]), np.nan)
+    g = margined_distances(np.maximum(R[:, :2] - pts.max(axis=0),
+                                      pts.min(axis=0) - R[:, 2:]),
+                           scale[:, None])
+    lower = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])
     return lower, upper
 
 

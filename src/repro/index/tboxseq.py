@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.edwp import _spatial_points
-from ..core.geometry import Point, point_distance, segments_rects_distance
+from ..core.geometry import (BOUND_SHRINK, Point, margined_distances,
+                             point_distance, segments_rects_distance)
 from ..core.trajectory import Trajectory
 from .stbox import STBox
 
@@ -391,13 +392,6 @@ def least_growth(
 # ---------------------------------------------------------------------- #
 
 
-#: Relative rounding margin of :func:`edwp_sub_box_many`: covers the
-#: summation error of the bound and of the distance it is compared with
-#: while query and member together have fewer than ~4 million points
-#: (DESIGN.md, "Index bound kernels").
-_BOUND_SHRINK = 1.0 - 2.0 ** -30
-
-
 def edwp_sub_box(traj: Trajectory, seq: TBoxSeq) -> float:
     """The Theorem-2 lower bound of ``traj`` against one box sequence
     (a batch of one of :func:`edwp_sub_box_many`)."""
@@ -414,10 +408,12 @@ def edwp_sub_box_many(
     ``(boxes × segments)`` distance matrix of all sequences at once, a
     per-sequence minimum turns it into ``dist(s, ∪B)``, and a product
     with the segment lengths sums it.  Each per-segment distance is
-    shrunk by a band of ``32 ε`` times the largest coordinate and the sum
-    by :data:`_BOUND_SHRINK`, so the *computed* bound stays below the
-    *computed* EDwP and EDwPsub; past ``1e150``, where the pass's squares
-    can overflow, the bound is 0.  A trajectory with no segments gets 0.
+    shrunk by a band of ``32 ε`` times the largest coordinate
+    (:func:`~repro.core.geometry.margined_distances`) and the sum by
+    :data:`~repro.core.geometry.BOUND_SHRINK`, so the *computed* bound
+    stays below the *computed* EDwP and EDwPsub; past ``1e150``, where the
+    pass's squares can overflow, the bound is 0.  A trajectory with no
+    segments gets 0.
     """
     seqs = list(seqs)
     if traj.num_segments == 0 or not seqs:
@@ -431,11 +427,10 @@ def edwp_sub_box_many(
                                axis=0)
     scale = np.maximum(np.maximum.reduceat(np.abs(rects).max(axis=1),
                                            starts), np.abs(pts).max())
-    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
-    dmin = np.fmax(dmin - band[:, None], 0.0)      # a NaN distance -> 0
+    dmin = margined_distances(dmin, scale[:, None])   # a NaN distance -> 0
     # A row-wise sum, not a matrix product: BLAS may associate differently
     # per batch shape, and a node's bound must not depend on its batch.
-    bounds = 2.0 * (dmin * traj.segment_lengths()).sum(axis=1) * _BOUND_SHRINK
+    bounds = 2.0 * (dmin * traj.segment_lengths()).sum(axis=1) * BOUND_SHRINK
     bounds[~(scale <= 1e150)] = 0.0
     return bounds.tolist()
 

@@ -37,7 +37,8 @@ import numpy as np
 
 from ..core.edwp import edwp_many, resolve_backend
 from ..core.edwp_sub import edwp_sub_fast_queries, edwp_sub_many
-from ..core.geometry import (polyline_rects_distance,
+from ..core.geometry import (BOUND_SHRINK, margined_distances,
+                             polyline_rects_distance,
                              polyline_rects_distance_bounds)
 from ..core.trajectory import Trajectory, TrajectoryBatch, assign_ids
 from .budget import AnytimeResult, as_tracker, bound_factor_for
@@ -50,11 +51,15 @@ __all__ = ["TrajTree", "TrajTreeStats"]
 
 #: Deferred refinements are flushed through one batched exact-distance
 #: kernel call once this many members accumulate (or earlier, whenever a
-#: pruning decision needs a fresh k-th distance).  Bounds the staleness of
-#: the answer heap: at most this many extra members can be refined relative
-#: to the fully sequential formulation.  Also the traversal crossover: a
-#: subtree that fits one flush is refined whole, not descended into
-#: (DESIGN.md, "Batched leaf refinement").
+#: pruning decision needs a fresh k-th distance) — unless the answer heap
+#: is unfilled and the search has no frontier left to prune, when they
+#: wait for the next flush.  Bounds the staleness of the answer heap: at
+#: most this many extra members can be refined relative to the fully
+#: sequential formulation.  A flush of at least this many rows that meets
+#: an unfilled heap refines the nearest rows first and screens the rest
+#: (:meth:`TopK.flush`).  Also the traversal crossover: a subtree that
+#: fits one flush is refined whole, not descended into (DESIGN.md,
+#: "Batched leaf refinement").
 REFINE_FLUSH = 128
 
 
@@ -79,10 +84,12 @@ class TrajTreeStats:
     * ``exact_computations`` counts exact distances actually evaluated
       (VP-offered candidates and refined leaf members).
       ``members_pruned`` counts members skipped by the per-member bound
-      (own rectangle, own length) *instead of* being refined, so for
-      ``knn`` and ``range_query`` over a freshly built tree, refined +
-      member-pruned covers every member of every node refined whole (and
-      of every leaf a range query reaches by traversal) exactly once.
+      (own rectangle, own length) *instead of* being refined — when its
+      node is refined whole, or when a flush that met an unfilled heap
+      screens it (:meth:`TopK.flush`) — so for ``knn`` and
+      ``range_query`` over a freshly built tree, refined + member-pruned
+      covers every member of every node refined whole (and of every leaf
+      a range query reaches by traversal) exactly once.
     * The counters do not depend on the distance backend: both backends
       drive the identical traversal (batched leaf refinement included —
       see DESIGN.md, "Batched leaf refinement"), so python/numpy runs of
@@ -121,7 +128,8 @@ class MemberBlock(TrajectoryBatch):
 class TopK:
     """Answer state of one top-k search: Alg. 2's ``ans`` and ``processed``
     plus the deferred-refinement buffer: chunks of member-block rows
-    (``block.take(rows)``), flushed by how many members they hold.
+    (``block.take(rows)``), each with the raw bound of the node it came
+    from, flushed by how many members they hold.
 
     A search given a plain ``k`` creates its own and drains it before
     returning.  A caller that walks several trees with disjoint ids for one
@@ -129,6 +137,11 @@ class TopK:
     where ``k`` goes and owns the final :meth:`flush`; each tree returns
     the heap as it stands, prunes against the k-th distance the earlier
     ones established, and shares kernel calls for deferred members.
+
+    While the heap holds fewer than k answers, a flush of at least
+    :data:`REFINE_FLUSH` rows refines the nearest rows first and screens
+    the rest with the k-th distance they give (:meth:`flush`; DESIGN.md,
+    "Batched leaf refinement").
     """
 
     def __init__(self, k: int):
@@ -140,9 +153,13 @@ class TopK:
         self.ans: List[Tuple[float, int]] = []
         self.processed: set = set()
         self.pending: List[MemberBlock] = []
-        # Set by the search in progress (``trajectories -> distances`` for
-        # its query; its counters): the owner's final flush uses the last.
+        self.raws: List[float] = []       # pending[i]'s node bound, raw
+        # Set by the search in progress: its query, ``trajectories ->
+        # distances``, Rule 2 ``(block, raws, limit, bounds) -> kept rows``
+        # and counters.  The owner's final flush uses the last search's.
+        self.query: Optional[Trajectory] = None
         self.refine: Optional[Callable] = None
+        self.screen: Optional[Callable] = None
         self.stats: Optional[TrajTreeStats] = None
 
     def kth(self) -> float:
@@ -150,19 +167,48 @@ class TopK:
         the deferred members, so it upper-bounds the true k-th distance."""
         return -self.ans[0][0] if len(self.ans) >= self.k else math.inf
 
-    def defer(self, chunk: MemberBlock) -> None:
+    def defer(self, chunk: MemberBlock, raw: float) -> None:
+        """Hold ``chunk`` for the next flush; ``raw`` is a raw lower bound
+        for every row of it (its node's)."""
         if len(chunk):
             self.processed.update(chunk.ids.tolist())
             self.pending.append(chunk)
+            self.raws.append(raw)
 
     def flush(self) -> None:
-        """Refine every deferred member in one batched kernel call; merged in
-        ``(distance, id)`` order, at most k heap operations leave the same k
-        pairs as pushing each in turn (only kth() and pairs() read it)."""
+        """Refine the deferred members, nearest first while the heap is
+        unfilled.
+
+        A flush of at least :data:`REFINE_FLUSH` rows, more than the
+        ``need = k - len(ans)`` the heap lacks, refines the ``need`` rows
+        whose rectangles are nearest the query (Rule 2's *U*) first; the
+        heap is then full, Rule 2 screens the other rows against its k-th
+        distance, each with its own node's bound, and the survivors are
+        refined in a second kernel call.  Any other flush is one call.
+        """
         if not self.pending:
             return
         batch = TrajectoryBatch.concat(self.pending)
-        self.pending = []
+        raws = np.repeat(self.raws, list(map(len, self.pending)))
+        self.pending, self.raws = [], []
+        need = self.k - len(self.ans)
+        if 0 < need < len(batch) and len(batch) >= REFINE_FLUSH:
+            lower, upper = polyline_rects_distance_bounds(
+                self.query.coords(), batch.rects)
+            order = np.lexsort((batch.ids, upper))
+            self._merge(batch.take(np.sort(order[:need])))
+            rest = np.sort(order[need:])
+            rest = rest[self.screen(batch.take(rest), raws[rest], self.kth(),
+                                    (lower[rest], upper[rest]))]
+            batch = batch.take(rest)
+        self._merge(batch)
+
+    def _merge(self, batch: MemberBlock) -> None:
+        """Refine ``batch`` in one kernel call; merged in ``(distance, id)``
+        order, at most k heap operations leave the same k pairs as pushing
+        each in turn (only kth() and pairs() read the heap)."""
+        if not len(batch):
+            return
         self.stats.exact_computations += len(batch)
         ids, ds = batch.ids, np.asarray(self.refine(batch))
         k, ans = self.k, self.ans
@@ -564,11 +610,31 @@ class TrajTree:
         ``EDwPsub``: sub-matching skips target prefix/suffix cost but
         still consumes the whole query, and every position on a summarized
         trajectory lies inside the node's boxes — as every position on one
-        trajectory lies inside its own bounding rectangle.
+        trajectory lies inside its own bounding rectangle.  The computed
+        distance gives up the box bound's rounding margin
+        (:meth:`_rect_raws`).
         """
-        dmins = polyline_rects_distance(query.spatial(), np.array(rects))
-        q_len = query.length
-        return [2.0 * dmin * q_len for dmin in dmins]
+        rects = np.array(rects, dtype=np.float64).reshape(-1, 4)
+        return TrajTree._rect_raws(
+            query, polyline_rects_distance(query.spatial(), rects),
+            rects).tolist()
+
+    @staticmethod
+    def _rect_raws(query: Trajectory, d: np.ndarray,
+                   rects: np.ndarray) -> np.ndarray:
+        """``2 · d · len(Q)`` — the quick bound and Rule 2's — from computed
+        distances ``d`` of the query to ``rects``, less the box bound's
+        rounding margin (:func:`~repro.core.geometry.margined_distances`
+        at the largest coordinate of rectangle and query, then
+        :data:`~repro.core.geometry.BOUND_SHRINK`), and 0 past a scale of
+        1e150.  Monotone in ``d``, so Rule 2 may apply it to bounds on
+        ``d`` (DESIGN.md, "Index bound kernels")."""
+        scales = np.maximum(np.abs(rects).max(axis=1),
+                            np.abs(query.coords()).max())
+        with np.errstate(invalid="ignore"):     # 0 * an overflowed len(Q)
+            raws = (2.0 * margined_distances(d, scales) * query.length
+                    * BOUND_SHRINK)
+        return np.where(scales <= 1e150, raws, 0.0)
 
     def _block(self, node: _Node) -> MemberBlock:
         """``node``'s members, built on first use by an idempotent
@@ -585,26 +651,32 @@ class TrajTree:
         self,
         query: Trajectory,
         block: MemberBlock,
-        raw: float,
+        raw,
         limit: float,
         normalized: bool,
         stats: TrajTreeStats,
+        bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """The rows of ``block`` whose own lower bound does not pass
         ``limit`` (Rule 2); the rest count in ``stats.members_pruned``.
 
-        A member's bound is ``max(raw, 2 · d · len(Q))``, over ``len(Q) +
-        len(T)`` when ``normalized``: ``raw`` the node's bound, ``d`` the
+        A member's bound is ``max(raw, 2 · d · len(Q))`` (:meth:`_rect_raws`),
+        over ``len(Q) + len(T)`` when ``normalized``: ``raw`` the bound of
+        the member's node (one for the block, or one per row), ``d`` the
         query's distance to the member's rectangle.  It is monotone in
-        ``d``, so two bounds on the *computed* ``d`` decide the block at
-        once, as evaluating ``d`` per row would; only the rows they leave
-        open pay the ten-candidate ``polyline_rects_distance``.
+        ``d``, so two bounds on the *computed* ``d`` — ``bounds``, from
+        :func:`~repro.core.geometry.polyline_rects_distance_bounds`,
+        computed here when not given — decide the block at once, as
+        evaluating ``d`` per row would; only the rows they leave open pay
+        the ten-candidate ``polyline_rects_distance``.
         """
         denom = query.length + block.lengths
+        raws = np.broadcast_to(np.asarray(raw, dtype=np.float64),
+                               (len(block),))
 
         def within(d: np.ndarray, sel=slice(None)) -> np.ndarray:
-            qraw = 2.0 * d * query.length   # a NaN loses, as in max(raw, nan)
-            lb = np.where(qraw > raw, qraw, raw)
+            qraw = self._rect_raws(query, d, block.rects[sel])
+            lb = np.where(qraw > raws[sel], qraw, raws[sel])
             with np.errstate(divide="ignore", invalid="ignore"):
                 return (np.where(denom[sel] <= 0.0, 0.0, lb / denom[sel])
                         if normalized else lb) <= limit
@@ -612,8 +684,10 @@ class TrajTree:
         if not self.use_quick_bound:
             keep = within(np.zeros(len(block)))
         else:
-            lower, upper = polyline_rects_distance_bounds(query.coords(),
-                                                          block.rects)
+            if bounds is None:
+                bounds = polyline_rects_distance_bounds(query.coords(),
+                                                        block.rects)
+            lower, upper = bounds
             keep = within(lower)
             open_ = np.flatnonzero(keep & ~within(upper))
             if len(open_):
@@ -684,8 +758,11 @@ class TrajTree:
             raise ValueError("query needs at least one segment")
         if stats is None:
             stats = TrajTreeStats()
+        answer.query, answer.stats = query, stats
         answer.refine = lambda trajs: refine(query, trajs)
-        answer.stats = stats
+        answer.screen = lambda block, raws, limit, bounds: (
+            self._members_within(query, block, raws, limit, normalized,
+                                 stats, bounds))
         kth, flush, processed = answer.kth, answer.flush, answer.processed
         tracker = as_tracker(budget)
         eps = tracker.epsilon if tracker is not None else 0.0
@@ -747,7 +824,8 @@ class TrajTree:
                 offered = [tid for tid, _vd in node.vantage.top_k(
                     qdesc, answer.k, exclude=processed)]
                 answer.defer(MemberBlock(offered,
-                                         [self._db[tid] for tid in offered]))
+                                         [self._db[tid] for tid in offered]),
+                             raw)
                 flush()
 
             if whole:
@@ -762,8 +840,14 @@ class TrajTree:
                 if limit < math.inf:
                     block = block.take(self._members_within(
                         query, block, raw, limit, normalized, stats))
-                answer.defer(block)
-                if sum(map(len, answer.pending)) >= REFINE_FLUSH:
+                answer.defer(block, raw)
+                # With the heap unfilled and this search's frontier empty,
+                # no k-th distance could prune anything more here: keep
+                # deferring, so the next flush (a descent's, the search's
+                # last or a forest owner's) holds every row and refines the
+                # nearest first (TopK.flush).
+                if (sum(map(len, answer.pending)) >= REFINE_FLUSH
+                        and (cands or len(answer.ans) >= answer.k)):
                     flush()
                 continue
 

@@ -3,10 +3,11 @@
 ``TrajTree._members_within`` decides Rule 2 for a whole member block with
 two cheap bounds on the rectangle distance and runs the ten-candidate
 ``polyline_rects_distance`` only on the rows they leave open.  Its keep set
-and ``members_pruned`` must equal the scalar rule's — kept below, verbatim,
-as the oracle — float for float: on hypothesis inputs at coordinate scales
-from 1e-300 to 1e200, and on the two pinned rounding cases the cheap
-bounds exist to get right.
+and ``members_pruned`` must equal the scalar rule's — kept below as the
+oracle, with the rounding margin the box bound gives up written out per
+member — float for float: on hypothesis inputs at coordinate scales from
+1e-300 to 1e200, and on the two pinned rounding cases the cheap bounds
+exist to get right.
 
 The member blocks themselves (``TrajTree._block``) are derived data: built
 once per node between updates, dropped on the path an insert or delete
@@ -17,6 +18,7 @@ import functools
 import math
 import pickle
 import random
+import sys
 import threading
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BACKENDS, Trajectory, edwp, use_backend
+from repro.core.geometry import polyline_rects_distance
 from repro.datasets import generate_beijing
 from repro.index import TrajForest, TrajTree, save_tree
 from repro.index import trajtree
@@ -35,20 +38,38 @@ from test_backend_matrix import trajectories
 SCALES = (1.0, 1e-300, 1e-150, 1e150, 1e200)
 
 
+EPS = float(np.finfo(np.float64).eps)
+
+
+def member_rect_raw(query, traj):
+    """The rectangle bound of one member, scalar: ``2 · d · len(Q)`` with
+    ``d`` the ten-candidate distance to its rectangle less ``32 ε ·
+    max|coordinate| + 1e-300`` (0 past 1e150), the product shrunk by
+    ``1 - 2^-30`` — the box bound's margin (DESIGN.md, "Index bound
+    kernels")."""
+    rect = traj.bounding_rect()
+    d = float(polyline_rects_distance(query.spatial(), [rect])[0])
+    scale = max(max(abs(c) for c in rect), float(np.abs(query.coords()).max()))
+    if not scale <= 1e150:
+        return 0.0
+    d = d - (32 * EPS * scale + 1e-300)
+    return 2.0 * (d if d > 0.0 else 0.0) * query.length * (1.0 - 2.0 ** -30)
+
+
 def members_within_scalar(self, query, members, raws, limit, normalized,
                           stats):
-    """The scalar Rule 2 this module's filter replaced, verbatim: the
-    members whose own lower bound does not pass ``limit``.
+    """The scalar Rule 2 this module's filter replaced: the members whose
+    own lower bound does not pass ``limit``.
 
     Per-member bound: the larger of ``raws[i]`` (the raw bound of the
-    node the member came from) and the member's own rectangle's, over
-    its own length.  The rest count in ``stats.members_pruned``.
+    node the member came from) and the member's own rectangle's
+    (:func:`member_rect_raw`), over its own length.  The rest count in
+    ``stats.members_pruned``.
     """
     if not members:
         return members
     quick_raws = (
-        self._quick_bounds_many_raw(
-            query, [t.bounding_rect() for _, t in members])
+        [member_rect_raw(query, t) for _, t in members]
         if self.use_quick_bound else [0.0] * len(members)
     )
     kept = [
@@ -74,9 +95,8 @@ def scaled(traj, scale):
 
 def oracle_bounds(tree, query, trajs, raw, normalized):
     """Each member's scalar bound, as the oracle evaluates it."""
-    qraws = (tree._quick_bounds_many_raw(
-        query, [t.bounding_rect() for t in trajs])
-        if tree.use_quick_bound else [0.0] * len(trajs))
+    qraws = ([member_rect_raw(query, t) for t in trajs]
+             if tree.use_quick_bound else [0.0] * len(trajs))
     return [tree._normalize_bound(query, t.length, max(raw, q), normalized)
             for t, q in zip(trajs, qraws)]
 
@@ -122,9 +142,12 @@ class TestRule2DecisionIdentity:
         query = scaled(query, scale)
         members = [scaled(t, scale) for t in members]
         # raw: 0, or one member's own rectangle bound (a tie with qraw)
-        qraws = TrajTree._quick_bounds_many_raw(
-            query, [t.bounding_rect() for t in members])
-        raw = 0.0 if raw_pick < 0 else float(qraws[raw_pick % len(qraws)])
+        qraws = [member_rect_raw(query, t) for t in members]
+        # the vectorized quick bound is the same margined value
+        assert list(map(float.hex, TrajTree._quick_bounds_many_raw(
+            query, [t.bounding_rect() for t in members]))) == list(
+            map(float.hex, qraws))
+        raw = 0.0 if raw_pick < 0 else qraws[raw_pick % len(qraws)]
         assert_decisions_equal(query, members, raw, normalized,
                                use_quick_bound)
 
@@ -150,6 +173,24 @@ class TestRule2DecisionIdentity:
         query = Trajectory.from_xy([(0.0, 0.0), (-scale, 0.0)])
         member = Trajectory.from_xy([(dx, dy), (dx + scale, dy + scale)])
         assert_decisions_equal(query, [member], 0.0, False, True)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_rect_bounds_give_up_the_box_bound_margin(scale):
+    """A member whose rectangle lies within the rounding band of the query
+    gets a rectangle bound of 0: the quick bound reads 0, and Rule 2 keeps
+    it at limit 0, where the unmargined ``2 · d · len(Q)`` would prune."""
+    query = Trajectory.from_xy([(0.0, 0.0), (scale, 0.0)])
+    gap = 16 * EPS * scale          # half the band
+    member = Trajectory.from_xy([(0.0, gap), (scale, 2 * scale)])
+    assert polyline_rects_distance(query.spatial(),
+                                   [member.bounding_rect()])[0] > 0.0
+    assert TrajTree._quick_bounds_many_raw(
+        query, [member.bounding_rect()]) == [0.0]
+    stats = TrajTreeStats()
+    kept = rule2_tree(True)._members_within(
+        query, MemberBlock([7], [member]), 0.0, 0.0, False, stats)
+    assert kept.tolist() == [0] and stats.members_pruned == 0
 
 
 # --------------------------------------------------------------------- #
@@ -310,25 +351,87 @@ def forest_walks(n, seed):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def walk_forest():
+    """480 walks in 6 shards of 80: every shard root is refined whole."""
+    return TrajForest(forest_walks(480, 0), num_shards=6, seed=0,
+                      normalized=True, num_vps=2, vp_levels=1,
+                      min_node_size=40, max_branching=2, max_boxes=3,
+                      backend="numpy")
+
+
 def test_forest_flush_counts_members_not_chunks():
-    """480 walks in 6 shards of 80: every shard is refined whole, and the
-    deferral buffer flushes once it holds 128 *members* — after the second
-    shard — so later shards prune against a real k-th distance.  A trigger
-    counting chunks would flush only at the end: 480 exact distances per
-    query.  The pinned total is the one this test measured on the scalar
-    implementation."""
-    forest = TrajForest(forest_walks(480, 0), num_shards=6, seed=0,
-                        normalized=True, num_vps=2, vp_levels=1,
-                        min_node_size=40, max_branching=2, max_boxes=3,
-                        backend="numpy")
+    """On the 480-walk forest the buffer passes 128 *members* after the
+    second shard, with the heap still unfilled and no frontier left to
+    prune: deferral goes on, and the owner's last flush holds all 480 rows.
+    It refines the 10 nearest by rectangle first and screens the rest with
+    Rule 2 against the k-th distance they give.  The pinned totals are
+    this two-step flush's; the parent's one-step flush after the second
+    shard gave (5516, 4084), and a flush that never screens would refine
+    all 9,600 rows."""
     stats = TrajTreeStats()
     for q in forest_walks(20, 1):
-        forest.knn(q, 10, stats=stats)
+        walk_forest().knn(q, 10, stats=stats)
     assert (stats.exact_computations, stats.members_pruned) == FOREST_PINNED
 
 
 #: (exact_computations, members_pruned) summed over the 20 queries.
-FOREST_PINNED = (5516, 4084)
+FOREST_PINNED = (1498, 8102)
+
+
+def test_forest_refines_the_nearest_k_first(monkeypatch):
+    """Per query: two ``edwp_many`` calls, the first exactly k rows (the
+    heap's fill), the second Rule 2's survivors; every one of the 480
+    members is refined or screened, once."""
+    calls = []
+    kernel = trajtree.edwp_many
+
+    def spy(query, trajs, **kwargs):
+        calls.append(len(trajs))
+        return kernel(query, trajs, **kwargs)
+
+    monkeypatch.setattr(trajtree, "edwp_many", spy)
+    for q in forest_walks(20, 1):
+        calls.clear()
+        stats = TrajTreeStats()
+        walk_forest().knn(q, 10, stats=stats)
+        assert len(calls) == 2 and calls[0] == 10
+        assert stats.exact_computations == sum(calls)
+        assert stats.exact_computations + stats.members_pruned == 480
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["knn", "subtrajectory_knn"])
+def test_flush_trigger_fires_mid_walk_with_an_unfilled_heap(
+        backend, kind, monkeypatch):
+    """With ``REFINE_FLUSH = 16`` and no VP step to fill the heap, whole
+    nodes reach the trigger while the heap is unfilled and the frontier is
+    not empty: the trigger fires (a two-step flush, since 16 rows exceed
+    the 10 answers missing) and the walk goes on against the k-th distance
+    it gives.  Answers equal the scan on a tree and on a forest."""
+    monkeypatch.setattr(trajtree, "REFINE_FLUSH", 16)
+    fired = []
+    flush = trajtree.TopK.flush
+
+    def spy(self):
+        caller = sys._getframe(1).f_locals      # _best_first's, or an owner's
+        if (caller.get("whole") and caller.get("cands")
+                and len(self.ans) < self.k):
+            fired.append(sum(map(len, self.pending)))
+        flush(self)
+
+    monkeypatch.setattr(trajtree.TopK, "flush", spy)
+    trips = generate_beijing(40, seed=9)
+    params = dict(normalized=True, num_vps=4, vp_levels=0, min_node_size=5,
+                  seed=9, backend=backend)
+    tree = TrajTree(trips, **params)
+    forest = TrajForest(trips, num_shards=2, **params)
+    for index in (tree, forest):
+        fired.clear()
+        for q in generate_beijing(3, seed=109):
+            assert (getattr(index, kind)(q, 10)
+                    == getattr(tree, f"{kind}_scan")(q, 10))
+        assert fired and min(fired) >= 16
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

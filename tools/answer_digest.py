@@ -15,6 +15,9 @@ Usage:
     python tools/answer_digest.py --quick           # 40 x 5, numpy only
     python tools/answer_digest.py --check before.jsonl   # exit 1 on a diff
 
+``--check`` names, per differing cell, what differs: ``answers`` (the
+sha256) and each counter as ``name before → after``.
+
 To compare two commits, run it from a checkout of each (it imports the
 ``src/`` beside it) and ``--check`` the second against the first.
 """
@@ -46,6 +49,17 @@ def digest(answers) -> str:
     rows = [[(tid, float(d).hex()) for tid, d in answer]
             for answer in answers]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def differences(before: dict, after: dict) -> list:
+    """What changed between two rows of one cell: ``"answers"`` when the
+    sha256 differs, then ``"name before → after"`` per counter."""
+    out = ["answers"] if before["sha256"] != after["sha256"] else []
+    names = dict.fromkeys([*before["stats"], *after["stats"]])
+    out += [f"{name} {before['stats'].get(name)} → "
+            f"{after['stats'].get(name)}" for name in names
+            if before["stats"].get(name) != after["stats"].get(name)]
+    return out
 
 
 def cells(trips: int, queries: int, backends):
@@ -105,8 +119,12 @@ def main(argv=None) -> int:
             failed += 1
         if args.check is not None:
             before = saved.pop(cell, None)
-            if before != row:
-                print(f"{cell}: differs from {args.check}", file=sys.stderr)
+            if before is None:
+                print(f"{cell}: not in {args.check}", file=sys.stderr)
+                failed += 1
+            elif before != row:
+                print(f"{cell}: {', '.join(differences(before, row))}",
+                      file=sys.stderr)
                 failed += 1
     for cell in saved:
         print(f"{cell}: in {args.check} but not run", file=sys.stderr)
