@@ -36,6 +36,7 @@ __all__ = [
     "polyline_rects_distance_bounds",
     "BOUND_SHRINK",
     "margined_distances",
+    "rounding_band",
     "segments_rects_distance",
     "segment_rect_distance",
     "segment_length",
@@ -315,20 +316,29 @@ def segments_rects_distance(points, rects) -> "object":
 BOUND_SHRINK = 1.0 - 2.0 ** -30
 
 
+def rounding_band(scale):
+    """``32 ε · scale + 1e-300``: how far a rounded position ``a + t · (b -
+    a)`` may stray from its segment, ``scale`` the largest coordinate
+    magnitude involved (DESIGN.md, "Index bound kernels")."""
+    import numpy as np
+
+    return 32 * np.finfo(np.float64).eps * scale + 1e-300
+
+
 def margined_distances(d, scale):
     """What computed point-to-rectangle distances ``d`` may contribute to
-    a lower bound: each less the rounding band ``32 ε · scale + 1e-300``
-    and floored at 0 (a NaN too), or 0 where ``scale`` — the largest
-    coordinate magnitude involved, broadcast against ``d`` — passes 1e150,
-    where the ten-candidate pass's squares can overflow (DESIGN.md, "Index
-    bound kernels").  Monotone in ``d``: applied alike to two bounds on a
+    a lower bound: each less the :func:`rounding_band` and floored at 0 (a
+    NaN too), or 0 where ``scale`` — the largest coordinate magnitude
+    involved, broadcast against ``d`` — passes 1e150, where the
+    ten-candidate pass's squares can overflow (DESIGN.md, "Index bound
+    kernels").  Monotone in ``d``: applied alike to two bounds on a
     computed distance and to the distance, it keeps their order.
     """
     import numpy as np
 
-    band = 32 * np.finfo(np.float64).eps * scale + 1e-300
     with np.errstate(invalid="ignore"):
-        return np.where(scale <= 1e150, np.fmax(d - band, 0.0), 0.0)
+        return np.where(scale <= 1e150,
+                        np.fmax(d - rounding_band(scale), 0.0), 0.0)
 
 
 def polyline_rects_distance_bounds(points, rects):

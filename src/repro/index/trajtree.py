@@ -39,7 +39,7 @@ from ..core.edwp import edwp_many, resolve_backend
 from ..core.edwp_sub import edwp_sub_fast_queries, edwp_sub_many
 from ..core.geometry import (BOUND_SHRINK, margined_distances,
                              polyline_rects_distance,
-                             polyline_rects_distance_bounds)
+                             polyline_rects_distance_bounds, rounding_band)
 from ..core.trajectory import Trajectory, TrajectoryBatch, assign_ids
 from .budget import AnytimeResult, as_tracker, bound_factor_for
 from .partition import partition
@@ -55,11 +55,11 @@ __all__ = ["TrajTree", "TrajTreeStats"]
 #: is unfilled and the search has no frontier left to prune, when they
 #: wait for the next flush.  Bounds the staleness of the answer heap: at
 #: most this many extra members can be refined relative to the fully
-#: sequential formulation.  A flush of at least this many rows that meets
-#: an unfilled heap refines the nearest rows first and screens the rest
-#: (:meth:`TopK.flush`).  Also the traversal crossover: a subtree that
-#: fits one flush is refined whole, not descended into (DESIGN.md,
-#: "Batched leaf refinement").
+#: sequential formulation.  A flush whose screen (:meth:`TopK.flush`)
+#: leaves at least this many rows on an unfilled heap refines the nearest
+#: rows first and screens the rest again.  Also the traversal crossover: a
+#: subtree that fits one flush is refined whole, not descended into
+#: (DESIGN.md, "Batched leaf refinement").
 REFINE_FLUSH = 128
 
 
@@ -85,8 +85,9 @@ class TrajTreeStats:
       (VP-offered candidates and refined leaf members).
       ``members_pruned`` counts members skipped by the per-member bound
       (own rectangle, own length) *instead of* being refined — when its
-      node is refined whole, or when a flush that met an unfilled heap
-      screens it (:meth:`TopK.flush`) — so for ``knn`` and
+      node is refined whole, or when a flush screens it against the k-th
+      smallest of the answers and the deferred rows' upper bounds
+      (:meth:`TopK.flush`) — so for ``knn`` and
       ``range_query`` over a freshly built tree, refined + member-pruned
       covers every member of every node refined whole (and of every leaf
       a range query reaches by traversal) exactly once.
@@ -138,10 +139,10 @@ class TopK:
     the heap as it stands, prunes against the k-th distance the earlier
     ones established, and shares kernel calls for deferred members.
 
-    While the heap holds fewer than k answers, a flush of at least
-    :data:`REFINE_FLUSH` rows refines the nearest rows first and screens
-    the rest with the k-th distance they give (:meth:`flush`; DESIGN.md,
-    "Batched leaf refinement").
+    A flush screens before it refines: no deferred row whose lower bound
+    passes the k-th smallest of the answers' distances and the rows' upper
+    bounds reaches the kernel (:meth:`flush`; DESIGN.md, "Upper bounds
+    screen the flush").
     """
 
     def __init__(self, k: int):
@@ -155,11 +156,13 @@ class TopK:
         self.pending: List[MemberBlock] = []
         self.raws: List[float] = []       # pending[i]'s node bound, raw
         # Set by the search in progress: its query, ``trajectories ->
-        # distances``, Rule 2 ``(block, raws, limit, bounds) -> kept rows``
-        # and counters.  The owner's final flush uses the last search's.
+        # distances``, Rule 2 ``(block, raws, limit, bounds) -> kept rows``,
+        # ``block -> upper bounds`` (None: no row has one) and counters.
+        # The owner's final flush uses the last search's.
         self.query: Optional[Trajectory] = None
         self.refine: Optional[Callable] = None
         self.screen: Optional[Callable] = None
+        self.upper: Optional[Callable] = None
         self.stats: Optional[TrajTreeStats] = None
 
     def kth(self) -> float:
@@ -176,32 +179,58 @@ class TopK:
             self.raws.append(raw)
 
     def flush(self) -> None:
-        """Refine the deferred members, nearest first while the heap is
-        unfilled.
+        """Refine the deferred members: screened first, then in one kernel
+        call, nearest first if the screen leaves a heap-filling crowd.
 
-        A flush of at least :data:`REFINE_FLUSH` rows, more than the
-        ``need = k - len(ans)`` the heap lacks, refines the ``need`` rows
-        whose rectangles are nearest the query (Rule 2's *U*) first; the
-        heap is then full, Rule 2 screens the other rows against its k-th
-        distance, each with its own node's bound, and the survivors are
-        refined in a second kernel call.  Any other flush is one call.
+        When the search gives rows upper bounds (EDwP with the quick bound
+        on), Rule 2 screens every row, each with its own node's bound,
+        against the k-th smallest of the heap's distances and the rows'
+        upper bounds (:meth:`limit`).  If at least :data:`REFINE_FLUSH`
+        rows are left, more than the ``need = k - len(ans)`` the heap
+        lacks, the ``need`` rows whose rectangles are nearest the query
+        (Rule 2's *U*) are refined first; the heap is then full, Rule 2
+        screens the others against the new limit, and the survivors are
+        refined in a second call.
         """
         if not self.pending:
             return
         batch = TrajectoryBatch.concat(self.pending)
         raws = np.repeat(self.raws, list(map(len, self.pending)))
         self.pending, self.raws = [], []
+        bounds = uppers = None
+        if self.upper is not None:
+            uppers = self.upper(batch)
+            limit = self.limit(uppers)
+            if limit < math.inf:
+                bounds = polyline_rects_distance_bounds(self.query.coords(),
+                                                        batch.rects)
+                keep = self.screen(batch, raws, limit, bounds)
+                batch, raws, uppers = (batch.take(keep), raws[keep],
+                                       uppers[keep])
+                bounds = (bounds[0][keep], bounds[1][keep])
         need = self.k - len(self.ans)
         if 0 < need < len(batch) and len(batch) >= REFINE_FLUSH:
-            lower, upper = polyline_rects_distance_bounds(
-                self.query.coords(), batch.rects)
+            if bounds is None:
+                bounds = polyline_rects_distance_bounds(self.query.coords(),
+                                                        batch.rects)
+            lower, upper = bounds
             order = np.lexsort((batch.ids, upper))
             self._merge(batch.take(np.sort(order[:need])))
             rest = np.sort(order[need:])
-            rest = rest[self.screen(batch.take(rest), raws[rest], self.kth(),
+            limit = self.limit(() if uppers is None else uppers[rest])
+            rest = rest[self.screen(batch.take(rest), raws[rest], limit,
                                     (lower[rest], upper[rest]))]
             batch = batch.take(rest)
         self._merge(batch)
+
+    def limit(self, uppers) -> float:
+        """The k-th smallest of the heap's distances and ``uppers`` (upper
+        bounds of rows not in the heap), ``inf`` if fewer than k: an upper
+        bound of the final k-th distance once those rows are refined."""
+        values = np.concatenate([[-negd for negd, _ in self.ans], uppers])
+        if len(values) < self.k:
+            return math.inf
+        return float(np.partition(values, self.k - 1)[self.k - 1])
 
     def _merge(self, batch: MemberBlock) -> None:
         """Refine ``batch`` in one kernel call; merged in ``(distance, id)``
@@ -620,21 +649,61 @@ class TrajTree:
             rects).tolist()
 
     @staticmethod
-    def _rect_raws(query: Trajectory, d: np.ndarray,
-                   rects: np.ndarray) -> np.ndarray:
-        """``2 · d · len(Q)`` — the quick bound and Rule 2's — from computed
-        distances ``d`` of the query to ``rects``, less the box bound's
-        rounding margin (:func:`~repro.core.geometry.margined_distances`
-        at the largest coordinate of rectangle and query, then
+    def _rect_raws(query: Trajectory, d: np.ndarray, rects: np.ndarray,
+                   lengths: Optional[np.ndarray] = None) -> np.ndarray:
+        """``2 · d · len(Q)`` — the quick bound and Rule 2's for EDwPsub —
+        or, given the members' ``lengths``, the two-sided ``2 · d · (len(Q)
+        + len(T))`` Rule 2 gives EDwP, from computed distances ``d`` of the
+        query to ``rects``, less the box bound's rounding margin
+        (:func:`~repro.core.geometry.margined_distances` at the largest
+        coordinate of rectangle and query, then
         :data:`~repro.core.geometry.BOUND_SHRINK`), and 0 past a scale of
         1e150.  Monotone in ``d``, so Rule 2 may apply it to bounds on
-        ``d`` (DESIGN.md, "Index bound kernels")."""
+        ``d`` (DESIGN.md, "Index bound kernels", "Batched leaf
+        refinement")."""
         scales = np.maximum(np.abs(rects).max(axis=1),
                             np.abs(query.coords()).max())
-        with np.errstate(invalid="ignore"):     # 0 * an overflowed len(Q)
-            raws = (2.0 * margined_distances(d, scales) * query.length
+        coverage = query.length if lengths is None else query.length + lengths
+        with np.errstate(invalid="ignore"):     # 0 * an overflowed length
+            raws = (2.0 * margined_distances(d, scales) * coverage
                     * BOUND_SHRINK)
         return np.where(scales <= 1e150, raws, 0.0)
+
+    @staticmethod
+    def _rect_uppers(query: Trajectory, block: MemberBlock,
+                     normalized: bool) -> np.ndarray:
+        """Upper bounds on each row's *computed* EDwP to ``query`` (EDwPavg
+        when ``normalized``): ``2 · D · (len(Q) + len(T))``, ``D`` the
+        farthest distance between the query's rectangle and the row's.
+
+        Every edit of the DP costs ``(d(start) + d(end)) · coverage`` with
+        all four positions on the two polylines, so each ``d <= D``, and
+        the coverages tile both polylines.  Upward margin: ``D`` and the
+        coverage each grow by one :func:`~repro.core.geometry.rounding_band`
+        per edit (``K = n + m + 1`` edits, so rounded positions may stray
+        that far), the product is divided by
+        :data:`~repro.core.geometry.BOUND_SHRINK` and gains ``1e-300``
+        (subnormal edit costs); the normalized form divides that by the
+        same ``len(Q) + len(T)`` the distance is divided by.  ``inf`` for
+        a row without segments, for ``len(Q) + len(T) <= 0``, past a scale
+        of 1e150 and wherever the value is not finite (DESIGN.md, "Upper
+        bounds screen the flush")."""
+        qx0, qy0, qx1, qy1 = query.bounding_rect()
+        rects = block.rects
+        dx = np.maximum(qx1 - rects[:, 0], rects[:, 2] - qx0)
+        dy = np.maximum(qy1 - rects[:, 1], rects[:, 3] - qy0)
+        scales = np.maximum(np.abs(rects).max(axis=1),
+                            np.abs(query.coords()).max())
+        slack = (query.num_segments + block.counts) * rounding_band(scales)
+        coverage = query.length + block.lengths
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            uppers = (2.0 * (np.sqrt(dx * dx + dy * dy) + slack)
+                      * (coverage + slack) / BOUND_SHRINK + 1e-300)
+            if normalized:
+                uppers = uppers / coverage
+        sound = ((block.counts >= 2) & (coverage > 0.0) & (scales <= 1e150)
+                 & np.isfinite(uppers))
+        return np.where(sound, uppers, math.inf)
 
     def _block(self, node: _Node) -> MemberBlock:
         """``node``'s members, built on first use by an idempotent
@@ -656,14 +725,19 @@ class TrajTree:
         normalized: bool,
         stats: TrajTreeStats,
         bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        *,
+        two_sided: bool,
     ) -> np.ndarray:
         """The rows of ``block`` whose own lower bound does not pass
         ``limit`` (Rule 2); the rest count in ``stats.members_pruned``.
 
-        A member's bound is ``max(raw, 2 · d · len(Q))`` (:meth:`_rect_raws`),
-        over ``len(Q) + len(T)`` when ``normalized``: ``raw`` the bound of
-        the member's node (one for the block, or one per row), ``d`` the
-        query's distance to the member's rectangle.  It is monotone in
+        A member's bound is ``max(raw, 2 · d · len(Q))``, or ``max(raw, 2 ·
+        d · (len(Q) + len(T)))`` when ``two_sided`` (EDwP, whose coverage
+        counts the member's pieces too; EDwPsub skips some of them)
+        (:meth:`_rect_raws`), over ``len(Q) + len(T)`` when ``normalized``:
+        ``raw`` the bound of the member's node (one for the block, or one
+        per row), ``d`` the query's distance to the member's rectangle.
+        It is monotone in
         ``d``, so two bounds on the *computed* ``d`` — ``bounds``, from
         :func:`~repro.core.geometry.polyline_rects_distance_bounds`,
         computed here when not given — decide the block at once, as
@@ -675,7 +749,8 @@ class TrajTree:
                                (len(block),))
 
         def within(d: np.ndarray, sel=slice(None)) -> np.ndarray:
-            qraw = self._rect_raws(query, d, block.rects[sel])
+            qraw = self._rect_raws(query, d, block.rects[sel],
+                                   block.lengths[sel] if two_sided else None)
             lb = np.where(qraw > raws[sel], qraw, raws[sel])
             with np.errstate(divide="ignore", invalid="ignore"):
                 return (np.where(denom[sel] <= 0.0, 0.0, lb / denom[sel])
@@ -725,7 +800,8 @@ class TrajTree:
         """
         return self._best_first(
             query, k, stats, budget,
-            refine=self._exact_many, normalized=self.normalized, use_vps=True,
+            refine=self._exact_many, normalized=self.normalized,
+            full_match=True,
         )
 
     def _best_first(
@@ -736,7 +812,7 @@ class TrajTree:
         budget,
         refine: Callable[[Trajectory, Sequence[Trajectory]], List[float]],
         normalized: bool,
-        use_vps: bool,
+        full_match: bool,
     ) -> List[Tuple[int, float]]:
         """Alg. 2's best-first search — the one loop behind :meth:`knn` and
         :meth:`subtrajectory_knn`, of a single tree and of a forest's shards.
@@ -745,10 +821,13 @@ class TrajTree:
         trajectories)``, the batched exact distance that resolves deferred
         members (EDwP vs raw EDwPsub); ``normalized``, whether node bounds
         are divided by ``length(Q) + max length`` (EDwPsub is never
-        length-normalized); and ``use_vps``, whether Step 1's vantage-point
-        upper bound runs (VP descriptors hold EDwP distances, which say
-        nothing about EDwPsub).  Everything else — heap order, tie rule,
-        deferred refinement, budget check points — is shared.
+        length-normalized); and ``full_match``, whether the distance
+        matches the whole member (EDwP), which turns on Step 1's
+        vantage-point upper bound (VP descriptors hold EDwP distances,
+        which say nothing about EDwPsub), Rule 2's two-sided member bound
+        and the flush's upper bounds (:meth:`TopK.flush`).  Everything
+        else — heap order, tie rule, deferred refinement, budget check
+        points — is shared.
 
         ``k`` is the answer size, or a :class:`TopK` earlier searches filled:
         then deferred members stay in it for its owner to flush.
@@ -762,7 +841,10 @@ class TrajTree:
         answer.refine = lambda trajs: refine(query, trajs)
         answer.screen = lambda block, raws, limit, bounds: (
             self._members_within(query, block, raws, limit, normalized,
-                                 stats, bounds))
+                                 stats, bounds, two_sided=full_match))
+        answer.upper = ((lambda block: self._rect_uppers(query, block,
+                                                         normalized))
+                        if full_match and self.use_quick_bound else None)
         kth, flush, processed = answer.kth, answer.flush, answer.processed
         tracker = as_tracker(budget)
         eps = tracker.epsilon if tracker is not None else 0.0
@@ -814,10 +896,11 @@ class TrajTree:
 
             # Step 1 (Alg. 2 lines 8-10): refine the upper bound via VPs,
             # batched through the same deferral buffer (flushed at once so
-            # the upper bound tightens before any pruning decision).  Only
+            # the upper bound tightens before any pruning decision; the
+            # flush screens the offers like any other row).  Only
             # on a node the search descends into: for one refined whole the
             # VP sweep costs what refining its members does.
-            if (use_vps and not whole and node.vantage is not None
+            if (full_match and not whole and node.vantage is not None
                     and len(node.vantage) > 0):
                 stats.vp_rankings += 1
                 qdesc = node.vantage.describe(query)
@@ -839,13 +922,14 @@ class TrajTree:
                 limit = kth()
                 if limit < math.inf:
                     block = block.take(self._members_within(
-                        query, block, raw, limit, normalized, stats))
+                        query, block, raw, limit, normalized, stats,
+                        two_sided=full_match))
                 answer.defer(block, raw)
                 # With the heap unfilled and this search's frontier empty,
                 # no k-th distance could prune anything more here: keep
                 # deferring, so the next flush (a descent's, the search's
-                # last or a forest owner's) holds every row and refines the
-                # nearest first (TopK.flush).
+                # last or a forest owner's) holds every row and screens them
+                # against each other's upper bounds (TopK.flush).
                 if (sum(map(len, answer.pending)) >= REFINE_FLUSH
                         and (cands or len(answer.ans) >= answer.k)):
                     flush()
@@ -1094,7 +1178,8 @@ class TrajTree:
                     else:
                         next_frontier.extend(node.children)
             chunks = [block.take(self._members_within(
-                query, block, raw, radius, self.normalized, stats))
+                query, block, raw, radius, self.normalized, stats,
+                two_sided=True))
                 for block, raw in ((self._block(n), r) for n, r in refined)]
             batch = TrajectoryBatch.concat(chunks) if chunks else ()
             if len(batch):
@@ -1148,7 +1233,8 @@ class TrajTree:
         """
         return self._best_first(
             query, k, stats, budget,
-            refine=self._exact_sub_many, normalized=False, use_vps=False,
+            refine=self._exact_sub_many, normalized=False,
+            full_match=False,
         )
 
     def subtrajectory_knn_scan(

@@ -15,6 +15,7 @@ changes, never pickled, and safe to build from concurrent first queries.
 """
 
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -41,23 +42,25 @@ SCALES = (1.0, 1e-300, 1e-150, 1e150, 1e200)
 EPS = float(np.finfo(np.float64).eps)
 
 
-def member_rect_raw(query, traj):
-    """The rectangle bound of one member, scalar: ``2 · d · len(Q)`` with
-    ``d`` the ten-candidate distance to its rectangle less ``32 ε ·
-    max|coordinate| + 1e-300`` (0 past 1e150), the product shrunk by
-    ``1 - 2^-30`` — the box bound's margin (DESIGN.md, "Index bound
-    kernels")."""
+def member_rect_raw(query, traj, two_sided=False):
+    """The rectangle bound of one member, scalar: ``2 · d · len(Q)``, or
+    ``2 · d · (len(Q) + len(T))`` when ``two_sided`` (EDwP's coverage
+    counts the member's pieces too), with ``d`` the ten-candidate distance
+    to its rectangle less ``32 ε · max|coordinate| + 1e-300`` (0 past
+    1e150), the product shrunk by ``1 - 2^-30`` — the box bound's margin
+    (DESIGN.md, "Index bound kernels")."""
     rect = traj.bounding_rect()
     d = float(polyline_rects_distance(query.spatial(), [rect])[0])
     scale = max(max(abs(c) for c in rect), float(np.abs(query.coords()).max()))
     if not scale <= 1e150:
         return 0.0
     d = d - (32 * EPS * scale + 1e-300)
-    return 2.0 * (d if d > 0.0 else 0.0) * query.length * (1.0 - 2.0 ** -30)
+    coverage = query.length + traj.length if two_sided else query.length
+    return 2.0 * (d if d > 0.0 else 0.0) * coverage * (1.0 - 2.0 ** -30)
 
 
 def members_within_scalar(self, query, members, raws, limit, normalized,
-                          stats):
+                          stats, two_sided):
     """The scalar Rule 2 this module's filter replaced: the members whose
     own lower bound does not pass ``limit``.
 
@@ -69,7 +72,7 @@ def members_within_scalar(self, query, members, raws, limit, normalized,
     if not members:
         return members
     quick_raws = (
-        [member_rect_raw(query, t) for _, t in members]
+        [member_rect_raw(query, t, two_sided) for _, t in members]
         if self.use_quick_bound else [0.0] * len(members)
     )
     kept = [
@@ -93,22 +96,23 @@ def scaled(traj, scale):
     return Trajectory(traj.data * [scale, scale, 1.0], validate=False)
 
 
-def oracle_bounds(tree, query, trajs, raw, normalized):
+def oracle_bounds(tree, query, trajs, raw, normalized, two_sided):
     """Each member's scalar bound, as the oracle evaluates it."""
-    qraws = ([member_rect_raw(query, t) for t in trajs]
+    qraws = ([member_rect_raw(query, t, two_sided) for t in trajs]
              if tree.use_quick_bound else [0.0] * len(trajs))
     return [tree._normalize_bound(query, t.length, max(raw, q), normalized)
             for t, q in zip(trajs, qraws)]
 
 
-def assert_decisions_equal(query, trajs, raw, normalized, use_quick_bound):
+def assert_decisions_equal(query, trajs, raw, normalized, use_quick_bound,
+                           two_sided):
     """Every limit drawn from the oracle's own bounds (ties land on
     ``<=``), the floats either side of each, 0 and inf: same kept ids and
     the same ``members_pruned``."""
     tree = rule2_tree(use_quick_bound)
     ids = list(range(len(trajs)))
     block = MemberBlock(ids, trajs)
-    bounds = oracle_bounds(tree, query, trajs, raw, normalized)
+    bounds = oracle_bounds(tree, query, trajs, raw, normalized, two_sided)
     candidates = {0.0, math.inf}
     for b in bounds:
         candidates |= {b, math.nextafter(b, -math.inf),
@@ -117,9 +121,10 @@ def assert_decisions_equal(query, trajs, raw, normalized, use_quick_bound):
         want_stats, got_stats = TrajTreeStats(), TrajTreeStats()
         want = [tid for tid, _ in members_within_scalar(
             tree, query, list(zip(ids, trajs)), [raw] * len(trajs), limit,
-            normalized, want_stats)]
+            normalized, want_stats, two_sided)]
         got = block.ids[tree._members_within(
-            query, block, raw, limit, normalized, got_stats)].tolist()
+            query, block, raw, limit, normalized, got_stats,
+            two_sided=two_sided)].tolist()
         assert got == want, limit
         assert got_stats.members_pruned == want_stats.members_pruned
         assert type(got_stats.members_pruned) is int
@@ -135,21 +140,22 @@ class TestRule2DecisionIdentity:
            scale=st.sampled_from(SCALES),
            normalized=st.booleans(),
            use_quick_bound=st.booleans(),
+           two_sided=st.booleans(),
            raw_pick=st.integers(-1, 8))
     def test_block_filter_equals_scalar_rule(self, query, members, scale,
                                              normalized, use_quick_bound,
-                                             raw_pick):
+                                             two_sided, raw_pick):
         query = scaled(query, scale)
         members = [scaled(t, scale) for t in members]
-        # raw: 0, or one member's own rectangle bound (a tie with qraw)
-        qraws = [member_rect_raw(query, t) for t in members]
-        # the vectorized quick bound is the same margined value
+        # the vectorized quick bound is the same margined one-sided value
         assert list(map(float.hex, TrajTree._quick_bounds_many_raw(
-            query, [t.bounding_rect() for t in members]))) == list(
-            map(float.hex, qraws))
+            query, [t.bounding_rect() for t in members]))) == [
+            member_rect_raw(query, t).hex() for t in members]
+        # raw: 0, or one member's own rectangle bound (a tie with qraw)
+        qraws = [member_rect_raw(query, t, two_sided) for t in members]
         raw = 0.0 if raw_pick < 0 else qraws[raw_pick % len(qraws)]
         assert_decisions_equal(query, members, raw, normalized,
-                               use_quick_bound)
+                               use_quick_bound, two_sided)
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("normalized", [False, True])
@@ -161,8 +167,10 @@ class TestRule2DecisionIdentity:
         query = Trajectory.from_xy([(-1.4 * scale, 0.0), (0.3 * scale, 0.0)])
         x = math.nextafter(0.3 * scale, math.inf)
         member = Trajectory.from_xy([(x, 0.0), (x + scale, 0.0)])
-        for raw in (0.0, 1e-30 * scale):
-            assert_decisions_equal(query, [member], raw, normalized, True)
+        for raw, two_sided in itertools.product((0.0, 1e-30 * scale),
+                                                (False, True)):
+            assert_decisions_equal(query, [member], raw, normalized, True,
+                                   two_sided)
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_nearest_vertex_is_sqrt_not_hypot(self, scale):
@@ -172,7 +180,9 @@ class TestRule2DecisionIdentity:
         dx, dy = 2.32413861607486 * scale, 1.4885903365160598 * scale
         query = Trajectory.from_xy([(0.0, 0.0), (-scale, 0.0)])
         member = Trajectory.from_xy([(dx, dy), (dx + scale, dy + scale)])
-        assert_decisions_equal(query, [member], 0.0, False, True)
+        for two_sided in (False, True):
+            assert_decisions_equal(query, [member], 0.0, False, True,
+                                   two_sided)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
@@ -187,10 +197,12 @@ def test_rect_bounds_give_up_the_box_bound_margin(scale):
                                    [member.bounding_rect()])[0] > 0.0
     assert TrajTree._quick_bounds_many_raw(
         query, [member.bounding_rect()]) == [0.0]
-    stats = TrajTreeStats()
-    kept = rule2_tree(True)._members_within(
-        query, MemberBlock([7], [member]), 0.0, 0.0, False, stats)
-    assert kept.tolist() == [0] and stats.members_pruned == 0
+    for two_sided in (False, True):
+        stats = TrajTreeStats()
+        kept = rule2_tree(True)._members_within(
+            query, MemberBlock([7], [member]), 0.0, 0.0, False, stats,
+            two_sided=two_sided)
+        assert kept.tolist() == [0] and stats.members_pruned == 0
 
 
 # --------------------------------------------------------------------- #
@@ -364,11 +376,12 @@ def test_forest_flush_counts_members_not_chunks():
     """On the 480-walk forest the buffer passes 128 *members* after the
     second shard, with the heap still unfilled and no frontier left to
     prune: deferral goes on, and the owner's last flush holds all 480 rows.
-    It refines the 10 nearest by rectangle first and screens the rest with
-    Rule 2 against the k-th distance they give.  The pinned totals are
-    this two-step flush's; the parent's one-step flush after the second
-    shard gave (5516, 4084), and a flush that never screens would refine
-    all 9,600 rows."""
+    It screens them with Rule 2 against the 10th smallest of their upper
+    bounds and refines the survivors in one call.  The pinned totals are
+    this screened flush's; the two-step flush (10 nearest by rectangle
+    refined first, the rest screened against their k-th distance) gave
+    (1498, 8102), the one-step flush after the second shard (5516, 4084),
+    and a flush that never screens would refine all 9,600 rows."""
     stats = TrajTreeStats()
     for q in forest_walks(20, 1):
         walk_forest().knn(q, 10, stats=stats)
@@ -376,13 +389,14 @@ def test_forest_flush_counts_members_not_chunks():
 
 
 #: (exact_computations, members_pruned) summed over the 20 queries.
-FOREST_PINNED = (1498, 8102)
+FOREST_PINNED = (405, 9195)
 
 
 def test_forest_refines_the_nearest_k_first(monkeypatch):
-    """Per query: two ``edwp_many`` calls, the first exactly k rows (the
-    heap's fill), the second Rule 2's survivors; every one of the 480
-    members is refined or screened, once."""
+    """Per query: one ``edwp_many`` call, of the rows the upper-bound
+    screen leaves (at least the k with the smallest upper bounds, fewer
+    than ``REFINE_FLUSH``, so no two-step); every one of the 480 members
+    is refined or screened, once."""
     calls = []
     kernel = trajtree.edwp_many
 
@@ -395,8 +409,8 @@ def test_forest_refines_the_nearest_k_first(monkeypatch):
         calls.clear()
         stats = TrajTreeStats()
         walk_forest().knn(q, 10, stats=stats)
-        assert len(calls) == 2 and calls[0] == 10
-        assert stats.exact_computations == sum(calls)
+        assert len(calls) == 1 and 10 <= calls[0] < trajtree.REFINE_FLUSH
+        assert stats.exact_computations == calls[0]
         assert stats.exact_computations + stats.members_pruned == 480
 
 
@@ -406,7 +420,8 @@ def test_flush_trigger_fires_mid_walk_with_an_unfilled_heap(
         backend, kind, monkeypatch):
     """With ``REFINE_FLUSH = 16`` and no VP step to fill the heap, whole
     nodes reach the trigger while the heap is unfilled and the frontier is
-    not empty: the trigger fires (a two-step flush, since 16 rows exceed
+    not empty: the trigger fires (screened first for knn; for sub-knn,
+    whose rows have no upper bound, a two-step flush, since 16 rows exceed
     the 10 answers missing) and the walk goes on against the k-th distance
     it gives.  Answers equal the scan on a tree and on a forest."""
     monkeypatch.setattr(trajtree, "REFINE_FLUSH", 16)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.edwp import BACKENDS
+from repro.core.geometry import polyline_rects_distance
 from repro.index import TrajForest, TrajTree, trajtree
 from repro.index.trajtree import TrajTreeStats
 
@@ -134,16 +135,40 @@ class TestKnnAccounting:
         tree.backend = None
         assert per_backend["python"] == per_backend["numpy"]
 
-    def test_members_pruned_zero_when_unnormalized(self, database, query):
+    def test_members_pruned_zero_when_unnormalized(self, database, query,
+                                                   monkeypatch):
         """Raw-EDwP trees have node-constant denominators, so the
-        per-member re-normalization can never prune anyone; on this
-        database every member's rectangle touches the query too, so the
-        rectangle half of the per-member bound prunes no one either."""
+        per-member re-normalization can never prune anyone, and on this
+        database the one-sided rectangle bound ``2 · d · len(Q)`` prunes no
+        one either.  What Rule 2 prunes, the member's own coverage prunes:
+        the two-sided ``2 · d · (len(Q) + len(T))`` exceeds the limit that
+        neither the node's bound nor the one-sided bound reaches — none
+        when the root is refined whole (nothing is screened before the
+        flush, whose limit no row's bound passes here), a few when the
+        search traverses."""
         tree = TrajTree(database, theta=0.8, num_vps=6, normalized=False,
                         seed=2)
+        screens = []
+        within = TrajTree._members_within
+
+        def spy(self, query, block, raw, limit, *args, **kwargs):
+            kept = within(self, query, block, raw, limit, *args, **kwargs)
+            pruned = np.delete(np.arange(len(block)), kept)
+            raws = np.broadcast_to(raw, (len(block),))[pruned]
+            d = polyline_rects_distance(query.spatial(), block.rects[pruned])
+            screens.append((limit, raws, 2.0 * d * query.length,
+                            2.0 * d * (query.length + block.lengths[pruned])))
+            return kept
+
+        monkeypatch.setattr(TrajTree, "_members_within", spy)
         stats = TrajTreeStats()
         tree.knn(query, 5, stats=stats)
-        assert stats.members_pruned == 0
+        assert stats.members_pruned == sum(len(s[1]) for s in screens)
+        for limit, raws, one_sided, two_sided in screens:
+            assert (raws <= limit).all() and (one_sided <= limit).all()
+            assert (two_sided > limit).all()
+        whole = tree.root.count() <= trajtree.REFINE_FLUSH
+        assert (stats.members_pruned == 0) == whole
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_crossover_boundary(self, database, query, monkeypatch,
