@@ -41,18 +41,15 @@ def _evals_per_query(tree, queries, k=K):
 
 
 def test_ablation_pruning_mechanisms(benchmark, results_dir, db, queries):
-    """Toggle VP refinement and the quick rectangle bound."""
+    """Toggle the quick rectangle bound."""
 
     def run():
         rows = {}
         for label, kwargs in [
-            ("full", dict(vp_levels=1, use_quick_bound=True)),
-            ("no-VPs", dict(vp_levels=0, use_quick_bound=True)),
-            ("no-quick-bound", dict(vp_levels=1, use_quick_bound=False)),
-            ("bounds-only", dict(vp_levels=0, use_quick_bound=False)),
+            ("full", dict(use_quick_bound=True)),
+            ("no-quick-bound", dict(use_quick_bound=False)),
         ]:
-            tree = TrajTree(db, num_vps=40, normalized=True, seed=0,
-                            **kwargs)
+            tree = TrajTree(db, normalized=True, seed=0, **kwargs)
             start = time.perf_counter()
             evals = _evals_per_query(tree, queries)
             secs = time.perf_counter() - start
@@ -84,7 +81,7 @@ def test_ablation_box_budget(benchmark, results_dir, db, queries):
     def run():
         rows = {}
         for max_boxes in (4, 8, 12, 24):
-            tree = TrajTree(db, num_vps=40, normalized=True, seed=0,
+            tree = TrajTree(db, normalized=True, seed=0,
                             max_boxes=max_boxes)
             start = time.perf_counter()
             evals = _evals_per_query(tree, queries)
@@ -108,12 +105,11 @@ def test_ablation_box_budget(benchmark, results_dir, db, queries):
 def test_ablation_exactness_all_configs(db, queries):
     """Whatever the configuration, answers must equal the scan oracle."""
     for kwargs in (
-        dict(vp_levels=0, use_quick_bound=False),
-        dict(vp_levels=2, use_quick_bound=True, max_boxes=6),
+        dict(use_quick_bound=False),
+        dict(use_quick_bound=True, max_boxes=6),
         dict(max_branching=4),
     ):
-        tree = TrajTree(db[:60], num_vps=15, normalized=True, seed=0,
-                        **kwargs)
+        tree = TrajTree(db[:60], normalized=True, seed=0, **kwargs)
         for q in queries:
             got = [t for t, _ in tree.knn(q, 5)]
             want = [t for t, _ in tree.knn_scan(q, 5)]

@@ -123,7 +123,7 @@ def test_bench_box_lower_bound(benchmark):
 @pytest.fixture(scope="module")
 def small_tree():
     db = generate_beijing(80, seed=7)
-    return TrajTree(db, num_vps=20, normalized=True, seed=0)
+    return TrajTree(db, normalized=True, seed=0)
 
 
 def test_bench_trajtree_query(benchmark, small_tree):

@@ -78,7 +78,7 @@ def test_numpy_knn_speedup_and_equivalence(results_dir):
     queries = generate_beijing(GATE_QUERIES, seed=1007)
 
     build_start = time.perf_counter()
-    tree = TrajTree(db, theta=0.8, num_vps=8, normalized=True, seed=7,
+    tree = TrajTree(db, theta=0.8, normalized=True, seed=7,
                     backend="numpy")
     build_secs = time.perf_counter() - build_start
 

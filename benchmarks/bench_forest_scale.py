@@ -45,9 +45,9 @@ SUBSAMPLE = 2_000      # literal single-tree oracle size
 RSS_CAP_MB = 600       # peak RSS cap for the whole build+query run
 
 # Build parameters tuned for tiny (3-6 point) trajectories: shallow
-# shard trees, few boxes/VPs — the gate exercises scale, not pruning.
+# shard trees, few boxes — the gate exercises scale, not pruning.
 TREE_KWARGS = dict(
-    normalized=True, num_vps=2, vp_levels=1, min_node_size=400,
+    normalized=True, min_node_size=400,
     max_branching=2, max_boxes=3, backend="numpy",
 )
 

@@ -50,7 +50,8 @@ from repro.testing.faults import FaultPlan, injected
 
 from conftest import emit
 
-N = 48                    # trajectories served
+N = 300                   # trajectories served: > REFINE_FLUSH, so the
+                          # tree traverses and epsilon has pops to cut
 K = 4
 PROBES = 8                # distinct probe queries (coalescing feeds on reuse)
 FLOOD_CLIENTS = 16        # 8x the 2 concurrently admitted queries
@@ -95,8 +96,7 @@ def check_answer(qid, results, meta, oracle):
 @pytest.mark.benchmark(group="service-overload")
 def test_service_overload_gate(benchmark, results_dir):
     db = generate_beijing(N, seed=7, config=SHORT_TRIPS)
-    tree = TrajTree(db, normalized=True, num_vps=4, seed=7,
-                    backend="numpy")
+    tree = TrajTree(db, normalized=True, seed=7, backend="numpy")
     probes = generate_beijing(PROBES, seed=1009, config=SHORT_TRIPS)
     oracle = {q.traj_id: tree.knn(q, K) for q in probes}
 

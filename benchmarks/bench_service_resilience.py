@@ -54,7 +54,7 @@ DROP_RATE = 0.1
 K = 5
 
 TREE_KWARGS = dict(
-    normalized=True, num_vps=2, vp_levels=1, min_node_size=5,
+    normalized=True, min_node_size=5,
     max_branching=2, max_boxes=3, backend="numpy",
 )
 

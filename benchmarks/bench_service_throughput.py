@@ -38,7 +38,7 @@ SPEEDUP_FLOOR = 2.0
 @pytest.fixture(scope="module")
 def tree():
     db = generate_beijing(DB_SIZE, seed=7)
-    t = TrajTree(db, normalized=True, num_vps=8, seed=7, backend="numpy")
+    t = TrajTree(db, normalized=True, seed=7, backend="numpy")
     t.warm_caches()
     return t
 

@@ -9,7 +9,7 @@ The package provides:
   :func:`~repro.core.edwp.edwp_avg` and the sub-trajectory distance
   :func:`~repro.core.edwp_sub.edwp_sub`.
 * ``repro.index`` — the TrajTree index (Sec. IV): st-boxes, tBoxSeqs, pivot
-  partitioning, vantage points and exact k-NN querying, plus the sharded
+  partitioning and exact k-NN querying, plus the sharded
   :class:`~repro.index.forest.TrajForest` answering the same exact queries.
 * ``repro.store`` — columnar, memory-mappable trajectory storage
   (:class:`~repro.store.ColumnarStore`): zero-copy store-backed

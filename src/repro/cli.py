@@ -197,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "each memory-mapping the store")
     pbf.add_argument("--seed", type=int, default=7,
                      help="base build seed (per-shard seeds derive from it)")
-    pbf.add_argument("--num-vps", type=int, default=8,
-                     help="vantage points per node")
     pbf.add_argument("--min-node-size", type=int, default=10,
                      help="maximum leaf size per shard tree")
     pbf.add_argument("--raw", action="store_true",
@@ -326,7 +324,6 @@ def _run_build_forest(args) -> int:
         seed=args.seed,
         workers=args.workers,
         normalized=not args.raw,
-        num_vps=args.num_vps,
         min_node_size=args.min_node_size,
         backend=args.backend,
     )
@@ -381,7 +378,7 @@ def _run_serve(args) -> int:
         from .index import TrajTree
 
         db = generate_beijing(args.synthetic, seed=args.seed)
-        tree = TrajTree(db, normalized=True, num_vps=8, seed=args.seed,
+        tree = TrajTree(db, normalized=True, seed=args.seed,
                         backend=args.backend)
         origin = f"synthetic Beijing db of {args.synthetic}"
 

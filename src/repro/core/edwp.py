@@ -300,8 +300,10 @@ def edwp(t1: Trajectory, t2: Trajectory, backend: Optional[str] = None) -> float
 
 
 def _normalize(raw: float, denom: float) -> float:
-    """Eq. 4 with the degenerate zero-length rule."""
-    if denom <= 0.0:
+    """Eq. 4 with the degenerate zero-length rule; a raw value that is
+    not below ``inf`` (overflowed: ``inf``, or NaN from the numpy kernel)
+    is ``inf``, never ``inf / inf``."""
+    if denom <= 0.0 or not raw < math.inf:
         return 0.0 if raw == 0.0 else math.inf
     return raw / denom
 
@@ -333,7 +335,10 @@ def edwp_many(
     through this.
 
     Returns one distance per input trajectory, in order, with the same
-    base-case semantics as :func:`edwp` / :func:`edwp_avg` per pair.
+    base-case semantics as :func:`edwp` / :func:`edwp_avg` per pair.  A
+    pair whose DP overflowed is ``inf`` on both backends, raw and
+    normalized, never NaN (the numpy kernel's ``inf * 0`` can give NaN
+    there, where the reference DP keeps ``inf``).
     """
     kernel = tier_kernel("edwp_many", backend)
     batch = TrajectoryBatch.of(trajectories)
@@ -341,12 +346,15 @@ def edwp_many(
         raw = kernel(query, batch)
     else:
         raw = [edwp(query, t, backend=backend) for t in batch]
+    raw = np.asarray(raw, dtype=np.float64)
+    overflowed = ~(raw < math.inf)
     if not normalized:
-        return raw
+        return np.where(overflowed, math.inf, raw).tolist()
     denom = query.length + batch.lengths        # _normalize, vectorized
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom <= 0.0, np.where(np.equal(raw, 0.0), 0.0,
-                        math.inf), np.divide(raw, denom)).tolist()
+        return np.where((denom <= 0.0) | overflowed,
+                        np.where(raw == 0.0, 0.0, math.inf),
+                        raw / denom).tolist()
 
 
 def edwp_alignment(t1: Trajectory, t2: Trajectory) -> EdwpResult:

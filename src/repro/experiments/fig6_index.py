@@ -49,7 +49,6 @@ def _setup_methods(
     db: Sequence[Trajectory],
     seed: int,
     theta: float = 0.8,
-    num_vps: int = 40,
     include_ma: bool = True,
 ):
     """Build all retrieval methods over one database.
@@ -60,8 +59,7 @@ def _setup_methods(
     eps = suggest_eps(db)
 
     start = time.perf_counter()
-    tree = TrajTree(db, theta=theta, num_vps=num_vps, normalized=True,
-                    seed=seed)
+    tree = TrajTree(db, theta=theta, normalized=True, seed=seed)
     tree_build = time.perf_counter() - start
 
     spacing = corpus_target_spacing(db)
@@ -184,8 +182,7 @@ def run_theta_sweep(
                              x_values=[float(t) for t in thetas])
     for theta in thetas:
         start = time.perf_counter()
-        tree = TrajTree(db, theta=theta, num_vps=40, normalized=True,
-                        seed=seed)
+        tree = TrajTree(db, theta=theta, normalized=True, seed=seed)
         build = time.perf_counter() - start
         start = time.perf_counter()
         for q in queries:

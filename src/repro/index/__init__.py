@@ -11,7 +11,8 @@ Public surface:
   kernels").
 * :func:`~repro.index.partition.partition` — pivot partitioning (Alg. 1).
 * :class:`~repro.index.vantage.VantageIndex` — Lipschitz-style vantage
-  descriptors and the VP-based upper bound (Sec. IV-E).
+  descriptors and the VP-based upper bound (Sec. IV-E), for the Fig. 6(c)/(d)
+  UB-factor experiment; the tree's search does not use them.
 * :class:`~repro.index.trajtree.TrajTree` — the index with exact k-NN
   querying (Alg. 2).
 * :class:`~repro.index.budget.QueryBudget` /

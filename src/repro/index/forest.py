@@ -121,7 +121,7 @@ def _build_shard_from_store(
 
 
 def _shard_seed(seed: int, shard: int) -> int:
-    """Per-shard build seed: decorrelates pivot/VP draws across shards."""
+    """Per-shard build seed: decorrelates pivot draws across shards."""
     return seed + 1_000_003 * shard
 
 
@@ -142,7 +142,7 @@ class TrajForest:
         Shard-assignment scheme, one of :data:`SHARD_SCHEMES`.
     seed:
         Base build seed; shard ``i`` builds with a seed derived from it
-        (:func:`_shard_seed`) so shard trees make decorrelated pivot/VP
+        (:func:`_shard_seed`) so shard trees make decorrelated pivot
         draws.
     **tree_kwargs:
         Forwarded verbatim to every shard's :class:`TrajTree` constructor

@@ -68,8 +68,9 @@ __all__ = [
 
 _MAGIC = "repro-trajtree"
 #: bumped whenever the pickled state of a class in _TREE_GLOBALS changes
-#: (1.3.0: the bare pickled tree behind the envelope header, no build RNG)
-_FORMAT_VERSION = "1.3.0"
+#: (1.3.0: the bare pickled tree behind the envelope header, no build RNG;
+#: 1.4.0: no vantage descriptors)
+_FORMAT_VERSION = "1.4.0"
 
 _FOREST_MAGIC = "repro-trajforest"
 #: the manifest's own version, bumped with its schema (1.2.0: shard
@@ -90,7 +91,6 @@ _TREE_GLOBALS = frozenset({
     ("repro.index.trajtree", "TrajTree"),
     ("repro.index.trajtree", "TrajTreeStats"),
     ("repro.index.trajtree", "_Node"),
-    ("repro.index.vantage", "VantageIndex"),
     ("numpy", "dtype"),
     ("numpy", "ndarray"),
     ("numpy.core.numeric", "_frombuffer"),

@@ -1,19 +1,22 @@
 """TrajTree — hierarchical index for exact k-NN retrieval under EDwP.
 
 Paper Sec. IV-D..G.  Every node summarizes the trajectories of its subtree
-with (a) a tBoxSeq, whose boxes cover every member and so give a *lower
-bound* on the distance from a query to anything below the node (Theorem 2,
-in the per-segment form of :func:`~repro.index.tboxseq.edwp_sub_box_many`;
-DESIGN.md, "Index bound kernels"), and (b) a set of vantage points with
-descriptors for the whole subtree, whose
-descriptor-space top-k gives a cheap *upper bound* on the k-NN distance
-(Eq. 14).  Querying (Alg. 2) is a best-first search: nodes are dequeued in
-lower-bound order, each dequeued node refines the upper bound through its
-VPs and enqueues the children whose lower bounds beat it.
+with a tBoxSeq, whose boxes cover every member and so give a *lower bound*
+on the distance from a query to anything below the node (Theorem 2, in the
+per-segment form of :func:`~repro.index.tboxseq.edwp_sub_box_many`;
+DESIGN.md, "Index bound kernels").  Querying (Alg. 2) is a best-first
+search: nodes are dequeued in lower-bound order and each dequeued node
+enqueues the children whose lower bounds beat the k-th distance.
+
+Deviation from Alg. 2: no vantage-point step (Step 1, Eq. 14) and no
+per-node vantage descriptors.  The upper bound on the k-th distance that
+step gave comes from the members' rectangle upper bounds, with which every
+flush screens its rows (DESIGN.md, "Upper bounds screen the flush", "No
+vantage-point step").
 
 Deviation from the pseudo-code, documented in DESIGN.md: when a leaf node
 survives pruning we compute the exact EDwP of all its (≤ ``min_node_size``)
-unprocessed members immediately instead of re-enqueueing each trajectory
+members immediately instead of re-enqueueing each trajectory
 keyed by the trajectory-level EDwPsub.  The practical DP realization of
 EDwPsub is not a guaranteed lower bound trajectory-to-trajectory (see
 DESIGN.md), so this keeps retrieval exact at negligible cost.
@@ -45,7 +48,6 @@ from .budget import AnytimeResult, as_tracker, bound_factor_for
 from .partition import partition
 from .tboxseq import (DEFAULT_MAX_BOXES, TBoxSeq, edwp_sub_box_many,
                       least_growth)
-from .vantage import VantageIndex
 
 __all__ = ["TrajTree", "TrajTreeStats"]
 
@@ -82,7 +84,7 @@ class TrajTreeStats:
       nodes adds ``c``.  Quick-bound prunes therefore do *not* touch
       ``bound_computations`` (no box bound ran for them).
     * ``exact_computations`` counts exact distances actually evaluated
-      (VP-offered candidates and refined leaf members).
+      (refined members).
       ``members_pruned`` counts members skipped by the per-member bound
       (own rectangle, own length) *instead of* being refined — when its
       node is refined whole, or when a flush screens it against the k-th
@@ -109,7 +111,6 @@ class TrajTreeStats:
     bound_computations: int = 0
     quick_bound_computations: int = 0
     members_pruned: int = 0
-    vp_rankings: int = 0
 
 
 class MemberBlock(TrajectoryBatch):
@@ -126,9 +127,17 @@ class MemberBlock(TrajectoryBatch):
                               dtype=np.float64).reshape(-1, 4)
 
 
+def row_scales(query: Trajectory, rects: np.ndarray) -> np.ndarray:
+    """Per rectangle, the largest coordinate magnitude of it and the query:
+    the scale the rounding margins and the 1e150 cut-off of
+    :meth:`TrajTree._rect_raws` and :meth:`TrajTree._rect_uppers` read.
+    A flush computes it once for all its screens and upper bounds."""
+    return np.maximum(np.abs(rects).max(axis=1), np.abs(query.coords()).max())
+
+
 class TopK:
-    """Answer state of one top-k search: Alg. 2's ``ans`` and ``processed``
-    plus the deferred-refinement buffer: chunks of member-block rows
+    """Answer state of one top-k search: Alg. 2's ``ans`` plus the
+    deferred-refinement buffer: chunks of member-block rows
     (``block.take(rows)``), each with the raw bound of the node it came
     from, flushed by how many members they hold.
 
@@ -152,12 +161,12 @@ class TopK:
         # max-heap of size <= k holding (-dist, -traj_id); ties resolve by
         # trajectory id so results match the sequential-scan oracle.
         self.ans: List[Tuple[float, int]] = []
-        self.processed: set = set()
         self.pending: List[MemberBlock] = []
         self.raws: List[float] = []       # pending[i]'s node bound, raw
         # Set by the search in progress: its query, ``trajectories ->
-        # distances``, Rule 2 ``(block, raws, limit, bounds) -> kept rows``,
-        # ``block -> upper bounds`` (None: no row has one) and counters.
+        # distances``, Rule 2 ``(block, raws, limit, bounds, scales) -> kept
+        # rows``, ``(block, scales) -> upper bounds`` (None: no row has one)
+        # and counters.
         # The owner's final flush uses the last search's.
         self.query: Optional[Trajectory] = None
         self.refine: Optional[Callable] = None
@@ -174,7 +183,6 @@ class TopK:
         """Hold ``chunk`` for the next flush; ``raw`` is a raw lower bound
         for every row of it (its node's)."""
         if len(chunk):
-            self.processed.update(chunk.ids.tolist())
             self.pending.append(chunk)
             self.raws.append(raw)
 
@@ -197,16 +205,17 @@ class TopK:
         batch = TrajectoryBatch.concat(self.pending)
         raws = np.repeat(self.raws, list(map(len, self.pending)))
         self.pending, self.raws = [], []
+        scales = row_scales(self.query, batch.rects)
         bounds = uppers = None
         if self.upper is not None:
-            uppers = self.upper(batch)
+            uppers = self.upper(batch, scales)
             limit = self.limit(uppers)
             if limit < math.inf:
                 bounds = polyline_rects_distance_bounds(self.query.coords(),
                                                         batch.rects)
-                keep = self.screen(batch, raws, limit, bounds)
-                batch, raws, uppers = (batch.take(keep), raws[keep],
-                                       uppers[keep])
+                keep = self.screen(batch, raws, limit, bounds, scales)
+                batch, raws, uppers, scales = (batch.take(keep), raws[keep],
+                                               uppers[keep], scales[keep])
                 bounds = (bounds[0][keep], bounds[1][keep])
         need = self.k - len(self.ans)
         if 0 < need < len(batch) and len(batch) >= REFINE_FLUSH:
@@ -219,7 +228,7 @@ class TopK:
             rest = np.sort(order[need:])
             limit = self.limit(() if uppers is None else uppers[rest])
             rest = rest[self.screen(batch.take(rest), raws[rest], limit,
-                                    (lower[rest], upper[rest]))]
+                                    (lower[rest], upper[rest]), scales[rest])]
             batch = batch.take(rest)
         self._merge(batch)
 
@@ -302,15 +311,14 @@ def dispatch_query_many(
 
 
 class _Node:
-    """One TrajTree node: tBoxSeq summary + VP descriptors + children."""
+    """One TrajTree node: tBoxSeq summary + children."""
 
-    __slots__ = ("boxseq", "vantage", "children", "member_ids", "max_length",
+    __slots__ = ("boxseq", "children", "member_ids", "max_length",
                  "subtree_ids", "depth", "union_rect", "block")
 
     def __init__(
         self,
         boxseq: TBoxSeq,
-        vantage: Optional[VantageIndex],
         children: List["_Node"],
         member_ids: List[int],
         max_length: float,
@@ -318,7 +326,6 @@ class _Node:
         depth: int = 0,
     ):
         self.boxseq = boxseq
-        self.vantage = vantage
         self.children = children          # empty => leaf
         self.member_ids = member_ids      # leaf: trajectory ids stored here
         self.max_length = max_length      # max trajectory length in subtree
@@ -373,8 +380,10 @@ class TrajTree:
         Diversity-drop threshold of Alg. 1 (default 0.8, the paper's tuned
         value, Fig. 6b).  Larger θ allows more pivots per node (higher
         branching factor): tighter bounds, more bound computations.
-    num_vps:
-        Vantage points per node (default 80, Sec. V-A).
+    num_vps, vp_levels:
+        Accepted and ignored: the tree keeps no vantage points (DESIGN.md,
+        "No vantage-point step").  Trees built with any values are
+        identical.
     min_node_size:
         Maximum leaf size ``n`` (default 10, Sec. V-A).
     normalized:
@@ -386,14 +395,6 @@ class TrajTree:
         only when diversity drops sharply; on data without cluster structure
         that may never happen, so the cap keeps the tree from degenerating
         into one child per trajectory (implementation guardrail).
-    vp_levels:
-        Apply the Alg.-2 VP refinement step only to nodes shallower than
-        this depth (root = depth 0).  The paper refines at every dequeued
-        node, which is right when ``k * nodes_visited`` is negligible
-        against the database size; at laptop scales the root-level upper
-        bound (already tight, Fig. 6c) does the work and deeper refinement
-        mostly re-pays exact distances.  Set to a large value for the
-        paper's literal behaviour.
     backend:
         EDwP backend for exact distances and build-time pivot selection
         (``"python"`` / ``"numpy"`` — validated here, so a bad name fails
@@ -405,7 +406,7 @@ class TrajTree:
         :func:`repro.core.edwp_many`, so the numpy backend's lockstep
         kernel applies there wholesale.
     seed:
-        Seeds pivot/VP selection; builds are deterministic given a seed.
+        Seeds pivot selection; builds are deterministic given a seed.
     rebuild_ratio:
         Fraction of accumulated updates (inserts + deletes) relative to the
         database size beyond which :meth:`needs_rebuild` reports True
@@ -433,12 +434,10 @@ class TrajTree:
             if t.num_segments == 0:
                 raise ValueError("every indexed trajectory needs >= 1 segment")
         self.theta = theta
-        self.num_vps = num_vps
         self.min_node_size = min_node_size
         self.normalized = normalized
         self.max_boxes = max_boxes
         self.max_branching = max_branching
-        self.vp_levels = vp_levels
         self.use_quick_bound = use_quick_bound
         if backend is not None:
             resolve_backend(backend)    # typed error at selection time
@@ -464,9 +463,6 @@ class TrajTree:
         trajs = [self._db[i] for i in ids]
         if boxseq is None:
             boxseq = TBoxSeq.from_trajectories(trajs, max_boxes=self.max_boxes)
-        vantage: Optional[VantageIndex] = None
-        if depth < self.vp_levels:
-            vantage = VantageIndex.build(trajs, ids, self.num_vps, rng)
         max_length = max(t.length for t in trajs)
         self.build_stats.nodes_visited += 1
 
@@ -481,15 +477,13 @@ class TrajTree:
             stats=self.build_stats,
         )
         if result is None or len(result.groups) < 2:
-            return _Node(boxseq, vantage, [], list(ids), max_length,
-                         list(ids), depth)
+            return _Node(boxseq, [], list(ids), max_length, list(ids), depth)
 
         children = [
             self._build([ids[i] for i in group], rng, depth + 1, grown)
             for group, grown in zip(result.groups, result.boxseqs)
         ]
-        return _Node(boxseq, vantage, children, [], max_length, list(ids),
-                     depth)
+        return _Node(boxseq, children, [], max_length, list(ids), depth)
 
     # ------------------------------------------------------------------ #
     # public container surface
@@ -531,20 +525,18 @@ class TrajTree:
         """Concrete counts behind the paper's storage analysis (Sec. IV-F).
 
         The paper bounds storage by ``O(bf*|D|/(bf-1))`` nodes plus
-        ``|V|*|D|*log_bf |D|`` stored vantage-descriptor entries; this
-        reports the realized numbers for the current tree.
+        ``|V|*|D|*log_bf |D|`` stored vantage-descriptor entries; this tree
+        stores no descriptors (DESIGN.md, "No vantage-point step") and
+        reports the realized numbers for the rest.
         """
         nodes = 0
         boxes = 0
-        descriptor_entries = 0
         leaves = 0
 
         def walk(node: _Node) -> None:
-            nonlocal nodes, boxes, descriptor_entries, leaves
+            nonlocal nodes, boxes, leaves
             nodes += 1
             boxes += len(node.boxseq)
-            if node.vantage is not None:
-                descriptor_entries += node.vantage.descriptors.size
             if node.is_leaf:
                 leaves += 1
             for child in node.children:
@@ -556,7 +548,6 @@ class TrajTree:
             "nodes": nodes,
             "leaves": leaves,
             "boxes": boxes,
-            "descriptor_entries": descriptor_entries,
         }
 
     def branching_factors(self) -> List[int]:
@@ -646,23 +637,20 @@ class TrajTree:
         rects = np.array(rects, dtype=np.float64).reshape(-1, 4)
         return TrajTree._rect_raws(
             query, polyline_rects_distance(query.spatial(), rects),
-            rects).tolist()
+            row_scales(query, rects)).tolist()
 
     @staticmethod
-    def _rect_raws(query: Trajectory, d: np.ndarray, rects: np.ndarray,
+    def _rect_raws(query: Trajectory, d: np.ndarray, scales: np.ndarray,
                    lengths: Optional[np.ndarray] = None) -> np.ndarray:
         """``2 · d · len(Q)`` — the quick bound and Rule 2's for EDwPsub —
         or, given the members' ``lengths``, the two-sided ``2 · d · (len(Q)
         + len(T))`` Rule 2 gives EDwP, from computed distances ``d`` of the
-        query to ``rects``, less the box bound's rounding margin
-        (:func:`~repro.core.geometry.margined_distances` at the largest
-        coordinate of rectangle and query, then
-        :data:`~repro.core.geometry.BOUND_SHRINK`), and 0 past a scale of
-        1e150.  Monotone in ``d``, so Rule 2 may apply it to bounds on
-        ``d`` (DESIGN.md, "Index bound kernels", "Batched leaf
-        refinement")."""
-        scales = np.maximum(np.abs(rects).max(axis=1),
-                            np.abs(query.coords()).max())
+        query to rectangles, less the box bound's rounding margin
+        (:func:`~repro.core.geometry.margined_distances` at the rectangles'
+        :func:`row_scales`, then :data:`~repro.core.geometry.BOUND_SHRINK`),
+        and 0 past a scale of 1e150.  Monotone in ``d``, so Rule 2 may
+        apply it to bounds on ``d`` (DESIGN.md, "Index bound kernels",
+        "Batched leaf refinement")."""
         coverage = query.length if lengths is None else query.length + lengths
         with np.errstate(invalid="ignore"):     # 0 * an overflowed length
             raws = (2.0 * margined_distances(d, scales) * coverage
@@ -671,7 +659,8 @@ class TrajTree:
 
     @staticmethod
     def _rect_uppers(query: Trajectory, block: MemberBlock,
-                     normalized: bool) -> np.ndarray:
+                     normalized: bool,
+                     scales: Optional[np.ndarray] = None) -> np.ndarray:
         """Upper bounds on each row's *computed* EDwP to ``query`` (EDwPavg
         when ``normalized``): ``2 · D · (len(Q) + len(T))``, ``D`` the
         farthest distance between the query's rectangle and the row's.
@@ -687,13 +676,14 @@ class TrajTree:
         same ``len(Q) + len(T)`` the distance is divided by.  ``inf`` for
         a row without segments, for ``len(Q) + len(T) <= 0``, past a scale
         of 1e150 and wherever the value is not finite (DESIGN.md, "Upper
-        bounds screen the flush")."""
+        bounds screen the flush").  ``scales``: the rows'
+        :func:`row_scales`, computed here when not given."""
         qx0, qy0, qx1, qy1 = query.bounding_rect()
         rects = block.rects
         dx = np.maximum(qx1 - rects[:, 0], rects[:, 2] - qx0)
         dy = np.maximum(qy1 - rects[:, 1], rects[:, 3] - qy0)
-        scales = np.maximum(np.abs(rects).max(axis=1),
-                            np.abs(query.coords()).max())
+        if scales is None:
+            scales = row_scales(query, rects)
         slack = (query.num_segments + block.counts) * rounding_band(scales)
         coverage = query.length + block.lengths
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -725,6 +715,7 @@ class TrajTree:
         normalized: bool,
         stats: TrajTreeStats,
         bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        scales: Optional[np.ndarray] = None,
         *,
         two_sided: bool,
     ) -> np.ndarray:
@@ -742,14 +733,17 @@ class TrajTree:
         :func:`~repro.core.geometry.polyline_rects_distance_bounds`,
         computed here when not given — decide the block at once, as
         evaluating ``d`` per row would; only the rows they leave open pay
-        the ten-candidate ``polyline_rects_distance``.
+        the ten-candidate ``polyline_rects_distance``.  ``scales``, the
+        rows' :func:`row_scales`, is likewise computed here when not given.
         """
         denom = query.length + block.lengths
         raws = np.broadcast_to(np.asarray(raw, dtype=np.float64),
                                (len(block),))
+        if scales is None:
+            scales = row_scales(query, block.rects)
 
         def within(d: np.ndarray, sel=slice(None)) -> np.ndarray:
-            qraw = self._rect_raws(query, d, block.rects[sel],
+            qraw = self._rect_raws(query, d, scales[sel],
                                    block.lengths[sel] if two_sided else None)
             lb = np.where(qraw > raws[sel], qraw, raws[sel])
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -822,12 +816,10 @@ class TrajTree:
         members (EDwP vs raw EDwPsub); ``normalized``, whether node bounds
         are divided by ``length(Q) + max length`` (EDwPsub is never
         length-normalized); and ``full_match``, whether the distance
-        matches the whole member (EDwP), which turns on Step 1's
-        vantage-point upper bound (VP descriptors hold EDwP distances,
-        which say nothing about EDwPsub), Rule 2's two-sided member bound
-        and the flush's upper bounds (:meth:`TopK.flush`).  Everything
-        else — heap order, tie rule, deferred refinement, budget check
-        points — is shared.
+        matches the whole member (EDwP), which turns on Rule 2's two-sided
+        member bound and the flush's upper bounds (:meth:`TopK.flush`).
+        Everything else — heap order, tie rule, deferred refinement, budget
+        check points — is shared.
 
         ``k`` is the answer size, or a :class:`TopK` earlier searches filled:
         then deferred members stay in it for its owner to flush.
@@ -839,13 +831,13 @@ class TrajTree:
             stats = TrajTreeStats()
         answer.query, answer.stats = query, stats
         answer.refine = lambda trajs: refine(query, trajs)
-        answer.screen = lambda block, raws, limit, bounds: (
+        answer.screen = lambda block, raws, limit, bounds, scales: (
             self._members_within(query, block, raws, limit, normalized,
-                                 stats, bounds, two_sided=full_match))
-        answer.upper = ((lambda block: self._rect_uppers(query, block,
-                                                         normalized))
+                                 stats, bounds, scales, two_sided=full_match))
+        answer.upper = ((lambda block, scales: self._rect_uppers(
+                            query, block, normalized, scales))
                         if full_match and self.use_quick_bound else None)
-        kth, flush, processed = answer.kth, answer.flush, answer.processed
+        kth, flush = answer.kth, answer.flush
         tracker = as_tracker(budget)
         eps = tracker.epsilon if tracker is not None else 0.0
         truncate_reason: Optional[str] = None
@@ -891,34 +883,17 @@ class TrajTree:
 
             # A leaf, or an internal node one flush can hold, is refined
             # whole: descending would pay a quick-bound and a box-bound call
-            # per level to save part of one lockstep call.
+            # per level to save part of one lockstep call.  There is no
+            # vantage-point step (Alg. 2 lines 8-10): the flush's upper
+            # bounds bound the k-th distance as it would (DESIGN.md, "No
+            # vantage-point step").
             whole = node.is_leaf or node.count() <= REFINE_FLUSH
-
-            # Step 1 (Alg. 2 lines 8-10): refine the upper bound via VPs,
-            # batched through the same deferral buffer (flushed at once so
-            # the upper bound tightens before any pruning decision; the
-            # flush screens the offers like any other row).  Only
-            # on a node the search descends into: for one refined whole the
-            # VP sweep costs what refining its members does.
-            if (full_match and not whole and node.vantage is not None
-                    and len(node.vantage) > 0):
-                stats.vp_rankings += 1
-                qdesc = node.vantage.describe(query)
-                offered = [tid for tid, _vd in node.vantage.top_k(
-                    qdesc, answer.k, exclude=processed)]
-                answer.defer(MemberBlock(offered,
-                                         [self._db[tid] for tid in offered]),
-                             raw)
-                flush()
-
             if whole:
                 # Members are deferred, so consecutive pops (of one tree or
                 # of a forest's shards) share one kernel call; deferral only
                 # delays kth() updates: decisions in between are conservative.
+                # Whole nodes are disjoint, so no member is deferred twice.
                 block = self._block(node)
-                if not processed.isdisjoint(node.subtree_ids):
-                    block = block.take(np.flatnonzero(
-                        [tid not in processed for tid in node.subtree_ids]))
                 limit = kth()
                 if limit < math.inf:
                     block = block.take(self._members_within(
@@ -935,7 +910,7 @@ class TrajTree:
                     flush()
                 continue
 
-            # Step 2 (lines 11-13): enqueue children that can still matter.
+            # Alg. 2 lines 11-13: enqueue children that can still matter.
             # Flush first so the k-th distance is fresh, then compute all
             # children's quick bounds and all surviving children's box
             # bounds in one batched kernel call each (the answer heap does
@@ -1255,8 +1230,8 @@ class TrajTree:
         """Insert one trajectory without rebuilding.
 
         Descends along the children whose tBoxSeq volume grows the least
-        (the bulk-load criterion), expanding every summary and descriptor
-        store on the path.  Existing pivots/VPs are reused (Sec. IV-F).
+        (the bulk-load criterion), expanding every summary on the path.
+        Existing pivots are reused (Sec. IV-F).
         Returns the assigned id.
         """
         if traj.num_segments == 0:
@@ -1277,12 +1252,6 @@ class TrajTree:
             node.max_length = max(node.max_length, traj.length)
             node.subtree_ids.append(traj_id)
             node.block = None
-            if node.vantage is not None:
-                node.vantage.keys.append(traj_id)
-                row = node.vantage.describe(traj).reshape(1, -1)
-                node.vantage.descriptors = np.vstack(
-                    [node.vantage.descriptors, row]
-                )
             if node.is_leaf:
                 node.member_ids.append(traj_id)
                 break
@@ -1294,8 +1263,8 @@ class TrajTree:
         return traj_id
 
     def delete(self, traj_id: int) -> None:
-        """Delete a trajectory: descriptors and leaf membership are removed
-        along the path; tBoxSeqs remain unchanged (Sec. IV-F)."""
+        """Delete a trajectory: its membership is removed along the path;
+        tBoxSeqs remain unchanged (Sec. IV-F)."""
         if traj_id not in self._db:
             raise KeyError(f"trajectory id {traj_id} not indexed")
         del self._db[traj_id]
@@ -1307,12 +1276,6 @@ class TrajTree:
             return False
         node.subtree_ids.remove(traj_id)
         node.block = None
-        if node.vantage is not None and traj_id in node.vantage.keys:
-            idx = node.vantage.keys.index(traj_id)
-            node.vantage.keys.pop(idx)
-            node.vantage.descriptors = np.delete(
-                node.vantage.descriptors, idx, axis=0
-            )
         if node.is_leaf:
             if traj_id in node.member_ids:
                 node.member_ids.remove(traj_id)

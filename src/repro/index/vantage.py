@@ -2,23 +2,22 @@
 
 A vantage point (VP) is a spatial point; the distance between a trajectory
 and a VP is the distance from the VP to the *closest point of the
-trajectory's polyline* — not merely the closest sample (Definition 6).  A
-node of TrajTree distributes ``d`` VPs and stores, for every trajectory in
-its subtree, the ``d``-dimensional *vantage descriptor* of VP distances
-(Definition 7).  At query time the descriptor-space *vantage distance*
-(Definition 8, a normalized ratio dissimilarity) ranks the subtree cheaply;
-computing the true EDwP of the top-k so ranked yields the upper bound
-``UB`` of Eq. 14 that drives pruning.
+trajectory's polyline* — not merely the closest sample (Definition 6).  In
+the paper a node of TrajTree distributes ``d`` VPs and stores, for every
+trajectory in its subtree, the ``d``-dimensional *vantage descriptor* of
+VP distances (Definition 7).  At query time the descriptor-space *vantage
+distance* (Definition 8, a normalized ratio dissimilarity) ranks the
+subtree cheaply; computing the true EDwP of the top-k so ranked yields the
+upper bound ``UB`` of Eq. 14 that drives pruning.  This package's
+TrajTree does not use VPs (DESIGN.md, "No vantage-point step"); the
+Fig. 6(c)/(d) UB-factor experiment (:mod:`repro.eval.ubfactor`) does.
 
 VP selection reuses the max-min diversity mechanism of pivot selection
 (Sec. IV-E "chosen using the same mechanism used for selecting pivots"),
 applied to sampled trajectory points.
 
 Descriptor computation is vectorized: for one trajectory all segment-to-VP
-distances are evaluated with numpy broadcasting.  At query time the
-VP-ranked candidates feed TrajTree's deferred refinement buffer, so their
-exact distances run as one lockstep kernel batch rather than per pair
-(DESIGN.md, "Batched leaf refinement").
+distances are evaluated with numpy broadcasting.
 """
 
 from __future__ import annotations

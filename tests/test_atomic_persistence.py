@@ -36,6 +36,7 @@ from repro.store.atomic import (
     sha256_bytes,
     sha256_file,
     verify_checksum,
+    write_envelope,
 )
 from repro.testing.faults import CrashInjected, FaultPlan, injected
 
@@ -265,7 +266,7 @@ class TestForestCrashSafety:
         header, _, payload = path.read_bytes().partition(b"\n")
         assert checksum == sha256_bytes(payload)
         assert header.split(b" ")[2] == checksum.encode()
-        assert read_envelope(path, "repro-trajtree", "1.3.0",
+        assert read_envelope(path, "repro-trajtree", "1.4.0",
                              expected=checksum) == payload
 
 
@@ -401,16 +402,24 @@ class TestCorruptionMatrix:
 
     def test_parent_format_snapshots_say_rebuild(self, tree, forest,
                                                  tmp_path):
-        """What the parent commit wrote: a bare pickled dict (tree format
-        1.2.0) and a 1.1.0 manifest over such shards.  Each loader gives
-        its typed message; nothing of the old file is decoded."""
+        """What older releases wrote: a bare pickled dict (tree format
+        1.2.0), a 1.3.0 envelope (trees with vantage descriptors) and a
+        1.1.0 manifest over such shards.  Each loader gives its typed
+        message; nothing of the old file is decoded."""
         path = tmp_path / "old.pkl"
         path.write_bytes(pickle.dumps(
             {"magic": "repro-trajtree", "version": "1.2.0",
              "fingerprint": {"count": len(tree)}, "tree": tree},
             protocol=pickle.HIGHEST_PROTOCOL))
         with pytest.raises(ValueError,
-                           match="predates format 1.3.0; rebuild") as excinfo:
+                           match="predates format 1.4.0; rebuild") as excinfo:
+            load_tree(path)
+        assert not isinstance(excinfo.value, IntegrityError)
+        write_envelope(path, "repro-trajtree", "1.3.0",
+                       pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
+        with pytest.raises(ValueError, match="repro-trajtree 1.3.0 file, "
+                           "this library reads repro-trajtree 1.4.0; "
+                           "rebuild it") as excinfo:
             load_tree(path)
         assert not isinstance(excinfo.value, IntegrityError)
         with pytest.raises(ValueError,

@@ -100,7 +100,7 @@ class TestStorePipeline:
                      "--out", str(store_dir)]) == 0
         assert main(["build-forest", "--store", str(store_dir),
                      "--out", str(forest_dir), "--shards", "3",
-                     "--num-vps", "4", "--workers", "1"]) == 0
+                     "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "3-shard forest" in out
         assert "14 trajectories" in out

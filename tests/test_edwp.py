@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Trajectory, edwp, edwp_alignment, edwp_avg
+from repro.core import BACKENDS, Trajectory, edwp, edwp_alignment, edwp_avg
+from repro.core import edwp_many
 from repro.core.edwp import coverage, rep_cost
 
 
@@ -138,9 +139,20 @@ class TestEdwpAvg:
             edwp(t1, t2) / (t1.length + t2.length)
         )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning")
     def test_degenerate_lengths(self):
         a = Trajectory([(1, 1, 0), (1, 1, 5)])  # zero length, one segment
         assert edwp_avg(a, a) == 0.0
+        # lengths and the raw distance overflow: inf, never inf / inf
+        far = Trajectory.from_xy([(0, 0), (1e200, 0)])
+        other = Trajectory.from_xy([(0, 1e200), (1e200, 1e200)])
+        assert far.length == math.inf
+        for backend in BACKENDS:
+            assert edwp_avg(far, other, backend=backend) == math.inf
+            assert edwp_many(far, [other], normalized=True,
+                             backend=backend) == [math.inf]
 
     def test_identity_zero(self):
         t = Trajectory.from_xy([(0, 0), (5, 5), (10, 0)])

@@ -144,13 +144,13 @@ class TestValidation:
                 return (os.system, ("touch sentinel",))
 
         path = tmp_path / "hostile.pkl"
-        write_envelope(path, "repro-trajtree", "1.3.0",
+        write_envelope(path, "repro-trajtree", "1.4.0",
                        pickle.dumps(Hostile()))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
         assert not (tmp_path / "sentinel").exists()
         # allowed names alone, but not a tree
-        write_envelope(path, "repro-trajtree", "1.3.0",
+        write_envelope(path, "repro-trajtree", "1.4.0",
                        pickle.dumps(np.arange(3)))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
@@ -199,7 +199,7 @@ class TestForestRoundTrip:
                 (path / entry["file"]).read_bytes().partition(b"\n")
             assert entry["sha256"] == sha256_bytes(payload)
             assert header.split(b" ") == [
-                b"repro-trajtree", b"1.3.0", entry["sha256"].encode(),
+                b"repro-trajtree", b"1.4.0", entry["sha256"].encode(),
                 str(len(payload)).encode()]
             shard = load_tree(path / entry["file"])
             assert shard.ids() == forest.shards[i].ids()
