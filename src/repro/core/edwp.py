@@ -285,18 +285,27 @@ def edwp(t1: Trajectory, t2: Trajectory, backend: Optional[str] = None) -> float
 
     ``backend`` overrides the global backend (see :func:`set_backend`) for
     this call: ``"python"`` runs the reference DP, ``"numpy"`` the
-    vectorized kernel.
+    vectorized kernel.  A pair whose DP overflowed is ``inf`` on both
+    (:func:`overflow_to_inf`); on such coordinates a trajectory against
+    itself is 0.0 on ``"python"`` but ``inf`` on ``"numpy"``.
     """
     trivial = _trivial_distance(t1.num_segments, t2.num_segments)
     if trivial is not None:
         return trivial
     kernel = tier_kernel("edwp", backend)
     if kernel is not None:
-        return kernel(t1, t2)
+        return overflow_to_inf(kernel(t1, t2))
     p1 = _spatial_points(t1)
     p2 = _spatial_points(t2)
     cost, _, _ = _edwp_dp(p1, p2, keep_parents=False)
     return cost[len(p1) - 1][len(p2) - 1]
+
+
+def overflow_to_inf(raw: float) -> float:
+    """A raw distance that is not below ``inf`` is ``inf``: where the
+    reference DP overflows to ``inf``, the numpy kernel's ``inf / inf``
+    and ``inf * 0`` can give NaN."""
+    return raw if raw < math.inf else math.inf
 
 
 def _normalize(raw: float, denom: float) -> float:

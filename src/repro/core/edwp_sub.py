@@ -19,7 +19,8 @@ import math
 from typing import List, Optional, Sequence
 
 from .backend import tier_kernel
-from .edwp import EdwpResult, _backtrack, _edwp_dp, _spatial_points
+from .edwp import (EdwpResult, _backtrack, _edwp_dp, _spatial_points,
+                   overflow_to_inf)
 from .trajectory import Trajectory, TrajectoryBatch
 
 __all__ = [
@@ -62,7 +63,7 @@ def edwp_sub(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> flo
         return trivial
     kernel = tier_kernel("edwp_sub", backend)
     if kernel is not None:
-        return kernel(t, s)
+        return overflow_to_inf(kernel(t, s))
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     free, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=True)
@@ -85,14 +86,15 @@ def edwp_sub_many(
     leaf refinement and scan oracle route through this.
 
     Returns one distance per target, in order, with the same base-case
-    semantics as :func:`edwp_sub` per pair.
+    semantics as :func:`edwp_sub` per pair; a pair whose DP overflowed is
+    ``inf`` on both backends, never NaN.
     """
     kernel = tier_kernel("edwp_sub_many", backend)
     trajectories = TrajectoryBatch.of(trajectories)
     if t.num_segments <= 0:
         return [0.0] * len(trajectories)
     if kernel is not None and trajectories:
-        return kernel(t, trajectories)
+        return [overflow_to_inf(v) for v in kernel(t, trajectories)]
     return [edwp_sub(t, s, backend=backend) for s in trajectories]
 
 

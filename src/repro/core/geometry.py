@@ -10,7 +10,8 @@ easy to audit against the paper's equations.
 
 All functions accept plain ``(x, y)`` tuples (or any 2-sequences of floats)
 and return plain floats/tuples so they can be used from tight DP loops
-without numpy boxing overhead.
+without numpy boxing overhead; the ``xy_`` forms, which the tuple forms
+wrap, take each coordinate as its own float.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ __all__ = [
     "point_segment_distance",
     "clamp",
     "point_rect_distance",
+    "xy_rect_distance",
     "project_point_on_rect",
     "project_rect_on_segment",
+    "xy_rect_segment_nearest",
     "polyline_rect_distance",
     "polyline_rects_distance",
     "polyline_rects_distance_bounds",
@@ -113,16 +116,24 @@ def point_rect_distance(
     This is ``dist(s, b)`` from Sec. IV-A: the minimum distance between an
     st-point and any point bounded by the st-box.
     """
+    return xy_rect_distance(p[0], p[1], xmin, ymin, xmax, ymax)
+
+
+def xy_rect_distance(
+    x: float, y: float, xmin: float, ymin: float, xmax: float, ymax: float
+) -> float:
+    """:func:`point_rect_distance` of the point ``(x, y)``, taken as two
+    floats so tight loops build no tuple."""
     dx = 0.0
-    if p[0] < xmin:
-        dx = xmin - p[0]
-    elif p[0] > xmax:
-        dx = p[0] - xmax
+    if x < xmin:
+        dx = xmin - x
+    elif x > xmax:
+        dx = x - xmax
     dy = 0.0
-    if p[1] < ymin:
-        dy = ymin - p[1]
-    elif p[1] > ymax:
-        dy = p[1] - ymax
+    if y < ymin:
+        dy = ymin - y
+    elif y > ymax:
+        dy = y - ymax
     if dx == 0.0:
         return dy
     if dy == 0.0:
@@ -160,8 +171,27 @@ def project_rect_on_segment(
 
     Returns ``(closest_point, fraction)``.
     """
-    ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
+    qx, qy, t, _ = xy_rect_segment_nearest(
+        a[0], a[1], b[0], b[1], xmin, ymin, xmax, ymax
+    )
+    return (qx, qy), t
+
+
+def xy_rect_segment_nearest(
+    ax: float,
+    ay: float,
+    bx: float,
+    by: float,
+    xmin: float,
+    ymin: float,
+    xmax: float,
+    ymax: float,
+) -> Tuple[float, float, float, float]:
+    """:func:`project_rect_on_segment` of the segment ``(ax, ay)-(bx, by)``
+    as ``(x, y, fraction, distance)``: the closest point, its fraction
+    along the segment and its distance to the rectangle — the
+    ``xy_rect_distance`` of that point, which the candidate scan has
+    already computed."""
     dx = bx - ax
     dy = by - ay
 
@@ -184,15 +214,13 @@ def project_rect_on_segment(
             t = 0.0
         elif t > 1.0:
             t = 1.0
-        d = point_rect_distance(
-            (ax + dx * t, ay + dy * t), xmin, ymin, xmax, ymax
-        )
+        d = xy_rect_distance(ax + dx * t, ay + dy * t, xmin, ymin, xmax, ymax)
         if d < best_d:
             best_d = d
             best_t = t
             if d == 0.0:
                 break
-    return (ax + dx * best_t, ay + dy * best_t), best_t
+    return ax + dx * best_t, ay + dy * best_t, best_t, best_d
 
 
 def segment_rect_distance(
@@ -204,8 +232,9 @@ def segment_rect_distance(
     ymax: float,
 ) -> float:
     """Minimum distance between segment ``[a, b]`` and a rectangle."""
-    closest, _ = project_rect_on_segment(a, b, xmin, ymin, xmax, ymax)
-    return point_rect_distance(closest, xmin, ymin, xmax, ymax)
+    return xy_rect_segment_nearest(
+        a[0], a[1], b[0], b[1], xmin, ymin, xmax, ymax
+    )[3]
 
 
 def polyline_rect_distance(

@@ -10,10 +10,13 @@ shortest thing inside it.
 Boxes only ever *grow* (inserting trajectories into a TrajTree node expands
 boxes), so the class is immutable and expansion returns new instances.
 
-The scalar geometry here (``dist_point``, ``project_on_segment``) is what
-the construction alignment (``repro.index.tboxseq._box_dp``) consumes; the
-node bound reads whole box sequences as arrays instead
-(``TBoxSeq.geometry()`` — see DESIGN.md, "Index bound kernels").
+The scalar geometry here (``dist_point``, ``project_on_segment``) wraps
+:mod:`repro.core.geometry` for one box at a time.  Neither hot path goes
+through it: the construction alignment (``repro.index.tboxseq._box_dp``)
+reads each box's five floats once and calls the ``xy_`` forms of those
+helpers (DESIGN.md, "What the construction alignment costs"), and the
+node bound reads whole box sequences as arrays (``TBoxSeq.geometry()`` —
+DESIGN.md, "Index bound kernels").
 """
 
 from __future__ import annotations

@@ -31,7 +31,8 @@ import numpy as np
 
 from ..core.edwp import _spatial_points
 from ..core.geometry import (BOUND_SHRINK, Point, margined_distances,
-                             point_distance, segments_rects_distance)
+                             segments_rects_distance, xy_rect_distance,
+                             xy_rect_segment_nearest)
 from ..core.trajectory import Trajectory
 from .stbox import STBox
 
@@ -440,6 +441,25 @@ def edwp_sub_box_many(
 # ---------------------------------------------------------------------- #
 
 
+#: Where the midpoint rule samples a piece, as fractions of its length.
+_MIDPOINTS = (1.0 / 6.0, 0.5, 5.0 / 6.0)
+
+
+def _piece_cost(cx: float, cy: float, ex: float, ey: float,
+                x0: float, y0: float, x1: float, y1: float) -> float:
+    """``2 * ∫ d_box`` over the piece ``(cx, cy)-(ex, ey)`` against the
+    box ``(x0, y0, x1, y1)``, by the 3-point midpoint rule."""
+    length = math.hypot(cx - ex, cy - ey)
+    if length == 0.0:
+        return 0.0
+    dx = ex - cx
+    dy = ey - cy
+    acc = 0.0
+    for f in _MIDPOINTS:
+        acc += xy_rect_distance(cx + dx * f, cy + dy * f, x0, y0, x1, y1)
+    return 2.0 * length * (acc / 3.0)
+
+
 def _box_dp(
     pts: Sequence[Point], boxes: Sequence[STBox]
 ) -> Tuple[List[List[float]], List[List[int]], List[List[Point]]]:
@@ -452,11 +472,23 @@ def _box_dp(
     ``2 * ∫ d_box`` (3-point midpoint rule) and consuming a box adds
     ``2 * d_min * minL``.  Only construction reads it, for the alignment;
     it is not a lower bound (DESIGN.md, "Index bound kernels").
+
+    Each quantity two cells share is computed once (DESIGN.md, "What the
+    construction alignment costs"): from cell ``(i - 1, j - 1)``, rep
+    ``(i, j)`` and ins_B ``(i, j - 1)`` consume the same piece against
+    the same box — one piece cost, carried to the next column — and rep
+    ``(i, j)`` projects box ``j - 1`` onto the segment ins_T ``(i - 1,
+    j)`` projected it onto a row earlier — one projection, whose
+    ``2 * d_min * minL`` term is kept per column for the next row.
+    Every float operation is the one ``tests/box_dp_oracle.py`` performs
+    per cell, in the same order, so the output is identical to it.
     """
     n = len(pts) - 1
     m = len(boxes)
     inf = math.inf
     rows, cols = n + 1, m + 1
+    rects = [(b.xmin, b.ymin, b.xmax, b.ymax, b.min_len) for b in boxes]
+    last = rects[m - 1]
 
     cost = [[inf] * cols for _ in range(rows)]
     pos: List[List[Point]] = [[(0.0, 0.0)] * cols for _ in range(rows)]
@@ -468,76 +500,73 @@ def _box_dp(
         pos[0][j] = start
         parents[0][j] = _SKIP
 
-    dist = point_distance
-
-    def piece_cost(cur: Point, end: Point, box: STBox) -> float:
-        """``2 * ∫ d_box`` over the piece, by the 3-point midpoint rule."""
-        length = dist(cur, end)
-        if length == 0.0:
-            return 0.0
-        cx, cy = cur
-        dx = end[0] - cx
-        dy = end[1] - cy
-        acc = 0.0
-        for f in (1.0 / 6.0, 0.5, 5.0 / 6.0):
-            acc += box.dist_point((cx + dx * f, cy + dy * f))
-        return 2.0 * length * (acc / 3.0)
+    # consume[j]: the ``2 * d_min * minL`` of box j projected onto the
+    # segment from cell (i - 1, j) to pts[i] — what rep (i, j + 1) adds.
+    sx, sy = start
+    ex, ey = pts[1]
+    consume = []
+    for x0, y0, x1, y1, ml in rects:
+        d = xy_rect_segment_nearest(sx, sy, ex, ey, x0, y0, x1, y1)[3]
+        consume.append(2.0 * d * ml)
+    next_consume = [0.0] * m
 
     for i in range(1, rows):
+        prev_cost = cost[i - 1]
+        prev_pos = pos[i - 1]
         row_cost = cost[i]
         row_pos = pos[i]
+        row_parents = parents[i]
+        end = pts[i]
+        ex, ey = end
+        if i < n:
+            nx, ny = pts[i + 1]
+        piece = 0.0     # ins_B (i, j - 1)'s piece cost: rep (i, j)'s too
         for j in range(cols):
             best = inf
             best_pos = (0.0, 0.0)
             best_op = -1
 
-            # rep: consume segment piece [cur, pts[i]] and box j-1.
             if j > 0:
-                c = cost[i - 1][j - 1]
+                # rep: consume segment piece [cur, pts[i]] and box j-1.
+                c = prev_cost[j - 1]
                 if c < inf:
-                    cur = pos[i - 1][j - 1]
-                    box = boxes[j - 1]
-                    end = pts[i]
-                    proj, _ = box.project_on_segment(cur, end)
-                    incr = piece_cost(cur, end, box) + (
-                        2.0 * box.dist_point(proj) * box.min_len
-                    )
-                    total = c + incr
+                    total = c + (piece + consume[j - 1])
                     if total < best:
                         best = total
                         best_pos = end
                         best_op = _REP
 
-            # ins on T: split the remaining segment at the point closest to
-            # box j-1 and consume the box against the first piece (the box
-            # analogue of the projection insert).
-            if j > 0:
+                # ins on T: split the remaining segment at the point
+                # closest to box j-1 and consume the box against the first
+                # piece (the box analogue of the projection insert).
                 c = row_cost[j - 1]
                 if c < inf:
-                    cur = row_pos[j - 1]
-                    box = boxes[j - 1]
+                    cx, cy = row_pos[j - 1]
+                    x0, y0, x1, y1, ml = rects[j - 1]
                     if i < n:
-                        q, _ = box.project_on_segment(cur, pts[i + 1])
+                        qx, qy, _, d = xy_rect_segment_nearest(
+                            cx, cy, nx, ny, x0, y0, x1, y1)
+                        term = 2.0 * d * ml
+                        next_consume[j - 1] = term
                     else:
-                        q = cur
-                    incr = piece_cost(cur, q, box) + (
-                        2.0 * box.dist_point(q) * box.min_len
-                    )
-                    total = c + incr
+                        qx, qy = cx, cy
+                        term = 2.0 * xy_rect_distance(
+                            cx, cy, x0, y0, x1, y1) * ml
+                    total = c + (_piece_cost(cx, cy, qx, qy, x0, y0, x1, y1)
+                                 + term)
                     if total < best:
                         best = total
-                        best_pos = q
+                        best_pos = (qx, qy)
                         best_op = _INS_T
 
             # ins on B: consume the segment piece against the *current*
             # (still unconsumed) box.
-            c = cost[i - 1][j]
+            c = prev_cost[j]
             if c < inf:
-                cur = pos[i - 1][j]
-                box = boxes[j] if j < m else boxes[m - 1]
-                end = pts[i]
-                incr = piece_cost(cur, end, box)
-                total = c + incr
+                cx, cy = prev_pos[j]
+                x0, y0, x1, y1, _ = rects[j] if j < m else last
+                piece = _piece_cost(cx, cy, ex, ey, x0, y0, x1, y1)
+                total = c + piece
                 if total < best:
                     best = total
                     best_pos = end
@@ -545,7 +574,8 @@ def _box_dp(
 
             row_cost[j] = best
             row_pos[j] = best_pos
-            parents[i][j] = best_op
+            row_parents[j] = best_op
+        consume, next_consume = next_consume, consume
 
     return cost, parents, pos
 

@@ -153,6 +153,12 @@ class TestEdwpAvg:
             assert edwp_avg(far, other, backend=backend) == math.inf
             assert edwp_many(far, [other], normalized=True,
                              backend=backend) == [math.inf]
+            # raw, too: the numpy kernel's NaN is inf at every entry point
+            assert edwp(far, other, backend=backend) == math.inf
+            assert edwp_many(far, [other], backend=backend) == [math.inf]
+        # the one divergence left: a pair that overflows against itself
+        assert edwp(far, far, backend="python") == 0.0
+        assert edwp(far, far, backend="numpy") == math.inf
 
     def test_identity_zero(self):
         t = Trajectory.from_xy([(0, 0), (5, 5), (10, 0)])

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Trajectory, edwp
-from repro.core.edwp_sub import edwp_sub, edwp_sub_alignment, prefix_dist
+from repro.core import BACKENDS, Trajectory, edwp
+from repro.core.edwp_sub import (edwp_sub, edwp_sub_alignment, edwp_sub_many,
+                                 prefix_dist)
 
 
 class TestPaperAnchors:
@@ -41,6 +42,20 @@ class TestBaseCases:
 
     def test_both_empty(self):
         assert edwp_sub(Trajectory([]), Trajectory([])) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_overflowing_pair_is_inf(self, backend):
+        """The numpy kernel's NaN at overflow is ``inf`` on every entry
+        point, as in the reference DP; ``subtrajectory_knn`` refinement
+        reads ``edwp_sub_many``."""
+        far = Trajectory.from_xy([(0, 0), (1e200, 0)])
+        other = Trajectory.from_xy([(0, 1e200), (1e200, 1e200)])
+        assert edwp_sub(far, other, backend=backend) == math.inf
+        assert edwp_sub_many(far, [other, far], backend=backend) == [
+            math.inf, 0.0 if backend == "python" else math.inf]
 
 
 class TestSkipping:
