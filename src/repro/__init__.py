@@ -63,7 +63,7 @@ from .core import (
     use_backend,
 )
 from .core.edwp_sub import edwp_sub, edwp_sub_alignment, prefix_dist
-from .index import STBox, TBoxSeq, TrajForest, TrajTree, edwp_sub_box
+from .index import TBoxSeq, TrajForest, TrajTree, edwp_sub_box
 from .baselines import cross_matrix, pairwise_matrix
 from .store import ColumnarStore
 
@@ -88,7 +88,6 @@ __all__ = [
     "edwp_sub",
     "edwp_sub_alignment",
     "prefix_dist",
-    "STBox",
     "TBoxSeq",
     "TrajTree",
     "TrajForest",

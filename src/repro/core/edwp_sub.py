@@ -104,14 +104,17 @@ def edwp_sub_fast(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -
     Half the cost of :func:`edwp_sub`; the value can exceed the two-pass
     result when the free row shadows a better-positioned anchored path.
     Used where EDwPsub is a *heuristic* rather than a reported value —
-    pivot-diversity estimation in Alg. 1 and tBoxSeq construction.
+    pivot-diversity estimation in Alg. 1 and tBoxSeq construction.  An
+    overflowed DP is ``inf`` on both backends, never NaN (:func:`edwp`'s
+    limits apply: past the ``1e150`` scale a trajectory against itself
+    can be ``inf`` on ``"numpy"``).
     """
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
     kernel = tier_kernel("edwp_sub_fast", backend)
     if kernel is not None:
-        return kernel(t, s)
+        return overflow_to_inf(kernel(t, s))
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     free, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=True)
@@ -131,26 +134,28 @@ def edwp_sub_fast_queries(
     whole column runs through the batch-first lockstep kernel
     (:func:`repro.core.edwp_fast.edwp_sub_fast_queries_numpy`); on
     ``"python"`` it is a plain loop.  Returns one value per query, in
-    order, with the same base-case semantics as :func:`edwp_sub_fast`.
+    order, with the same base-case and overflow semantics as
+    :func:`edwp_sub_fast`.
     """
     kernel = tier_kernel("edwp_sub_fast_queries", backend)
     queries = list(queries)
     if s.num_segments <= 0:
         return [_sub_trivial(q.num_segments, 0) for q in queries]
     if kernel is not None and queries:
-        return kernel(queries, s)
+        return [overflow_to_inf(v) for v in kernel(queries, s)]
     return [edwp_sub_fast(q, s, backend=backend) for q in queries]
 
 
 def prefix_dist(t: Trajectory, s: Trajectory, backend: Optional[str] = None) -> float:
     """``PrefixDist(T, S)`` (Eq. 5): align all of ``T`` with a *prefix* of
-    ``S``, skipping any suffix of ``S`` for free."""
+    ``S``, skipping any suffix of ``S`` for free.  Overflow as in
+    :func:`edwp_sub_fast`: ``inf``, never NaN."""
     trivial = _sub_trivial(t.num_segments, s.num_segments)
     if trivial is not None:
         return trivial
     kernel = tier_kernel("prefix_dist", backend)
     if kernel is not None:
-        return kernel(t, s)
+        return overflow_to_inf(kernel(t, s))
     p1 = _spatial_points(t)
     p2 = _spatial_points(s)
     cost, _, _ = _edwp_dp(p1, p2, keep_parents=False, free_start_row=False)

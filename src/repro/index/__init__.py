@@ -2,10 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.index.stbox.STBox` — spatio-temporal bounding box (Def. 4).
 * :class:`~repro.index.tboxseq.TBoxSeq`,
   :func:`~repro.index.tboxseq.edwp_sub_box` and
-  :func:`~repro.index.tboxseq.edwp_sub_box_many` — box sequences and the
+  :func:`~repro.index.tboxseq.edwp_sub_box_many` — box sequences (Def. 5;
+  each st-box of Def. 4 is a row of its arrays) and the
   Theorem-2 node bound ``2 · Σ_s |s| · dist(s, ∪B)``, one vectorized pass
   on every backend (single and batched forms; DESIGN.md, "Index bound
   kernels").
@@ -32,7 +32,6 @@ Public surface:
   formats.
 """
 
-from .stbox import STBox
 from .tboxseq import TBoxSeq, edwp_sub_box, edwp_sub_box_many
 from .budget import AnytimeResult, BudgetTracker, QueryBudget, combine_budgets
 from .partition import partition
@@ -49,7 +48,6 @@ from .persistence import (
 )
 
 __all__ = [
-    "STBox",
     "TBoxSeq",
     "edwp_sub_box",
     "edwp_sub_box_many",

@@ -69,8 +69,8 @@ __all__ = [
 _MAGIC = "repro-trajtree"
 #: bumped whenever the pickled state of a class in _TREE_GLOBALS changes
 #: (1.3.0: the bare pickled tree behind the envelope header, no build RNG;
-#: 1.4.0: no vantage descriptors)
-_FORMAT_VERSION = "1.4.0"
+#: 1.4.0: no vantage descriptors; 1.5.0: a TBoxSeq is its box arrays)
+_FORMAT_VERSION = "1.5.0"
 
 _FOREST_MAGIC = "repro-trajforest"
 #: the manifest's own version, bumped with its schema (1.2.0: shard
@@ -86,7 +86,6 @@ ON_SHARD_ERROR = ("fail", "skip")
 #: its reconstructors from ``numpy.core`` to ``numpy._core`` in 2.0
 _TREE_GLOBALS = frozenset({
     ("repro.core.trajectory", "Trajectory"),
-    ("repro.index.stbox", "STBox"),
     ("repro.index.tboxseq", "TBoxSeq"),
     ("repro.index.trajtree", "TrajTree"),
     ("repro.index.trajtree", "TrajTreeStats"),

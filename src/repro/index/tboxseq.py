@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.edwp import _spatial_points
 from ..core.geometry import (BOUND_SHRINK, Point, margined_distances,
-                             segments_rects_distance, xy_rect_distance,
-                             xy_rect_segment_nearest)
+                             point_distance, segments_rects_distance,
+                             xy_rect_distance, xy_rect_segment_nearest)
 from ..core.trajectory import Trajectory
-from .stbox import STBox
 
 __all__ = [
     "TBoxSeq",
@@ -59,44 +58,6 @@ _OP_NAMES = {_REP: "rep", _INS_T: "ins_t", _INS_B: "ins_b"}
 DEFAULT_MAX_BOXES = 12
 
 
-class BoxGeometry:
-    """A box sequence as arrays: ``rects``, ``(m, 4)`` rows of ``(xmin,
-    ymin, xmax, ymax)``, and the per-box ``minL`` as ``min_len``.
-
-    Built once per ``TBoxSeq`` by :meth:`TBoxSeq.geometry`, never pickled,
-    and treated as read-only.
-    """
-
-    __slots__ = ("rects", "min_len")
-
-    def __init__(self, rects: np.ndarray, min_len: np.ndarray):
-        self.rects = rects
-        self.min_len = min_len
-
-    def __len__(self) -> int:
-        return self.rects.shape[0]
-
-    xmin = property(lambda self: self.rects[:, 0])
-    ymin = property(lambda self: self.rects[:, 1])
-    xmax = property(lambda self: self.rects[:, 2])
-    ymax = property(lambda self: self.rects[:, 3])
-
-    @property
-    def areas(self) -> np.ndarray:
-        """Per-box spatial areas (the Definition-5 volume summands)."""
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
-
-def box_geometry(boxes: Sequence[STBox]) -> BoxGeometry:
-    """Pack a sequence of :class:`~repro.index.stbox.STBox` into arrays."""
-    arr = np.array(
-        [(b.xmin, b.ymin, b.xmax, b.ymax, b.min_len) for b in boxes],
-        dtype=np.float64,
-    ).reshape(len(boxes), 5)
-    return BoxGeometry(np.ascontiguousarray(arr[:, :4]),
-                       np.ascontiguousarray(arr[:, 4]))
-
-
 @dataclass(frozen=True)
 class BoxEdit:
     """One edit of a trajectory-vs-tBoxSeq alignment."""
@@ -110,64 +71,57 @@ class BoxEdit:
 class TBoxSeq:
     """A sequence of st-boxes summarizing a set of trajectories (Def. 5).
 
-    Instances are immutable by convention: construction operations
+    Box ``i`` (Def. 4) is row ``i`` of two read-only float64 arrays:
+    ``rects[i]``, its spatial rectangle ``(xmin, ymin, xmax, ymax)``, and
+    ``min_len[i]``, its ``minL`` — the minimum length of any segment
+    enclosed, which never claims more coverage than the shortest thing
+    inside the box.  The constructor copies and checks them: at least one
+    box, ``xmin <= xmax``, ``ymin <= ymax`` and ``minL`` finite and
+    non-negative, else ``ValueError`` — a snapshot is loaded through it
+    too (:meth:`__reduce__`).  Construction operations
     (:meth:`with_trajectory`, :meth:`compacted`) return new sequences.
-    That convention is what makes the per-instance :meth:`geometry` cache
-    sound — a new sequence starts with an empty cache, so the cached
-    arrays can never go stale.
     """
 
-    __slots__ = ("boxes", "_geom")
+    __slots__ = ("rects", "min_len")
 
-    def __init__(self, boxes: Sequence[STBox]):
-        if not boxes:
+    def __init__(self, rects, min_len):
+        try:
+            rects = np.array(rects, dtype=np.float64)
+            min_len = np.array(min_len, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"a tBoxSeq's boxes must be floats: {exc}") \
+                from exc
+        if (rects.ndim != 2 or rects.shape[1] != 4
+                or min_len.shape != rects.shape[:1]):
+            raise ValueError(
+                f"a tBoxSeq needs (m, 4) rects and (m,) min_len, got "
+                f"{rects.shape} and {min_len.shape}")
+        if not len(rects):
             raise ValueError("a tBoxSeq needs at least one box")
-        self.boxes = list(boxes)
-        self._geom: Optional[BoxGeometry] = None
+        # Python loops: a handful of boxes checks faster than numpy calls.
+        if any(x0 > x1 or y0 > y1 for x0, y0, x1, y1 in rects.tolist()):
+            raise ValueError("degenerate box: xmin > xmax or ymin > ymax")
+        if not all(0.0 <= ml < math.inf for ml in min_len.tolist()):
+            raise ValueError("min_len must be finite and non-negative")
+        rects.flags.writeable = False
+        min_len.flags.writeable = False
+        self.rects = rects
+        self.min_len = min_len
 
     def __len__(self) -> int:
-        return len(self.boxes)
-
-    def __getitem__(self, index: int) -> STBox:
-        return self.boxes[index]
+        return len(self.rects)
 
     def __repr__(self) -> str:
-        return f"TBoxSeq(n={len(self.boxes)}, volume={self.volume:.3g})"
+        return f"TBoxSeq(n={len(self)}, volume={self.volume:.3g})"
 
-    def __getstate__(self):
-        # The geometry cache is derived data: dropping it keeps pickles
-        # (index snapshots) lean and rebuilds lazily after load.
-        return (self.boxes,)
-
-    def __setstate__(self, state) -> None:
-        (self.boxes,) = state
-        self._geom = None
-
-    def geometry(self) -> BoxGeometry:
-        """Cached array form of the boxes (:class:`BoxGeometry`).
-
-        Built on first use and reused for every subsequent bound against
-        this sequence.  Construction never mutates a sequence in place —
-        ``with_trajectory``/``compacted`` return fresh instances whose
-        caches start empty — and pickling drops the cache
-        (:meth:`__getstate__`), so the arrays always describe ``boxes``.
-
-        The lazy fill is idempotent and therefore safe under concurrent
-        first access (the read-compute-assign contract documented at
-        :meth:`repro.core.trajectory.Trajectory.coords`, asserted by
-        ``tests/test_concurrent_caches.py``); servers warm it eagerly via
-        :meth:`repro.index.trajtree.TrajTree.warm_caches`.
-        """
-        geom = self._geom
-        if geom is None:
-            geom = box_geometry(self.boxes)
-            self._geom = geom
-        return geom
+    def __reduce__(self):
+        return TBoxSeq, (self.rects, self.min_len)
 
     @property
     def volume(self) -> float:
         """``Vol(B)``: sum of the box areas (Definition 5), as one array op."""
-        return float(self.geometry().areas.sum())
+        r = self.rects
+        return float(((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).sum())
 
     # ------------------------------------------------------------------ #
     # construction (Sec. IV-B)
@@ -182,16 +136,14 @@ class TBoxSeq:
         ``createTBoxSeq(T1)`` of the paper's iterative procedure.  The
         per-segment boxes and the compaction sweep both run as array ops
         (builds construct one of these per indexed trajectory *per pivot
-        candidate*, so the object churn of the naive form was a measurable
-        slice of build time); the resulting boxes are identical to the
-        box-object formulation.
+        candidate*).
         """
         if traj.num_segments == 0:
             raise ValueError("cannot summarize a trajectory with no segments")
         coords = traj.coords()
         a = coords[:-1]
         b = coords[1:]
-        arrays = _compact_arrays(
+        return _compacted_seq(
             np.minimum(a[:, 0], b[:, 0]),
             np.minimum(a[:, 1], b[:, 1]),
             np.maximum(a[:, 0], b[:, 0]),
@@ -199,7 +151,6 @@ class TBoxSeq:
             np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]),
             max_boxes,
         )
-        return TBoxSeq(_boxes_from_arrays(*arrays))
 
     @staticmethod
     def from_trajectories(
@@ -220,20 +171,26 @@ class TBoxSeq:
         """``createTBoxSeq(T, B)``: align ``T`` against the boxes with the
         generalized EDwPsub and grow each box by the pieces matched to it.
 
-        Boxes the alignment skipped pass through unchanged.  The box count is
-        stable (pieces merge into the boxes they matched), then compaction
-        enforces ``max_boxes``.
+        A box grows to enclose each piece, and its ``minL`` drops to the
+        piece's length if that is shorter (the Definition-4 invariant).
+        Boxes the alignment skipped pass through unchanged.  The box count
+        is stable (pieces merge into the boxes they matched), then
+        compaction enforces ``max_boxes``.
         """
         if traj.num_segments == 0:
             return self
         _, edits = edwp_sub_box_alignment(traj, self)
-        grown: Dict[int, STBox] = {}
+        rows = _rows(self)
         for edit in edits:
-            idx = edit.box_index
-            box = grown.get(idx, self.boxes[idx])
-            grown[idx] = box.expanded_by_piece(*edit.piece)
-        boxes = [grown.get(i, box) for i, box in enumerate(self.boxes)]
-        return TBoxSeq(boxes).compacted(max_boxes)
+            start, end = edit.piece
+            row = rows[edit.box_index]
+            row[0] = min(row[0], start[0], end[0])
+            row[1] = min(row[1], start[1], end[1])
+            row[2] = max(row[2], start[0], end[0])
+            row[3] = max(row[3], start[1], end[1])
+            row[4] = min(row[4], point_distance(start, end))
+        grown = np.array(rows)
+        return TBoxSeq(grown[:, :4], grown[:, 4]).compacted(max_boxes)
 
     def volume_increase(
         self, traj: Trajectory, max_boxes: int = DEFAULT_MAX_BOXES
@@ -249,28 +206,31 @@ class TBoxSeq:
         """Merge adjacent boxes (cheapest union first) until within budget.
 
         The greedy sweep scores every adjacent union as one array
-        expression per round (``argmin``'s first-occurrence rule matches
-        the scalar loop's strict-``<`` selection), merging in place on the
-        geometry arrays and materializing boxes only once at the end.
+        expression per round (``argmin``'s first-occurrence rule is a
+        scalar loop's strict-``<`` selection), merging in place on copies
+        of the arrays.
         """
-        if len(self.boxes) <= max_boxes:
+        if len(self) <= max_boxes:
             return self
-        g = self.geometry()
-        arrays = _compact_arrays(
-            g.xmin.copy(), g.ymin.copy(), g.xmax.copy(), g.ymax.copy(),
-            g.min_len.copy(), max_boxes,
-        )
-        return TBoxSeq(_boxes_from_arrays(*arrays))
+        r = self.rects
+        return _compacted_seq(r[:, 0].copy(), r[:, 1].copy(), r[:, 2].copy(),
+                              r[:, 3].copy(), self.min_len.copy(), max_boxes)
 
 
-def _compact_arrays(x0, y0, x1, y1, ml, max_boxes: int):
-    """Greedy adjacent-union compaction on raw geometry arrays.
+def _rows(seq: TBoxSeq) -> List[List[float]]:
+    """The boxes as rows of five Python floats, ``(xmin, ymin, xmax, ymax,
+    minL)``: what the construction alignment's scalar loops read."""
+    return [[*rect, ml] for rect, ml in zip(seq.rects.tolist(),
+                                            seq.min_len.tolist())]
 
-    Merge decisions are float-identical to the scalar box formulation:
-    union extents are the same ``min``/``max`` expressions, growth is
-    ``union_area - area_i - area_{i+1}`` in the same association order,
-    and ``np.argmin`` keeps the first minimum exactly like the scalar
-    loop's strict-``<`` scan.
+
+def _compacted_seq(x0, y0, x1, y1, ml, max_boxes: int) -> TBoxSeq:
+    """Greedy adjacent-union compaction of the boxes given as columns
+    (modified in place) down to ``max_boxes``.
+
+    A merge keeps the union rectangle and the smaller ``minL``; growth is
+    ``union_area - area_i - area_{i+1}``, and ``np.argmin`` keeps the first
+    minimum.
     """
     while x0.shape[0] > max_boxes:
         ux0 = np.minimum(x0[:-1], x0[1:])
@@ -291,15 +251,7 @@ def _compact_arrays(x0, y0, x1, y1, ml, max_boxes: int):
         x1 = np.delete(x1, keep)
         y1 = np.delete(y1, keep)
         ml = np.delete(ml, keep)
-    return x0, y0, x1, y1, ml
-
-
-def _boxes_from_arrays(x0, y0, x1, y1, ml) -> List[STBox]:
-    """Materialize :class:`STBox` objects from aligned geometry arrays."""
-    return [
-        STBox(float(a), float(b), float(c), float(d), float(e))
-        for a, b, c, d, e in zip(x0, y0, x1, y1, ml)
-    ]
+    return TBoxSeq(np.column_stack((x0, y0, x1, y1)), ml)
 
 
 # ---------------------------------------------------------------------- #
@@ -323,13 +275,9 @@ def _growth_bounds(
     float volume sums is already taken off (derivation and soundness
     argument: DESIGN.md, "Least-growth assignment").
     """
-    geoms = [seq.geometry() for seq in seqs]
-    sizes = np.array([len(g) for g in geoms])
+    sizes = np.array([len(seq) for seq in seqs])
     starts = np.cumsum(sizes) - sizes
-    xmin = np.concatenate([g.xmin for g in geoms])
-    ymin = np.concatenate([g.ymin for g in geoms])
-    xmax = np.concatenate([g.xmax for g in geoms])
-    ymax = np.concatenate([g.ymax for g in geoms])
+    xmin, ymin, xmax, ymax = np.concatenate([seq.rects for seq in seqs]).T
     xy = traj.coords()
     px = xy[:, :1]
     py = xy[:, 1:]
@@ -419,10 +367,9 @@ def edwp_sub_box_many(
     seqs = list(seqs)
     if traj.num_segments == 0 or not seqs:
         return [0.0] * len(seqs)
-    geoms = [seq.geometry() for seq in seqs]
-    sizes = np.array([len(g) for g in geoms])
+    sizes = np.array([len(seq) for seq in seqs])
     starts = np.cumsum(sizes) - sizes
-    rects = np.concatenate([g.rects for g in geoms])
+    rects = np.concatenate([seq.rects for seq in seqs])
     pts = traj.coords()
     dmin = np.minimum.reduceat(segments_rects_distance(pts, rects), starts,
                                axis=0)
@@ -461,9 +408,10 @@ def _piece_cost(cx: float, cy: float, ex: float, ey: float,
 
 
 def _box_dp(
-    pts: Sequence[Point], boxes: Sequence[STBox]
+    pts: Sequence[Point], rects: Sequence[Sequence[float]]
 ) -> Tuple[List[List[float]], List[List[int]], List[List[Point]]]:
-    """Free-start / free-end DP of a trajectory against a box sequence.
+    """Free-start / free-end DP of a trajectory against a box sequence,
+    given as rows ``(xmin, ymin, xmax, ymax, minL)`` of Python floats.
 
     State ``(i, j)``: ``i`` trajectory segments and ``j`` boxes consumed.
     Cell payload is the current position on the trajectory (boxes have no
@@ -484,10 +432,9 @@ def _box_dp(
     per cell, in the same order, so the output is identical to it.
     """
     n = len(pts) - 1
-    m = len(boxes)
+    m = len(rects)
     inf = math.inf
     rows, cols = n + 1, m + 1
-    rects = [(b.xmin, b.ymin, b.xmax, b.ymax, b.min_len) for b in boxes]
     last = rects[m - 1]
 
     cost = [[inf] * cols for _ in range(rows)]
@@ -591,10 +538,9 @@ def edwp_sub_box_alignment(
     if traj.num_segments == 0:
         return 0.0, []
     pts = _spatial_points(traj)
-    boxes = seq.boxes
     n = len(pts) - 1
-    m = len(boxes)
-    cost, parents, pos = _box_dp(pts, boxes)
+    m = len(seq)
+    cost, parents, pos = _box_dp(pts, _rows(seq))
     j = min(range(m + 1), key=cost[n].__getitem__)
     value = cost[n][j]
     i = n

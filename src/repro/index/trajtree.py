@@ -351,12 +351,12 @@ class _Node:
         *overestimate* the rectangle distance and break the quick bound's
         underestimate guarantee.
         """
-        g = self.boxseq.geometry()
+        rects = self.boxseq.rects
         self.union_rect = (
-            float(g.xmin.min()),
-            float(g.ymin.min()),
-            float(g.xmax.max()),
-            float(g.ymax.max()),
+            float(rects[:, 0].min()),
+            float(rects[:, 1].min()),
+            float(rects[:, 2].max()),
+            float(rects[:, 3].max()),
         )
 
     @property
@@ -1032,11 +1032,10 @@ class TrajTree:
     def warm_caches(self) -> None:
         """Populate every lazy derived cache the query path reads.
 
-        Touches each stored trajectory's coordinate/length caches, each
-        node's tBoxSeq geometry cache and the :meth:`_block` of every node a
-        query refines whole.  The fills are idempotent
-        (concurrent first calls each compute an equivalent value and the
-        last assignment wins), so this is an optimization, not a
+        Touches each stored trajectory's coordinate/length caches and
+        the :meth:`_block` of every node a query refines whole.  The fills
+        are idempotent (concurrent first calls each compute an equivalent
+        value and the last assignment wins), so this is an optimization, not a
         correctness requirement — but a server warming once before
         accepting traffic avoids paying first-touch conversions inside
         latency-sensitive queries.  Called by
@@ -1048,7 +1047,6 @@ class TrajTree:
             traj.bounding_rect()
 
         def walk(node: _Node, inside_whole: bool) -> None:
-            node.boxseq.geometry()
             whole = node.is_leaf or node.count() <= REFINE_FLUSH
             if whole and not inside_whole:
                 self._block(node)

@@ -1,7 +1,8 @@
 """The construction DP :func:`repro.index.tboxseq._box_dp` replaced.
 
-``_box_dp`` is kept here verbatim as it stood when every cell computed
-its own piece costs and projections through the ``STBox`` methods: rep
+``_box_dp`` is kept here as it stood when every cell computed its own
+piece costs and projections through ``point_rect_distance`` and
+``project_rect_on_segment`` of :mod:`repro.core.geometry`: rep
 ``(i, j)`` and ins_B ``(i, j - 1)`` each integrated the same piece
 against the same box, and ins_T ``(i - 1, j)`` projected box ``j - 1``
 onto the segment rep ``(i, j)`` projects it onto.  It is the oracle
@@ -13,8 +14,8 @@ onto the segment rep ``(i, j)`` projects it onto.  It is the oracle
 import math
 from typing import List, Sequence, Tuple
 
-from repro.core.geometry import Point, point_distance
-from repro.index.stbox import STBox
+from repro.core.geometry import (Point, point_distance, point_rect_distance,
+                                 project_rect_on_segment)
 from repro.index.tboxseq import _INS_B, _INS_T, _REP, _SKIP
 
 
@@ -27,9 +28,10 @@ def hex_form(out):
 
 
 def _box_dp(
-    pts: Sequence[Point], boxes: Sequence[STBox]
+    pts: Sequence[Point], boxes: Sequence[Sequence[float]]
 ) -> Tuple[List[List[float]], List[List[int]], List[List[Point]]]:
-    """Free-start / free-end DP of a trajectory against a box sequence.
+    """Free-start / free-end DP of a trajectory against a box sequence,
+    given as rows ``(xmin, ymin, xmax, ymax, minL)``.
 
     State ``(i, j)``: ``i`` trajectory segments and ``j`` boxes consumed.
     Cell payload is the current position on the trajectory (boxes have no
@@ -56,7 +58,7 @@ def _box_dp(
 
     dist = point_distance
 
-    def piece_cost(cur: Point, end: Point, box: STBox) -> float:
+    def piece_cost(cur: Point, end: Point, box) -> float:
         """``2 * ∫ d_box`` over the piece, by the 3-point midpoint rule."""
         length = dist(cur, end)
         if length == 0.0:
@@ -66,7 +68,7 @@ def _box_dp(
         dy = end[1] - cy
         acc = 0.0
         for f in (1.0 / 6.0, 0.5, 5.0 / 6.0):
-            acc += box.dist_point((cx + dx * f, cy + dy * f))
+            acc += point_rect_distance((cx + dx * f, cy + dy * f), *box[:4])
         return 2.0 * length * (acc / 3.0)
 
     for i in range(1, rows):
@@ -84,9 +86,9 @@ def _box_dp(
                     cur = pos[i - 1][j - 1]
                     box = boxes[j - 1]
                     end = pts[i]
-                    proj, _ = box.project_on_segment(cur, end)
+                    proj, _ = project_rect_on_segment(cur, end, *box[:4])
                     incr = piece_cost(cur, end, box) + (
-                        2.0 * box.dist_point(proj) * box.min_len
+                        2.0 * point_rect_distance(proj, *box[:4]) * box[4]
                     )
                     total = c + incr
                     if total < best:
@@ -103,11 +105,12 @@ def _box_dp(
                     cur = row_pos[j - 1]
                     box = boxes[j - 1]
                     if i < n:
-                        q, _ = box.project_on_segment(cur, pts[i + 1])
+                        q, _ = project_rect_on_segment(cur, pts[i + 1],
+                                                       *box[:4])
                     else:
                         q = cur
                     incr = piece_cost(cur, q, box) + (
-                        2.0 * box.dist_point(q) * box.min_len
+                        2.0 * point_rect_distance(q, *box[:4]) * box[4]
                     )
                     total = c + incr
                     if total < best:

@@ -6,7 +6,13 @@ import numpy as np
 
 from repro.core import Trajectory
 from repro.core.geometry import segment_rect_distance
-from repro.index.tboxseq import edwp_sub_box, edwp_sub_box_many
+from repro.index.tboxseq import TBoxSeq, edwp_sub_box, edwp_sub_box_many
+
+
+def boxseq(rows):
+    """A :class:`TBoxSeq` from rows ``(xmin, ymin, xmax, ymax, minL)``."""
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    return TBoxSeq(rows[:, :4], rows[:, 4])
 
 
 def random_walk_trajectory(rng, n, scale=10.0, origin=None):
@@ -25,8 +31,8 @@ def scalar_box_bound(traj, seq):
     for seg in traj.segments():
         a = (seg.s1.x, seg.s1.y)
         b = (seg.s2.x, seg.s2.y)
-        d = min(segment_rect_distance(a, b, box.xmin, box.ymin, box.xmax,
-                                      box.ymax) for box in seq.boxes)
+        d = min(segment_rect_distance(a, b, *rect)
+                for rect in seq.rects.tolist())
         total += seg.length * d
     return 2.0 * total
 
@@ -41,6 +47,6 @@ def assert_bound_matches(traj, seqs):
     for s, got in zip(seqs, batched):
         want = scalar_box_bound(traj, s)
         scale = max([1.0, float(np.abs(traj.coords()).max())]
-                    + [float(np.abs(b).max()) for b in s.geometry().rects])
+                    + [float(np.abs(s.rects).max())])
         slack = 1e-12 * scale * max(traj.length, 1.0)
         assert want * (1 - 2.0 ** -29) - slack <= got <= want * (1 + 1e-12)

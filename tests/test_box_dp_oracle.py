@@ -17,8 +17,7 @@ from repro.core import Trajectory
 from repro.core.edwp import _spatial_points
 from repro.datasets import generate_beijing
 from repro.index import tboxseq
-from repro.index.stbox import STBox
-from repro.index.tboxseq import _INS_B, _INS_T, TBoxSeq, _box_dp
+from repro.index.tboxseq import _INS_B, _INS_T, TBoxSeq, _box_dp, _rows
 from repro.index.trajtree import TrajTree
 
 from box_dp_oracle import _box_dp as oracle_box_dp, hex_form
@@ -35,7 +34,7 @@ def assert_matches_oracle(pts, boxes):
 
 @st.composite
 def boxes(draw, coord=free_coord):
-    """One to six boxes: arbitrary extents, zero-width, zero-height and
+    """One to six box rows: arbitrary extents, zero-width, zero-height and
     point boxes, ``minL`` 0 or positive."""
     out = []
     for _ in range(draw(st.integers(1, 6))):
@@ -43,7 +42,7 @@ def boxes(draw, coord=free_coord):
         w = draw(st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
         h = draw(st.one_of(st.just(0.0), st.floats(0.0, 40.0)))
         ml = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
-        out.append(STBox(x0, y0, x0 + w, y0 + h, ml))
+        out.append([x0, y0, x0 + w, y0 + h, ml])
     return out
 
 
@@ -61,7 +60,7 @@ class TestAgainstOracle:
            trajectories(min_len=2, max_len=9), st.sampled_from([1, 2, 3, 12]))
     def test_boxes_built_by_construction(self, group, traj, max_boxes):
         seq = TBoxSeq.from_trajectories(group, max_boxes=max_boxes)
-        assert_matches_oracle(_spatial_points(traj), seq.boxes)
+        assert_matches_oracle(_spatial_points(traj), _rows(seq))
 
     @SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40),
@@ -73,22 +72,22 @@ class TestAgainstOracle:
         seq = TBoxSeq.from_trajectory(Trajectory.from_xy(other),
                                       max_boxes=m)
         assert_matches_oracle([tuple(map(float, p)) for p in walk],
-                              seq.boxes)
+                              _rows(seq))
 
     def test_beijing_trips(self):
         trips = generate_beijing(12, seed=5)
         for a in trips:
             seq = TBoxSeq.from_trajectory(a, max_boxes=4)
             for b in trips:
-                assert_matches_oracle(_spatial_points(b), seq.boxes)
+                assert_matches_oracle(_spatial_points(b), _rows(seq))
 
     def test_extreme_coordinates(self):
         """Overflowing differences: the shared terms carry the same inf
         and NaN the per-cell computation produced."""
         pts = [(0.0, 0.0), (1e200, 0.0), (1e300, -1e300), (-1e308, 1e308)]
-        seq = [STBox(-1e308, -1.0, 1e308, 1.0, 0.0),
-               STBox(5e307, 5e307, 1e308, 1e308, 1e300),
-               STBox(0.0, 0.0, 0.0, 0.0, 0.0)]
+        seq = [[-1e308, -1.0, 1e308, 1.0, 0.0],
+               [5e307, 5e307, 1e308, 1e308, 1e300],
+               [0.0, 0.0, 0.0, 0.0, 0.0]]
         for k in range(1, len(seq) + 1):
             assert_matches_oracle(pts, seq[:k])
 
@@ -97,8 +96,8 @@ class TestAgainstOracle:
         and ins_B in the ``j == m`` column (the last box stands in) are
         the cells with no neighbour to share with; both win here."""
         pts = [(5.0, 8.0), (15.0, 0.0), (20.0, 13.0)]
-        seq = [STBox(18.0, 0.0, 18.0, 2.0, 2.0),
-               STBox(4.0, 18.0, 5.0, 19.0, 1.0)]
+        seq = [[18.0, 0.0, 18.0, 2.0, 2.0],
+               [4.0, 18.0, 5.0, 19.0, 1.0]]
         _, parents, _ = assert_matches_oracle(pts, seq)
         n, m = len(pts) - 1, len(seq)
         assert _INS_T in parents[n][1:]

@@ -1,11 +1,11 @@
 """Concurrent first-access on lazy caches (ISSUE 6, satellite).
 
 The service dispatches batches on an executor thread, so a tree's lazy
-per-object caches — ``Trajectory.coords()`` / ``Trajectory.length`` and
-``TBoxSeq.geometry()`` — can see their *first* access from several
-threads at once.  The fills are written to be idempotent (read the slot
-once into a local, compute from immutable data, publish with a single
-assignment), which makes racing fills harmless under the GIL.  These are
+per-object caches — ``Trajectory.coords()`` / ``Trajectory.length``, read
+by every node bound and box summary — can see their *first* access from
+several threads at once.  The fills are written to be idempotent (read
+the slot once into a local, compute from immutable data, publish with a
+single assignment), which makes racing fills harmless under the GIL.  These are
 the regression tests pinning that contract, plus coverage for
 :meth:`TrajTree.warm_caches`, the eager pre-population the service runs
 before serving.
@@ -92,18 +92,18 @@ class TestTrajectoryLazyFills:
             assert all(got == expected for got in results)
 
     def test_concurrent_first_geometry_access(self, points):
-        reference = TBoxSeq.from_trajectory(Trajectory(points), 4)
-        expected = reference.geometry()
+        """A trajectory's box summary, first built from several threads
+        at once: each reads the cold coordinate cache."""
+        expected = TBoxSeq.from_trajectory(Trajectory(points), 4)
 
         def make_target():
-            boxseq = TBoxSeq.from_trajectory(Trajectory(points), 4)
-            assert boxseq._geom is None
-            return boxseq.geometry
+            traj = Trajectory(points)
+            assert traj._coords is None
+            return lambda: TBoxSeq.from_trajectory(traj, 4)
 
         for results in hammer(make_target):
             for got in results:
-                np.testing.assert_array_equal(got.xmin, expected.xmin)
-                np.testing.assert_array_equal(got.ymax, expected.ymax)
+                np.testing.assert_array_equal(got.rects, expected.rects)
                 np.testing.assert_array_equal(got.min_len, expected.min_len)
 
 
@@ -145,9 +145,5 @@ class TestWarmCaches:
         for traj in tree._db.values():
             assert traj._coords is not None
             assert traj._length is not None
-
-        nodes = [tree.root]
-        while nodes:
-            node = nodes.pop()
-            assert node.boxseq._geom is not None
-            nodes.extend(node.children)
+        # 12 members: the root is refined whole, from its member block
+        assert tree.root.block is not None

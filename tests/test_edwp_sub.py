@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import BACKENDS, Trajectory, edwp
-from repro.core.edwp_sub import (edwp_sub, edwp_sub_alignment, edwp_sub_many,
+from repro.core.edwp_sub import (edwp_sub, edwp_sub_alignment, edwp_sub_fast,
+                                 edwp_sub_fast_queries, edwp_sub_many,
                                  prefix_dist)
 
 
@@ -50,12 +51,19 @@ class TestBaseCases:
     def test_overflowing_pair_is_inf(self, backend):
         """The numpy kernel's NaN at overflow is ``inf`` on every entry
         point, as in the reference DP; ``subtrajectory_knn`` refinement
-        reads ``edwp_sub_many``."""
+        reads ``edwp_sub_many``, Alg. 1's pivot selection
+        ``edwp_sub_fast_queries``.  A trajectory against itself is 0.0 on
+        python but ``inf`` on numpy at this scale (``edwp``'s limit)."""
         far = Trajectory.from_xy([(0, 0), (1e200, 0)])
         other = Trajectory.from_xy([(0, 1e200), (1e200, 1e200)])
+        itself = 0.0 if backend == "python" else math.inf
         assert edwp_sub(far, other, backend=backend) == math.inf
         assert edwp_sub_many(far, [other, far], backend=backend) == [
-            math.inf, 0.0 if backend == "python" else math.inf]
+            math.inf, itself]
+        assert edwp_sub_fast(far, other, backend=backend) == math.inf
+        assert prefix_dist(far, other, backend=backend) == math.inf
+        assert edwp_sub_fast_queries([far, other], other,
+                                     backend=backend) == [math.inf, itself]
 
 
 class TestSkipping:

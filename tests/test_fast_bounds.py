@@ -1,6 +1,6 @@
 """The index's array paths: box geometry, the node bound, the pivot kernel.
 
-Covers the per-``TBoxSeq`` geometry cache and array compaction; the node
+Covers the box arrays a ``TBoxSeq`` is made of and their compaction; the node
 bound ``edwp_sub_box``/``edwp_sub_box_many`` against its scalar
 definition ``2 · Σ_s |s| · min_b segment_rect_distance(s, b)`` on random,
 single-segment, duplicate-point and empty-ish inputs; the Theorem-2
@@ -16,9 +16,8 @@ from repro.core import Trajectory, edwp, use_backend
 from repro.core.edwp import BACKENDS
 from repro.core.edwp_sub import edwp_sub, edwp_sub_fast, edwp_sub_fast_queries
 from repro.index import TBoxSeq, TrajTree, edwp_sub_box, edwp_sub_box_many
-from repro.index.stbox import STBox
 
-from helpers import assert_bound_matches, random_walk_trajectory
+from helpers import assert_bound_matches, boxseq, random_walk_trajectory
 
 
 def _random_seq(rng, num_trajs=3, points=8):
@@ -27,44 +26,61 @@ def _random_seq(rng, num_trajs=3, points=8):
 
 
 class TestGeometryCache:
+    """The box geometry a sequence is made of: two read-only arrays, the
+    only copy of its boxes."""
+
     def test_geometry_matches_boxes(self, rng):
-        seq, _ = _random_seq(rng)
-        g = seq.geometry()
-        assert np.allclose(g.xmin, [b.xmin for b in seq.boxes])
-        assert np.allclose(g.ymax, [b.ymax for b in seq.boxes])
-        assert np.allclose(g.min_len, [b.min_len for b in seq.boxes])
+        seq, trajs = _random_seq(rng)
+        assert seq.rects.dtype == seq.min_len.dtype == np.float64
+        assert seq.rects.shape == (len(seq), 4)
+        assert seq.min_len.shape == (len(seq),)
+        xy = np.concatenate([t.coords() for t in trajs])
+        assert (seq.rects[:, :2].min(axis=0) == xy.min(axis=0)).all()
+        assert (seq.rects[:, 2:].max(axis=0) == xy.max(axis=0)).all()
 
     def test_geometry_is_cached(self, rng):
+        """Read-only: nothing can change a sequence's boxes in place."""
         seq, _ = _random_seq(rng)
-        assert seq.geometry() is seq.geometry()
+        with pytest.raises(ValueError):
+            seq.rects[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            seq.min_len[0] = 0.0
 
     def test_construction_returns_fresh_cache(self, rng):
-        """with_trajectory/compacted return new sequences whose cached
-        arrays describe the *new* boxes — the invalidation contract."""
+        """with_trajectory/compacted return new sequences and leave the
+        original's arrays as they were."""
         seq, _ = _random_seq(rng)
-        _ = seq.geometry()
+        before = seq.rects.copy(), seq.min_len.copy()
         grown = seq.with_trajectory(random_walk_trajectory(rng, 6))
         assert grown is not seq
-        g = grown.geometry()
-        assert np.allclose(g.xmin, [b.xmin for b in grown.boxes])
-        compact = TBoxSeq(list(grown.boxes) * 3).compacted(4)
-        gc = compact.geometry()
-        assert np.allclose(gc.xmax, [b.xmax for b in compact.boxes])
+        triple = TBoxSeq(np.tile(grown.rects, (3, 1)),
+                         np.tile(grown.min_len, 3))
+        compact = triple.compacted(4)
+        assert compact is not triple and len(compact) == 4
+        assert np.array_equal(seq.rects, before[0])
+        assert np.array_equal(seq.min_len, before[1])
+        assert len(triple) == 3 * len(grown)
 
     def test_pickle_drops_cache_and_rebuilds(self, rng):
+        """A pickle is the two arrays, loaded back through the
+        constructor's checks."""
         import pickle
 
         seq, _ = _random_seq(rng)
-        _ = seq.geometry()
         clone = pickle.loads(pickle.dumps(seq))
-        assert clone._geom is None
-        assert np.allclose(clone.geometry().xmin, seq.geometry().xmin)
-        assert [b.xmin for b in clone.boxes] == [b.xmin for b in seq.boxes]
+        assert np.array_equal(clone.rects, seq.rects)
+        assert np.array_equal(clone.min_len, seq.min_len)
+        assert not clone.rects.flags.writeable
+        state = TBoxSeq.__new__(TBoxSeq)
+        state.rects, state.min_len = seq.rects[:, ::-1], seq.min_len
+        with pytest.raises(ValueError, match="degenerate"):
+            pickle.loads(pickle.dumps(state))
 
     def test_volume_matches_box_sum(self, rng):
         seq, _ = _random_seq(rng)
         assert seq.volume == pytest.approx(
-            sum(b.area for b in seq.boxes), abs=1e-12
+            sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in seq.rects),
+            abs=1e-12
         )
 
 
@@ -72,48 +88,55 @@ class TestCompactionEquivalence:
     """The array compaction must mirror the scalar box formulation."""
 
     @staticmethod
+    def _segment_boxes(t):
+        """One tight ``(xmin, ymin, xmax, ymax, minL)`` per segment."""
+        return [(min(s.s1.x, s.s2.x), min(s.s1.y, s.s2.y),
+                 max(s.s1.x, s.s2.x), max(s.s1.y, s.s2.y), s.length)
+                for s in t.segments()]
+
+    @staticmethod
     def _scalar_compact(boxes, max_boxes):
         import math
+
+        def area(b):
+            return (b[2] - b[0]) * (b[3] - b[1])
+
+        def union(a, b):
+            return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]),
+                    max(a[3], b[3]), min(a[4], b[4]))
 
         boxes = list(boxes)
         while len(boxes) > max_boxes:
             best_i = 0
             best_growth = math.inf
             for i in range(len(boxes) - 1):
-                union = boxes[i].union(boxes[i + 1])
-                growth = union.area - boxes[i].area - boxes[i + 1].area
+                growth = (area(union(boxes[i], boxes[i + 1]))
+                          - area(boxes[i]) - area(boxes[i + 1]))
                 if growth < best_growth:
                     best_growth = growth
                     best_i = i
             boxes[best_i: best_i + 2] = [
-                boxes[best_i].union(boxes[best_i + 1])
+                union(boxes[best_i], boxes[best_i + 1])
             ]
         return boxes
 
     def test_matches_scalar_sweep(self, rng):
         for _ in range(10):
             t = random_walk_trajectory(rng, int(rng.integers(4, 30)))
-            raw = [STBox.from_segment(seg) for seg in t.segments()]
+            raw = self._segment_boxes(t)
             for budget in (2, 5, 12):
                 want = self._scalar_compact(raw, budget)
-                got = TBoxSeq(raw).compacted(budget).boxes
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert a.xmin == b.xmin and a.xmax == b.xmax
-                    assert a.ymin == b.ymin and a.ymax == b.ymax
-                    assert a.min_len == b.min_len
+                got = boxseq(raw).compacted(budget)
+                assert got.rects.tolist() == [list(b[:4]) for b in want]
+                assert got.min_len.tolist() == [b[4] for b in want]
 
     def test_from_trajectory_matches_box_path(self, rng):
         for _ in range(5):
             t = random_walk_trajectory(rng, int(rng.integers(3, 25)))
-            via_boxes = TBoxSeq(
-                [STBox.from_segment(seg) for seg in t.segments()]
-            ).compacted(12)
+            via_boxes = boxseq(self._segment_boxes(t)).compacted(12)
             via_arrays = TBoxSeq.from_trajectory(t, max_boxes=12)
-            assert len(via_boxes) == len(via_arrays)
-            for a, b in zip(via_arrays.boxes, via_boxes.boxes):
-                assert a.xmin == b.xmin and a.ymax == b.ymax
-                assert a.min_len == b.min_len
+            assert np.array_equal(via_arrays.rects, via_boxes.rects)
+            assert np.array_equal(via_arrays.min_len, via_boxes.min_len)
 
 
 class TestBoxDpEquivalence:
@@ -141,8 +164,8 @@ class TestBoxDpEquivalence:
     def test_single_box_sequences(self, rng):
         q = random_walk_trajectory(rng, 7)
         seqs = [
-            TBoxSeq([STBox(0.0, 0.0, 1.0, 1.0, 0.5)]),
-            TBoxSeq([STBox(-3.0, 2.0, -1.0, 4.0, 1.0)]),
+            boxseq([(0.0, 0.0, 1.0, 1.0, 0.5)]),
+            boxseq([(-3.0, 2.0, -1.0, 4.0, 1.0)]),
         ]
         self._assert_matches(q, seqs)
 
@@ -155,8 +178,8 @@ class TestBoxDpEquivalence:
     def test_degenerate_point_boxes(self, rng):
         """Zero-area boxes (from zero-length segments) still match."""
         q = random_walk_trajectory(rng, 6)
-        seqs = [TBoxSeq([STBox(1.0, 1.0, 1.0, 1.0, 0.0),
-                         STBox(2.0, 2.0, 5.0, 5.0, 1.0)])]
+        seqs = [boxseq([(1.0, 1.0, 1.0, 1.0, 0.0),
+                        (2.0, 2.0, 5.0, 5.0, 1.0)])]
         self._assert_matches(q, seqs)
 
     def test_subnormal_distances_do_not_tie(self):

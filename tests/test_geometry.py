@@ -193,5 +193,5 @@ class TestSegmentsRectsDistance:
     @example(q=SUBNORMAL_DIST_QUERY, base=SUBNORMAL_BASE, scale=1.0)
     @example(q=SUBNORMAL_DELTA_QUERY, base=SUBNORMAL_BASE, scale=1.0)
     def test_matches_scalar_loop(self, q, base, scale):
-        rects = TBoxSeq.from_trajectory(base, max_boxes=4).geometry().rects
+        rects = TBoxSeq.from_trajectory(base, max_boxes=4).rects
         self._check(q.coords() * scale, rects * scale)

@@ -20,11 +20,11 @@ from repro.core import Trajectory
 from repro.core.edwp import BACKENDS
 from repro.datasets import generate_beijing
 from repro.index import tboxseq
-from repro.index.stbox import STBox
 from repro.index.tboxseq import TBoxSeq, _growth_bounds, least_growth
 from repro.index.persistence import load_tree, save_tree
 from repro.index.trajtree import TrajTree
 
+from helpers import boxseq
 from test_backend_matrix import trajectories
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -46,9 +46,8 @@ def exhaustive(seqs, traj, max_boxes):
 
 
 def geometry_bytes(seq):
-    g = seq.geometry()
-    return b"".join(a.tobytes() for a in
-                    (g.xmin, g.ymin, g.xmax, g.ymax, g.min_len))
+    """The box columns ``xmin, ymin, xmax, ymax, minL``, column by column."""
+    return b"".join(a.tobytes() for a in (*seq.rects.T, seq.min_len))
 
 
 def assert_matches_oracle(seqs, traj, max_boxes):
@@ -182,7 +181,7 @@ class TestAgainstExhaustiveOracle:
 
     def test_overflowing_volumes_raise(self):
         """inf - inf: no growth compares, so there is no minimum."""
-        huge = TBoxSeq([STBox(0.0, 0.0, 1e200, 1e200, 1.0)])
+        huge = boxseq([(0.0, 0.0, 1e200, 1e200, 1.0)])
         traj = Trajectory.from_xy([(0, 0), (1, 1)])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import Trajectory, UnknownBackendError, use_backend
-from repro.index import TrajForest, TrajTree
+from repro.index import TBoxSeq, TrajForest, TrajTree
 from repro.index.persistence import (
     ShardLoadError,
     load_forest,
@@ -131,11 +131,14 @@ class TestValidation:
         with pytest.raises(IntegrityError, match="integrity"):
             load_tree(path)
 
-    def test_rejects_hostile_payload_in_valid_envelope(self, tmp_path,
+    def test_rejects_hostile_payload_in_valid_envelope(self, tree, tmp_path,
                                                        monkeypatch):
         """A payload whose ``__reduce__`` names ``os.system`` sits behind
         a header that checks out: the decoder refuses the name before it
-        is imported, so the command never runs."""
+        is imported, so the command never runs.  A tree whose node
+        summary is malformed decodes through the ``TBoxSeq`` constructor,
+        whose checks raise the typed error at load, not a crash in a
+        later query."""
         monkeypatch.chdir(tmp_path)
 
         class Hostile:
@@ -144,16 +147,34 @@ class TestValidation:
                 return (os.system, ("touch sentinel",))
 
         path = tmp_path / "hostile.pkl"
-        write_envelope(path, "repro-trajtree", "1.4.0",
+        write_envelope(path, "repro-trajtree", "1.5.0",
                        pickle.dumps(Hostile()))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
         assert not (tmp_path / "sentinel").exists()
         # allowed names alone, but not a tree
-        write_envelope(path, "repro-trajtree", "1.4.0",
+        write_envelope(path, "repro-trajtree", "1.5.0",
                        pickle.dumps(np.arange(3)))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
+        # a tree, but one box sequence's arrays are malformed
+        for rects, min_len, match in [
+            (np.zeros((2, 4)), np.zeros((2, 4)), r"\(m, 4\) rects"),
+            (np.zeros((0, 4)), np.zeros(0), "at least one box"),
+            ([[1.0, 0.0, 0.0, 1.0]], [1.0], "degenerate"),
+            ([[0.0, 0.0, 1.0, 1.0]], [np.nan], "min_len"),
+            ("boxes", [1.0], "must be floats"),
+        ]:
+            class Malformed:
+                def __reduce__(self):
+                    return TBoxSeq, (rects, min_len)
+
+            damaged = pickle.loads(pickle.dumps(tree))
+            damaged.root.children[-1].boxseq = Malformed()
+            write_envelope(path, "repro-trajtree", "1.5.0",
+                           pickle.dumps(damaged))
+            with pytest.raises(ValueError, match=match):
+                load_tree(path)
 
     def test_load_forest_takes_no_verify(self):
         import inspect
@@ -199,7 +220,7 @@ class TestForestRoundTrip:
                 (path / entry["file"]).read_bytes().partition(b"\n")
             assert entry["sha256"] == sha256_bytes(payload)
             assert header.split(b" ") == [
-                b"repro-trajtree", b"1.4.0", entry["sha256"].encode(),
+                b"repro-trajtree", b"1.5.0", entry["sha256"].encode(),
                 str(len(payload)).encode()]
             shard = load_tree(path / entry["file"])
             assert shard.ids() == forest.shards[i].ids()

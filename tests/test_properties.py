@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Trajectory, edwp, edwp_alignment, edwp_avg
 from repro.core.edwp_sub import edwp_sub
+from repro.core.geometry import point_rect_distance
 from repro.eval.spearman import spearman, rank
 from repro.index import TBoxSeq, TrajTree, edwp_sub_box
 from repro.index.vantage import vantage_distance, vp_distance
@@ -172,7 +173,8 @@ def test_tboxseq_covers_all_members(group):
     for t in group:
         for row in t.data:
             assert any(
-                b.dist_point((row[0], row[1])) <= 1e-6 for b in seq.boxes
+                point_rect_distance((row[0], row[1]), *rect) <= 1e-6
+                for rect in seq.rects.tolist()
             )
 
 

@@ -1,13 +1,13 @@
 """tBoxSeq construction and the Theorem-2 lower bound."""
 
-import numpy as np
 import pytest
 
 from repro.core import Trajectory, edwp
-from repro.index import STBox, TBoxSeq, edwp_sub_box
+from repro.core.geometry import point_rect_distance
+from repro.index import TBoxSeq, edwp_sub_box
 from repro.index.tboxseq import edwp_sub_box_alignment
 
-from helpers import random_walk_trajectory
+from helpers import boxseq, random_walk_trajectory
 
 
 class TestConstruction:
@@ -15,7 +15,7 @@ class TestConstruction:
         t = Trajectory.from_xy([(0, 0), (5, 0), (5, 5)])
         seq = TBoxSeq.from_trajectory(t)
         assert len(seq) == 2
-        assert seq[0].min_len == pytest.approx(5.0)
+        assert seq.min_len[0] == pytest.approx(5.0)
 
     def test_from_trajectory_respects_max_boxes(self):
         t = Trajectory.from_xy([(i, (i % 2) * 3.0) for i in range(40)])
@@ -33,7 +33,8 @@ class TestConstruction:
     def test_volume_is_sum_of_areas(self):
         t = Trajectory.from_xy([(0, 0), (5, 1), (6, 4)])
         seq = TBoxSeq.from_trajectory(t)
-        assert seq.volume == pytest.approx(sum(b.area for b in seq.boxes))
+        assert seq.volume == pytest.approx(
+            sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in seq.rects))
 
     def test_with_trajectory_only_grows_boxes(self, rng):
         base = random_walk_trajectory(rng, 8)
@@ -50,7 +51,8 @@ class TestConstruction:
             grown = TBoxSeq.from_trajectory(base).with_trajectory(other)
             for row in other.data:
                 assert any(
-                    b.dist_point((row[0], row[1])) < 1e-6 for b in grown.boxes
+                    point_rect_distance((row[0], row[1]), *rect) < 1e-6
+                    for rect in grown.rects.tolist()
                 )
 
     def test_volume_increase_matches(self, rng):
@@ -62,13 +64,11 @@ class TestConstruction:
         )
 
     def test_compacted_reduces_count(self):
-        boxes = [STBox(i, 0, i + 1, 1, 1.0) for i in range(20)]
-        seq = TBoxSeq(boxes).compacted(5)
+        seq = boxseq([(i, 0, i + 1, 1, 1.0) for i in range(20)]).compacted(5)
         assert len(seq) == 5
 
     def test_compacted_noop_when_under_budget(self):
-        boxes = [STBox(0, 0, 1, 1, 1.0)]
-        seq = TBoxSeq(boxes)
+        seq = boxseq([(0, 0, 1, 1, 1.0)])
         assert seq.compacted(5) is seq
 
 

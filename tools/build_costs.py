@@ -70,9 +70,9 @@ def check_alignments(build) -> int:
     dp = tboxseq._box_dp
     calls = []
 
-    def record(pts, boxes):
-        out = dp(pts, boxes)
-        calls.append((list(pts), list(boxes), hex_form(out)))
+    def record(pts, rects):
+        out = dp(pts, rects)
+        calls.append((list(pts), list(rects), hex_form(out)))
         return out
 
     tboxseq._box_dp = record
@@ -80,8 +80,8 @@ def check_alignments(build) -> int:
         build()
     finally:
         tboxseq._box_dp = dp
-    for pts, boxes, got in calls:
-        if got != hex_form(oracle_box_dp(pts, boxes)):
+    for pts, rects, got in calls:
+        if got != hex_form(oracle_box_dp(pts, rects)):
             return -1
     return len(calls)
 
