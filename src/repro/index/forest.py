@@ -6,8 +6,9 @@ bottleneck.  :class:`TrajForest` partitions the dataset
 into shards, builds one independent TrajTree per shard — optionally in
 parallel worker processes reading a memory-mapped
 :class:`~repro.store.ColumnarStore` — and answers the same queries over
-all of them: top-k queries walk the shards as *one* filter-and-refine
-search against a shared answer heap, range queries fan out and concatenate.
+all of them: every query walks the shards as *one* filter-and-refine
+search against a shared answer heap, pinned at the radius for a range
+query.
 
 Exactness is free: the shards partition the database, every shard search
 prunes only what cannot beat the shared k-th distance, and the heap
@@ -23,9 +24,10 @@ DESIGN.md ("Columnar store and sharded forest").
 The forest conforms to :class:`~repro.index.protocol.QueryIndex`, so
 ``QueryService.set_tree`` serves one exactly like a single tree.  Per-query
 :class:`~repro.index.trajtree.TrajTreeStats` count each shard's work once:
-for range queries the *elementwise sum* of independent shard searches, for
-top-k queries at most that, since later shards prune with what earlier
-ones found (asserted in ``tests/test_trajtree_stats.py``).
+for range queries the *elementwise sum* of independent shard searches (the
+radius prunes each shard as it would alone), for top-k queries at most
+that, since later shards prune with what earlier ones found (asserted in
+``tests/test_trajtree_stats.py``).
 
 Fault tolerance (DESIGN.md, "Fault model and degraded serving"): a
 forest can serve **degraded** — assembled over the healthy shards of a
@@ -41,7 +43,6 @@ index, not from which process built it.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -127,6 +128,10 @@ def _shard_seed(seed: int, shard: int) -> int:
 
 class TrajForest:
     """A forest of independent TrajTrees over a sharded dataset.
+
+    Each query — ``knn``, ``range_query``, ``subtrajectory_knn`` — is one
+    search over every shard against one answer heap (:meth:`_topk`), so a
+    forest answers exactly as one tree over the whole dataset would.
 
     Parameters
     ----------
@@ -378,31 +383,45 @@ class TrajForest:
             tree.warm_caches()
 
     # ------------------------------------------------------------------ #
-    # queries: one shared top-k search, or fan out and concatenate
+    # queries: one search over all shards against one answer heap
     # ------------------------------------------------------------------ #
 
-    def _fanout(
+    def _topk(
         self,
         method: str,
         query: Trajectory,
-        param,
+        answer: TopK,
         stats: Optional[TrajTreeStats],
-        budget=None,
-    ) -> List[List[Tuple[int, float]]]:
-        """Run one query method on every shard, in shard-index order,
-        all counting into the one ``stats``.
+        budget,
+    ) -> List[Tuple[int, float]]:
+        """One filter-and-refine search over all shards — the shared path
+        of every query kind.
 
-        With a ``budget``, the fan-out splits one ticking tracker into
+        Runs one query method on every shard, in shard-index order, all
+        counting into the one ``stats``, with the single
+        :class:`~repro.index.trajtree.TopK` ``answer`` passed where ``k``
+        (or the radius) goes: shard ``i+1`` prunes with the k-th distance
+        shards ``0..i`` established, members deferred by different shards
+        refine in one batched call, and the heap left by the final flush
+        (owned here) *is* the merged answer.  A range query's ``answer`` is
+        pinned at its radius, so every shard prunes exactly as it would
+        alone.
+
+        With a ``budget``, the walk splits one ticking tracker into
         per-shard children (:meth:`~repro.index.budget.BudgetTracker.
-        split`): all shards share the *absolute* wall-clock deadline —
-        a slow early shard genuinely eats the later shards' time — while
-        the bound allowance divides evenly.  :meth:`_merge_anytime` reads
-        per-shard exactness back off the returned ``AnytimeResult`` objects.
+        split`): all shards share the *absolute* wall-clock deadline — a
+        slow early shard genuinely eats the later shards' time — while the
+        bound allowance divides evenly.  The merged answer is exact iff
+        every shard answered exactly (``shard_exact``); the global residual
+        is the smallest among truncated shards (exact shards were fully
+        enumerated — nothing of theirs is unexplored) and the factor
+        follows from it as in the single-tree case.  A truncated range
+        answer reports the subset semantics instead: exact distances,
+        possibly missing hits (``residual_bound=0.0``, ``bound_factor=1.0``).
 
         Fault point ``forest.query_shard:<i>`` fires before shard ``i``
-        queries; a ``delay`` rule there stalls the fan-out mid-flight,
-        which is how the tests force deterministic per-shard deadline
-        truncation.
+        queries; a ``delay`` rule there stalls the walk mid-flight, which is
+        how the tests force deterministic per-shard deadline truncation.
         """
         tracker = as_tracker(budget)
         trackers = (
@@ -413,67 +432,23 @@ class TrajForest:
         for i, tree in enumerate(self.shards):
             faults.fire(f"forest.query_shard:{i}")
             per_shard.append(
-                getattr(tree, method)(query, param, stats=stats,
+                getattr(tree, method)(query, answer, stats=stats,
                                       budget=trackers[i])
             )
-        return per_shard
-
-    @staticmethod
-    def _merge_anytime(
-        merged: List[Tuple[int, float]],
-        per_shard: List[List[Tuple[int, float]]],
-        k: Optional[int],
-    ) -> AnytimeResult:
-        """Fold per-shard anytime metadata into the merged answer.
-
-        The merged answer is exact iff every shard answered exactly.  The
-        global residual is the smallest residual among truncated shards
-        (exact shards were fully enumerated — nothing of theirs is
-        unexplored), and the factor follows from it exactly as in the
-        single-tree case.  ``k=None`` (range queries) reports the subset
-        semantics: exact distances, possibly missing hits.
-        """
-        shard_exact = [bool(getattr(r, "exact", True)) for r in per_shard]
-        if all(shard_exact):
-            return AnytimeResult(merged, shard_exact=shard_exact)
-        residual = min(
-            getattr(r, "residual_bound", math.inf)
-            for r, ok in zip(per_shard, shard_exact) if not ok
-        )
-        reason = next(
-            getattr(r, "reason", None)
-            for r, ok in zip(per_shard, shard_exact) if not ok
-        )
-        factor = (1.0 if k is None
-                  else bound_factor_for(merged, k, residual))
-        return AnytimeResult(merged, exact=False, reason=reason,
-                             residual_bound=residual, bound_factor=factor,
-                             shard_exact=shard_exact)
-
-    def _topk(
-        self,
-        method: str,
-        query: Trajectory,
-        k: int,
-        stats: Optional[TrajTreeStats],
-        budget,
-    ) -> List[Tuple[int, float]]:
-        """One filter-and-refine search over all shards — the shared path
-        of :meth:`knn` and :meth:`subtrajectory_knn`.
-
-        :meth:`_fanout` walks the shards against a single
-        :class:`~repro.index.trajtree.TopK` passed where ``k`` goes: shard
-        ``i+1`` prunes with the k-th distance shards ``0..i`` established,
-        members deferred by different shards refine in one batched call, and
-        the heap left by the final flush (owned here) *is* the merged answer.
-        """
-        answer = TopK(int(k))
-        per_shard = self._fanout(method, query, answer, stats, budget)
         answer.flush()
         merged = answer.pairs()
         if budget is None:
             return merged
-        return self._merge_anytime(merged, per_shard, answer.k)
+        shard_exact = [bool(r.exact) for r in per_shard]
+        if all(shard_exact):
+            return AnytimeResult(merged, shard_exact=shard_exact)
+        truncated = [r for r in per_shard if not r.exact]
+        residual = min(r.residual_bound for r in truncated)
+        factor = (1.0 if answer.radius is not None
+                  else bound_factor_for(merged, answer.k, residual))
+        return AnytimeResult(merged, exact=False, reason=truncated[0].reason,
+                             residual_bound=residual, bound_factor=factor,
+                             shard_exact=shard_exact)
 
     def knn(
         self,
@@ -488,10 +463,10 @@ class TrajForest:
         shards are searched against one answer heap (:meth:`_topk`) under
         the same ``(distance, traj_id)`` tie order.  ``stats`` (optional)
         accumulates every shard's counters.  ``budget`` (optional) splits
-        per shard (:meth:`_fanout`); the ``AnytimeResult`` returned then
+        per shard (:meth:`_topk`); the ``AnytimeResult`` returned then
         carries per-shard exactness on ``shard_exact``.
         """
-        return self._topk("knn", query, k, stats, budget)
+        return self._topk("knn", query, TopK(int(k)), stats, budget)
 
     def range_query(
         self,
@@ -500,14 +475,10 @@ class TrajForest:
         stats: Optional[TrajTreeStats] = None,
         budget=None,
     ) -> List[Tuple[int, float]]:
-        """All trajectories within ``radius``, merged across shards."""
-        per_shard = self._fanout("range_query", query, float(radius), stats,
-                                 budget)
-        out = [hit for shard in per_shard for hit in shard]
-        out.sort(key=lambda r: (r[1], r[0]))
-        if budget is None:
-            return out
-        return self._merge_anytime(out, per_shard, None)
+        """All trajectories within ``radius``: the walk of :meth:`knn` with
+        the answer heap pinned at the radius (``TrajTree.range_query``)."""
+        return self._topk("range_query", query,
+                          TopK(len(self), float(radius)), stats, budget)
 
     def subtrajectory_knn(
         self,
@@ -517,7 +488,8 @@ class TrajForest:
         budget=None,
     ) -> List[Tuple[int, float]]:
         """Best-k sub-trajectory matches across all shards (raw EDwPsub)."""
-        return self._topk("subtrajectory_knn", query, k, stats, budget)
+        return self._topk("subtrajectory_knn", query, TopK(int(k)), stats,
+                          budget)
 
     def query_many(
         self,

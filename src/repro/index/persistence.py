@@ -69,8 +69,9 @@ __all__ = [
 _MAGIC = "repro-trajtree"
 #: bumped whenever the pickled state of a class in _TREE_GLOBALS changes
 #: (1.3.0: the bare pickled tree behind the envelope header, no build RNG;
-#: 1.4.0: no vantage descriptors; 1.5.0: a TBoxSeq is its box arrays)
-_FORMAT_VERSION = "1.5.0"
+#: 1.4.0: no vantage descriptors; 1.5.0: a TBoxSeq is its box arrays;
+#: 1.6.0: a node keeps no depth and no leaf member list)
+_FORMAT_VERSION = "1.6.0"
 
 _FOREST_MAGIC = "repro-trajforest"
 #: the manifest's own version, bumped with its schema (1.2.0: shard

@@ -76,8 +76,8 @@ class TBoxSeq:
     ``min_len[i]``, its ``minL`` — the minimum length of any segment
     enclosed, which never claims more coverage than the shortest thing
     inside the box.  The constructor copies and checks them: at least one
-    box, ``xmin <= xmax``, ``ymin <= ymax`` and ``minL`` finite and
-    non-negative, else ``ValueError`` — a snapshot is loaded through it
+    box, finite coordinates with ``xmin <= xmax`` and ``ymin <= ymax``, and
+    ``minL`` finite and non-negative, else ``ValueError`` — a snapshot is loaded through it
     too (:meth:`__reduce__`).  Construction operations
     (:meth:`with_trajectory`, :meth:`compacted`) return new sequences.
     """
@@ -99,8 +99,11 @@ class TBoxSeq:
         if not len(rects):
             raise ValueError("a tBoxSeq needs at least one box")
         # Python loops: a handful of boxes checks faster than numpy calls.
-        if any(x0 > x1 or y0 > y1 for x0, y0, x1, y1 in rects.tolist()):
-            raise ValueError("degenerate box: xmin > xmax or ymin > ymax")
+        inf = math.inf
+        if not all(-inf < x0 <= x1 < inf and -inf < y0 <= y1 < inf
+                   for x0, y0, x1, y1 in rects.tolist()):
+            raise ValueError("degenerate box: needs finite xmin <= xmax and "
+                             "ymin <= ymax")
         if not all(0.0 <= ml < math.inf for ml in min_len.tolist()):
             raise ValueError("min_len must be finite and non-negative")
         rects.flags.writeable = False

@@ -91,8 +91,9 @@ class TrajTreeStats:
       smallest of the answers and the deferred rows' upper bounds
       (:meth:`TopK.flush`) — so for ``knn`` and
       ``range_query`` over a freshly built tree, refined + member-pruned
-      covers every member of every node refined whole (and of every leaf
-      a range query reaches by traversal) exactly once.
+      covers every member of every node refined whole exactly once.  A
+      range query's flush screens nothing: its members are screened
+      against the radius when their node is refined whole.
     * The counters do not depend on the distance backend: both backends
       drive the identical traversal (batched leaf refinement included —
       see DESIGN.md, "Batched leaf refinement"), so python/numpy runs of
@@ -152,12 +153,19 @@ class TopK:
     passes the k-th smallest of the answers' distances and the rows' upper
     bounds reaches the kernel (:meth:`flush`; DESIGN.md, "Upper bounds
     screen the flush").
+
+    A range search's is *pinned*: given a ``radius``, ``k`` counts every
+    member searched, :meth:`kth` is the radius throughout and a refined
+    row beyond it never enters the heap.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, radius: Optional[float] = None):
         if k <= 0:
             raise ValueError("k must be positive")
+        if radius is not None and not radius >= 0:     # NaN compares false
+            raise ValueError("radius must be non-negative")
         self.k = k
+        self.radius = radius
         # max-heap of size <= k holding (-dist, -traj_id); ties resolve by
         # trajectory id so results match the sequential-scan oracle.
         self.ans: List[Tuple[float, int]] = []
@@ -175,8 +183,11 @@ class TopK:
         self.stats: Optional[TrajTreeStats] = None
 
     def kth(self) -> float:
-        """Current k-th distance, ``inf`` until k answers are in.  Ignores
-        the deferred members, so it upper-bounds the true k-th distance."""
+        """Current k-th distance, ``inf`` until k answers are in (the
+        radius, if pinned).  Ignores the deferred members, so it
+        upper-bounds the true k-th distance."""
+        if self.radius is not None:
+            return self.radius
         return -self.ans[0][0] if len(self.ans) >= self.k else math.inf
 
     def defer(self, chunk: MemberBlock, raw: float) -> None:
@@ -244,11 +255,15 @@ class TopK:
     def _merge(self, batch: MemberBlock) -> None:
         """Refine ``batch`` in one kernel call; merged in ``(distance, id)``
         order, at most k heap operations leave the same k pairs as pushing
-        each in turn (only kth() and pairs() read the heap)."""
+        each in turn (only kth() and pairs() read the heap).  A pinned heap
+        drops the rows beyond its radius first."""
         if not len(batch):
             return
         self.stats.exact_computations += len(batch)
         ids, ds = batch.ids, np.asarray(self.refine(batch))
+        if self.radius is not None:
+            within = ds <= self.radius
+            ids, ds = ids[within], ds[within]
         k, ans = self.k, self.ans
         for i in np.lexsort((ids, ds))[:k].tolist():
             d, tid = float(ds[i]), int(ids[i])
@@ -313,24 +328,20 @@ def dispatch_query_many(
 class _Node:
     """One TrajTree node: tBoxSeq summary + children."""
 
-    __slots__ = ("boxseq", "children", "member_ids", "max_length",
-                 "subtree_ids", "depth", "union_rect", "block")
+    __slots__ = ("boxseq", "children", "max_length", "subtree_ids",
+                 "union_rect", "block")
 
     def __init__(
         self,
         boxseq: TBoxSeq,
         children: List["_Node"],
-        member_ids: List[int],
         max_length: float,
         subtree_ids: List[int],
-        depth: int = 0,
     ):
         self.boxseq = boxseq
         self.children = children          # empty => leaf
-        self.member_ids = member_ids      # leaf: trajectory ids stored here
         self.max_length = max_length      # max trajectory length in subtree
         self.subtree_ids = subtree_ids    # all ids under this node
-        self.depth = depth                # root = 0
         self.block: Optional[MemberBlock] = None    # see TrajTree._block
         self.refresh_union_rect()
 
@@ -455,7 +466,7 @@ class TrajTree:
     # construction
     # ------------------------------------------------------------------ #
 
-    def _build(self, ids: List[int], rng: random.Random, depth: int = 0,
+    def _build(self, ids: List[int], rng: random.Random,
                boxseq: Optional[TBoxSeq] = None) -> _Node:
         """Node over ``ids``; ``boxseq`` is their summary when the parent's
         partition already folded it (every node but the root); ``rng`` is
@@ -477,13 +488,13 @@ class TrajTree:
             stats=self.build_stats,
         )
         if result is None or len(result.groups) < 2:
-            return _Node(boxseq, [], list(ids), max_length, list(ids), depth)
+            return _Node(boxseq, [], max_length, list(ids))
 
         children = [
-            self._build([ids[i] for i in group], rng, depth + 1, grown)
+            self._build([ids[i] for i in group], rng, grown)
             for group, grown in zip(result.groups, result.boxseqs)
         ]
-        return _Node(boxseq, children, [], max_length, list(ids), depth)
+        return _Node(boxseq, children, max_length, list(ids))
 
     # ------------------------------------------------------------------ #
     # public container surface
@@ -807,28 +818,36 @@ class TrajTree:
         refine: Callable[[Trajectory, Sequence[Trajectory]], List[float]],
         normalized: bool,
         full_match: bool,
+        radius: Optional[float] = None,
     ) -> List[Tuple[int, float]]:
-        """Alg. 2's best-first search — the one loop behind :meth:`knn` and
-        :meth:`subtrajectory_knn`, of a single tree and of a forest's shards.
+        """Alg. 2's best-first search — the one loop behind :meth:`knn`,
+        :meth:`subtrajectory_knn` and :meth:`range_query`, of a single tree
+        and of a forest's shards.
 
-        The callers differ in exactly three things: ``refine(query,
+        The callers differ in exactly four things: ``refine(query,
         trajectories)``, the batched exact distance that resolves deferred
         members (EDwP vs raw EDwPsub); ``normalized``, whether node bounds
         are divided by ``length(Q) + max length`` (EDwPsub is never
-        length-normalized); and ``full_match``, whether the distance
-        matches the whole member (EDwP), which turns on Rule 2's two-sided
-        member bound and the flush's upper bounds (:meth:`TopK.flush`).
-        Everything else — heap order, tie rule, deferred refinement, budget
-        check points — is shared.
+        length-normalized); ``full_match``, whether the distance matches
+        the whole member (EDwP), which turns on Rule 2's two-sided member
+        bound and the flush's upper bounds (:meth:`TopK.flush`); and the
+        kind of answer heap, top-k or pinned at a radius.  Everything else
+        — heap order, tie rule, deferred refinement, budget check points —
+        is shared.
 
         ``k`` is the answer size, or a :class:`TopK` earlier searches filled:
-        then deferred members stay in it for its owner to flush.
+        then deferred members stay in it for its owner to flush.  ``radius``
+        pins the heap created here (:meth:`range_query`).  A pinned limit
+        never moves, so a range search flushes once, at its end: it does
+        not flush before a descent or at :data:`REFINE_FLUSH` deferred
+        members, installs no upper bounds and ignores ``epsilon``.
         """
-        answer = k if isinstance(k, TopK) else TopK(k)
+        answer = k if isinstance(k, TopK) else TopK(k, radius)
         if query.num_segments == 0:
             raise ValueError("query needs at least one segment")
         if stats is None:
             stats = TrajTreeStats()
+        ranged = answer.radius is not None
         answer.query, answer.stats = query, stats
         answer.refine = lambda trajs: refine(query, trajs)
         answer.screen = lambda block, raws, limit, bounds, scales: (
@@ -836,10 +855,11 @@ class TrajTree:
                                  stats, bounds, scales, two_sided=full_match))
         answer.upper = ((lambda block, scales: self._rect_uppers(
                             query, block, normalized, scales))
-                        if full_match and self.use_quick_bound else None)
+                        if full_match and self.use_quick_bound and not ranged
+                        else None)
         kth, flush = answer.kth, answer.flush
         tracker = as_tracker(budget)
-        eps = tracker.epsilon if tracker is not None else 0.0
+        eps = tracker.epsilon if tracker is not None and not ranged else 0.0
         truncate_reason: Optional[str] = None
         residual = math.inf
 
@@ -905,19 +925,21 @@ class TrajTree:
                 # deferring, so the next flush (a descent's, the search's
                 # last or a forest owner's) holds every row and screens them
                 # against each other's upper bounds (TopK.flush).
-                if (sum(map(len, answer.pending)) >= REFINE_FLUSH
+                if (not ranged
+                        and sum(map(len, answer.pending)) >= REFINE_FLUSH
                         and (cands or len(answer.ans) >= answer.k)):
                     flush()
                 continue
 
             # Alg. 2 lines 11-13: enqueue children that can still matter.
-            # Flush first so the k-th distance is fresh, then compute all
-            # children's quick bounds and all surviving children's box
-            # bounds in one batched kernel call each (the answer heap does
-            # not change below, so the k-th distance is a loop constant and
-            # batching is decision-identical to the sequential per-child
-            # formulation).
-            flush()
+            # Flush first so the k-th distance is fresh (a pinned one is),
+            # then compute all children's quick bounds and all surviving
+            # children's box bounds in one batched kernel call each (the
+            # answer heap does not change below, so the k-th distance is a
+            # loop constant and batching is decision-identical to the
+            # sequential per-child formulation).
+            if not ranged:
+                flush()
             children = node.children
             limit = kth()
             if self.use_quick_bound:
@@ -978,6 +1000,11 @@ class TrajTree:
             # No truncation actually occurred (natural break or emptied
             # frontier): bit-identical to the unbudgeted answer.
             return AnytimeResult(pairs)
+        if ranged:
+            # A truncated range answer is a sound subset: distances are
+            # exact (factor 1.0), completeness is lost (residual 0.0).
+            return AnytimeResult(pairs, exact=False, reason=truncate_reason,
+                                 residual_bound=0.0, bound_factor=1.0)
         return AnytimeResult(
             pairs, exact=False, reason=truncate_reason,
             residual_bound=residual,
@@ -1023,8 +1050,8 @@ class TrajTree:
         Reentrancy contract: the call never mutates tree state — each
         query gets a fresh stats object, traversal state is local, and
         the only shared writes are the idempotent lazy cache fills of
-        :meth:`Trajectory.coords` / :meth:`TBoxSeq.geometry` and the member
-        blocks (see :meth:`warm_caches`) — so concurrent calls from multiple threads
+        :meth:`Trajectory.coords` and the member blocks (see
+        :meth:`warm_caches`) — so concurrent calls from multiple threads
         are safe on a tree that is not being updated.
         """
         return dispatch_query_many(self, requests)
@@ -1071,105 +1098,34 @@ class TrajTree:
     def range_query(
         self,
         query: Trajectory,
-        radius: float,
+        radius,
         stats: Optional[TrajTreeStats] = None,
         budget=None,
     ) -> List[Tuple[int, float]]:
         """All trajectories within (normalized) EDwP ``radius`` of the query.
 
-        Uses the same lower bounds as k-NN, against the radius: a subtree
-        is skipped when its bound exceeds it, a subtree one flush can hold
-        is refined whole, and a member is refined only if its own bound
-        is within it.  Returns ``[(traj_id, distance), ...]`` sorted
-        ascending.
+        The best-first search of :meth:`knn` with its k-th distance pinned
+        at the radius (:class:`TopK`): a subtree whose bound passes the
+        radius is skipped, one a flush can hold is refined whole, a member
+        is refined only if its own bound is within the radius, and every
+        member refined refines in one kernel call at the end.  Returns
+        ``[(traj_id, distance), ...]`` sorted ascending.  ``radius`` may be
+        a pinned :class:`TopK` instead, which a forest's walk shares
+        (:meth:`_best_first`).
 
-        ``budget`` (optional) is checked once per traversal wave; on
-        exhaustion the collected hits come back as an anytime *subset*
-        (every returned pair is a true in-radius hit with its exact
-        distance, but hits under the unexplored frontier may be missing
-        — ``exact=False``, ``residual_bound=0.0``).  Epsilon does not
+        ``budget`` (optional) follows :meth:`knn`'s check points; on
+        exhaustion the hits found come back as an anytime *subset* (every
+        returned pair is a true in-radius hit with its exact distance, but
+        hits under the unexplored frontier may be missing — ``exact=False``,
+        ``residual_bound=0.0``, ``bound_factor=1.0``).  Epsilon does not
         apply: the radius is fixed, there is no k-th distance to relax.
         """
-        if not radius >= 0:     # NaN compares false with everything
-            raise ValueError("radius must be non-negative")
-        if query.num_segments == 0:
-            raise ValueError("query needs at least one segment")
-        if stats is None:
-            stats = TrajTreeStats()
-        tracker = as_tracker(budget)
-        truncate_reason: Optional[str] = None
-
-        # Wave traversal: the radius never changes, so whole frontiers can
-        # be filtered at once — one batched quick-bound call, one batched
-        # box-bound call, and one batched exact-refinement call over the
-        # members every node of the wave hands over.  As in
-        # :meth:`_best_first`, a node one flush can hold is refined whole,
-        # not bounded or descended into, and every member handed over
-        # passes its own bound first.
-        out: List[Tuple[int, float]] = []
-        frontier: List[_Node] = [self.root]
-        while frontier:
-            if tracker is not None:
-                truncate_reason = tracker.exhausted()
-                if truncate_reason is not None:
-                    stats.nodes_pruned += len(frontier)
-                    break
-            # (node, raw bound) pairs whose members this wave refines.
-            refined = [(node, 0.0) for node in frontier
-                       if node.count() <= REFINE_FLUSH]
-            stats.nodes_visited += len(refined)
-            bounded = [node for node in frontier
-                       if node.count() > REFINE_FLUSH]
-            if self.use_quick_bound and bounded:
-                stats.quick_bound_computations += len(bounded)
-                quicks = self._quick_bounds_many_raw(
-                    query, [node.union_rect for node in bounded])
-            else:
-                quicks = [0.0] * len(bounded)
-            survivors = [
-                (node, quick)
-                for node, quick in zip(bounded, quicks)
-                if self._normalize_bound(query, node.max_length, quick,
-                                         self.normalized) <= radius
-            ]
-            stats.nodes_pruned += len(bounded) - len(survivors)
-            next_frontier: List[_Node] = []
-            if survivors:
-                stats.bound_computations += len(survivors)
-                if tracker is not None:
-                    tracker.charge_bounds(len(survivors))
-                bounds = self._bounds_many_raw(
-                    query, [node for node, _ in survivors])
-                for (node, quick), lb in zip(survivors, bounds):
-                    if self._normalize_bound(query, node.max_length, lb,
-                                             self.normalized) > radius:
-                        stats.nodes_pruned += 1
-                        continue
-                    stats.nodes_visited += 1
-                    if node.is_leaf:
-                        refined.append((node, max(quick, lb)))
-                    else:
-                        next_frontier.extend(node.children)
-            chunks = [block.take(self._members_within(
-                query, block, raw, radius, self.normalized, stats,
-                two_sided=True))
-                for block, raw in ((self._block(n), r) for n, r in refined)]
-            batch = TrajectoryBatch.concat(chunks) if chunks else ()
-            if len(batch):
-                ds = self._exact_many(query, batch)
-                stats.exact_computations += len(batch)
-                out.extend((tid, d) for tid, d in zip(batch.ids.tolist(), ds)
-                           if d <= radius)
-            frontier = next_frontier
-        out.sort(key=lambda x: (x[1], x[0]))
-        if tracker is None:
-            return out
-        if truncate_reason is None:
-            return AnytimeResult(out)
-        # A truncated range answer is a sound subset; distances are exact
-        # (factor 1.0) but completeness is lost, which residual 0.0 states.
-        return AnytimeResult(out, exact=False, reason=truncate_reason,
-                             residual_bound=0.0, bound_factor=1.0)
+        shared = isinstance(radius, TopK)
+        return self._best_first(
+            query, radius if shared else max(len(self), 1), stats, budget,
+            refine=self._exact_many, normalized=self.normalized,
+            full_match=True, radius=None if shared else radius,
+        )
 
     def range_query_scan(
         self, query: Trajectory, radius: float
@@ -1251,7 +1207,6 @@ class TrajTree:
             node.subtree_ids.append(traj_id)
             node.block = None
             if node.is_leaf:
-                node.member_ids.append(traj_id)
                 break
             g, grown = least_growth(
                 [c.boxseq for c in node.children], traj, self.max_boxes
@@ -1274,13 +1229,9 @@ class TrajTree:
             return False
         node.subtree_ids.remove(traj_id)
         node.block = None
-        if node.is_leaf:
-            if traj_id in node.member_ids:
-                node.member_ids.remove(traj_id)
-            return True
         for child in node.children:
             if self._delete_from(child, traj_id):
-                return True
+                break
         return True
 
     def needs_rebuild(self) -> bool:

@@ -266,7 +266,7 @@ class TestForestCrashSafety:
         header, _, payload = path.read_bytes().partition(b"\n")
         assert checksum == sha256_bytes(payload)
         assert header.split(b" ")[2] == checksum.encode()
-        assert read_envelope(path, "repro-trajtree", "1.5.0",
+        assert read_envelope(path, "repro-trajtree", "1.6.0",
                              expected=checksum) == payload
 
 
@@ -404,7 +404,8 @@ class TestCorruptionMatrix:
                                                  tmp_path):
         """What older releases wrote: a bare pickled dict (tree format
         1.2.0), a 1.3.0 envelope (trees with vantage descriptors), a 1.4.0
-        envelope (box sequences as ``STBox`` objects) and a 1.1.0 manifest
+        envelope (box sequences as ``STBox`` objects), a 1.5.0 envelope
+        (nodes with a depth and a leaf member list) and a 1.1.0 manifest
         over such shards.  Each loader gives its typed message; nothing of
         the old file is decoded."""
         path = tmp_path / "old.pkl"
@@ -413,14 +414,14 @@ class TestCorruptionMatrix:
              "fingerprint": {"count": len(tree)}, "tree": tree},
             protocol=pickle.HIGHEST_PROTOCOL))
         with pytest.raises(ValueError,
-                           match="predates format 1.5.0; rebuild") as excinfo:
+                           match="predates format 1.6.0; rebuild") as excinfo:
             load_tree(path)
         assert not isinstance(excinfo.value, IntegrityError)
-        for old in ("1.3.0", "1.4.0"):
+        for old in ("1.3.0", "1.4.0", "1.5.0"):
             write_envelope(path, "repro-trajtree", old, pickle.dumps(
                 tree, protocol=pickle.HIGHEST_PROTOCOL))
             with pytest.raises(ValueError, match=f"repro-trajtree {old} file, "
-                               "this library reads repro-trajtree 1.5.0; "
+                               "this library reads repro-trajtree 1.6.0; "
                                "rebuild it") as excinfo:
                 load_tree(path)
             assert not isinstance(excinfo.value, IntegrityError)

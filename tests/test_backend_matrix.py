@@ -49,21 +49,31 @@ from helpers import assert_bound_matches
 MATRIX_BACKENDS = ["numpy"]
 
 
-def assert_matches(ref, got):
-    """Cross-backend agreement: exact for ints and inf, 1e-9 relative
-    (1e-12 absolute near zero) for float costs."""
+def assert_matches(ref, got, pair=()):
+    """Cross-backend agreement: exact for ints and inf, 1e-9 relative for
+    float costs, and near zero 1e-12 absolute times ``max(1, n · c)`` for
+    the ``pair`` of trajectories compared (``n`` their points, ``c`` their
+    largest coordinate magnitude): a cost that is 0 in exact arithmetic
+    keeps the rounding of sums of that size, so unit-scale inputs keep
+    1e-12."""
     if isinstance(ref, int):
         assert got == ref
     elif math.isinf(ref):
         assert math.isinf(got) and (got > 0) == (ref > 0)
     else:
-        assert abs(got - ref) <= max(1e-9 * abs(ref), 1e-12)
+        scale = 1.0
+        if pair:
+            scale = max(1.0, sum(map(len, pair))
+                        * max(float(abs(t.spatial()).max()) for t in pair))
+        assert abs(got - ref) <= max(1e-9 * abs(ref), 1e-12 * scale)
 
 
-def assert_lists_match(ref, got):
+def assert_lists_match(ref, got, query=None, targets=()):
+    """:func:`assert_matches` per row; given the ``query`` and the
+    ``targets``, row ``i``'s floor scales with ``(query, targets[i])``."""
     assert len(ref) == len(got)
-    for r, g in zip(ref, got):
-        assert_matches(r, g)
+    for i, (r, g) in enumerate(zip(ref, got)):
+        assert_matches(r, g, () if query is None else (query, targets[i]))
 
 
 # --------------------------------------------------------------------- #

@@ -231,11 +231,13 @@ def test_bound_and_oracle_on_dataset_assignments(make, max_boxes, pivots,
 
 
 def tree_signature(tree):
-    """Per node, pre-order: the ids below it and its summary's bytes."""
+    """Per node, pre-order: the ids below it, the ids stored at it (a
+    leaf's, none for an internal node) and its summary's bytes."""
     out = []
 
     def walk(node):
-        out.append((tuple(node.subtree_ids), tuple(node.member_ids),
+        out.append((tuple(node.subtree_ids),
+                    tuple(node.subtree_ids) if not node.children else (),
                     geometry_bytes(node.boxseq)))
         for child in node.children:
             walk(child)

@@ -11,21 +11,25 @@ The second half counts sweeps: a search refines a node it does not
 descend into with exactly one.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Trajectory, edwp_fast
 from repro.core.edwp import BACKENDS, edwp_many
 from repro.core.edwp_sub import edwp_sub, edwp_sub_many
 from repro.datasets.beijing import BeijingConfig, generate_beijing
 from repro.index.forest import TrajForest
-from repro.index.trajtree import TrajTree, TrajTreeStats
+from repro.index import trajtree
+from repro.index.trajtree import MemberBlock, TrajTree, TrajTreeStats
 
 import lockstep_oracle as oracle
 from test_backend_matrix import (MATRIX_BACKENDS, assert_lists_match,
                                  assert_matches, free_coord, trajectories)
 from test_least_growth import FOREST_KWARGS, tiny_walks
+from test_member_blocks import member_rect_raw
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -228,6 +232,14 @@ class TestKernelIdentity:
         assert np.array_equal(Z, Z_old) and np.array_equal(segs, segs_old)
 
 
+#: A query on the first third of a target: EDwPsub is 0 on python and
+#: 1.2172437878149447e-12 on numpy, past a 1e-12 floor that ignores the
+#: pair's size.
+ON_THE_TARGET = Trajectory([(0.0, 0.0, float(i)) for i in range(6)]
+                           + [(39.40137095868678, 46.0, 6.0)])
+TARGET = Trajectory([(0.0, 0.0, 0.0), (118.20411287606035, 138.0, 1.0)])
+
+
 @pytest.mark.parametrize("backend", MATRIX_BACKENDS)
 class TestAgainstReference:
     """The public entry points stay within the backend matrix's tolerance
@@ -235,17 +247,21 @@ class TestAgainstReference:
 
     @SETTINGS
     @given(query=trajectories(), batch=skewed_batches())
+    @example(query=ON_THE_TARGET, batch=[TARGET])
     def test_many(self, backend, query, batch):
         assert_lists_match(edwp_many(query, batch, backend="python"),
-                           edwp_many(query, batch, backend=backend))
+                           edwp_many(query, batch, backend=backend),
+                           query, batch)
         assert_lists_match(edwp_sub_many(query, batch, backend="python"),
-                           edwp_sub_many(query, batch, backend=backend))
+                           edwp_sub_many(query, batch, backend=backend),
+                           query, batch)
 
     @SETTINGS
     @given(t=trajectories(), s=trajectories(max_len=40))
+    @example(t=ON_THE_TARGET, s=TARGET)
     def test_sub_pair(self, backend, t, s):
         assert_matches(edwp_sub(t, s, backend="python"),
-                       edwp_sub(t, s, backend=backend))
+                       edwp_sub(t, s, backend=backend), (t, s))
 
 
 # --------------------------------------------------------------------- #
@@ -278,6 +294,17 @@ def beijing_tree():
                     seed=7)
     radius = tree.knn(trips[60], 10)[-1][1]
     return tree, trips[60:], radius
+
+
+@pytest.fixture(scope="module")
+def tiny_forest():
+    """The ``forest_knn`` shape: 480 tiny walks in 6 shards, every shard
+    refined whole; the same walks in one tree; 4 queries."""
+    walks_ = tiny_walks(484, seed=3)
+    forest = TrajForest(walks_[:480], num_shards=6, backend="numpy",
+                        **FOREST_KWARGS)
+    single = TrajTree(walks_[:480], backend="numpy", **FOREST_KWARGS)
+    return forest, single, walks_[480:]
 
 
 def tree_queries(tree, radius):
@@ -317,26 +344,49 @@ class TestSweepCounts:
     def test_range_bounds_members_of_traversed_leaves(
             self, beijing_tree, backend, monkeypatch, small_refine_flush):
         """A leaf reached by traversal hands over only the members whose
-        own bound is within the radius; the rest count as member-pruned."""
+        own bound is within the radius: no member refined has a bound
+        (the scalar oracle's, two-sided) past it."""
         tree, queries, radius = beijing_tree
         monkeypatch.setattr(tree, "backend", backend)
+        refined = []
+        kernel = trajtree.edwp_many
+
+        def spy(query, batch, *args, **kwargs):
+            if isinstance(batch, MemberBlock):      # not the scan's list
+                refined.extend(batch)
+            return kernel(query, batch, *args, **kwargs)
+
+        monkeypatch.setattr(trajtree, "edwp_many", spy)
         for q in queries:
+            refined.clear()
             stats = TrajTreeStats()
             assert (tree.range_query(q, radius, stats=stats)
                     == tree.range_query_scan(q, radius))
             assert stats.bound_computations > 0
-            assert stats.members_pruned > 0
+            assert len(refined) == stats.exact_computations
+            assert all(tree._normalize_bound(
+                q, t.length, member_rect_raw(q, t, two_sided=True),
+                True) <= radius for t in refined)
             assert (stats.exact_computations + stats.members_pruned
                     <= len(tree))
 
-    def test_forest_knn_is_at_most_three_sweeps(self, sweeps):
-        walks_ = tiny_walks(484, seed=3)
-        forest = TrajForest(walks_[:480], num_shards=6, backend="numpy",
-                            **FOREST_KWARGS)
-        single = TrajTree(walks_[:480], backend="numpy", **FOREST_KWARGS)
-        for q in walks_[480:]:
+    def test_forest_knn_is_at_most_three_sweeps(self, tiny_forest, sweeps):
+        forest, single, queries = tiny_forest
+        for q in queries:
             stats = TrajTreeStats()
             before = sweeps()
             got = forest.knn(q, 10, stats=stats)
             assert sweeps() - before <= 3
             assert got == single.knn_scan(q, 10)
+
+    def test_forest_range_is_one_sweep(self, tiny_forest, sweeps):
+        """Every shard's hits refine in one kernel call: the shards share
+        one answer heap pinned at the radius, flushed once after the last
+        shard (a per-shard fan-out pays one sweep per shard)."""
+        forest, single, queries = tiny_forest
+        for q in queries:
+            for radius in (single.knn_scan(q, 50)[-1][1], math.inf):
+                before = sweeps()
+                got = forest.range_query(q, radius)
+                assert sweeps() - before == 1
+                assert got == single.range_query_scan(q, radius)

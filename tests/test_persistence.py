@@ -147,13 +147,13 @@ class TestValidation:
                 return (os.system, ("touch sentinel",))
 
         path = tmp_path / "hostile.pkl"
-        write_envelope(path, "repro-trajtree", "1.5.0",
+        write_envelope(path, "repro-trajtree", "1.6.0",
                        pickle.dumps(Hostile()))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
         assert not (tmp_path / "sentinel").exists()
         # allowed names alone, but not a tree
-        write_envelope(path, "repro-trajtree", "1.5.0",
+        write_envelope(path, "repro-trajtree", "1.6.0",
                        pickle.dumps(np.arange(3)))
         with pytest.raises(ValueError, match="does not decode to a TrajTree"):
             load_tree(path)
@@ -162,6 +162,8 @@ class TestValidation:
             (np.zeros((2, 4)), np.zeros((2, 4)), r"\(m, 4\) rects"),
             (np.zeros((0, 4)), np.zeros(0), "at least one box"),
             ([[1.0, 0.0, 0.0, 1.0]], [1.0], "degenerate"),
+            ([[np.nan, 0.0, 1.0, 1.0]], [1.0], "degenerate"),
+            ([[0.0, 0.0, 1.0, np.inf]], [1.0], "degenerate"),
             ([[0.0, 0.0, 1.0, 1.0]], [np.nan], "min_len"),
             ("boxes", [1.0], "must be floats"),
         ]:
@@ -171,7 +173,7 @@ class TestValidation:
 
             damaged = pickle.loads(pickle.dumps(tree))
             damaged.root.children[-1].boxseq = Malformed()
-            write_envelope(path, "repro-trajtree", "1.5.0",
+            write_envelope(path, "repro-trajtree", "1.6.0",
                            pickle.dumps(damaged))
             with pytest.raises(ValueError, match=match):
                 load_tree(path)
@@ -220,7 +222,7 @@ class TestForestRoundTrip:
                 (path / entry["file"]).read_bytes().partition(b"\n")
             assert entry["sha256"] == sha256_bytes(payload)
             assert header.split(b" ") == [
-                b"repro-trajtree", b"1.5.0", entry["sha256"].encode(),
+                b"repro-trajtree", b"1.6.0", entry["sha256"].encode(),
                 str(len(payload)).encode()]
             shard = load_tree(path / entry["file"])
             assert shard.ids() == forest.shards[i].ids()

@@ -50,6 +50,11 @@ class TestConstruction:
             box(5, 0, 0, 10)
         with pytest.raises(ValueError, match="degenerate"):
             box(0, 10, 1, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="degenerate"):
+                box(xmin=bad)
+            with pytest.raises(ValueError, match="degenerate"):
+                box(ymax=bad)
 
     def test_negative_min_len_raises(self):
         for bad in (-1.0, np.nan, np.inf):
